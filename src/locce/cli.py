@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, print result tables.
 
 Subcommands map to the protocol families; ``paper-suite`` runs the full
-verification battery. Every run emits rows with the fixed column order
+verification battery, the ``CRITERIA`` that ``tests/test_acceptance.py``
+also runs. Every run emits rows with the fixed column order
 
     scenario, family, protocol, fidelity, bound, expected, status, ms
 
@@ -18,28 +19,33 @@ Scenario file schema (all keys optional unless the family needs them):
       "alpha": 0.9, "gamma": 0.8,
       "m": 1, "graph": "triangle", "edges": "0-1,1-2",
       "lambdas": [1.0, 1.0], "outcomes": 4, "restarts": 20,
+      "bounds_family": "ghz",      # bounds: ghz | lattice | parametric
       "seed": 7,
       "format": "table",           # table | csv | json
       "timing": "on"               # "off" zeroes the ms column for reproducible bytes
     }
 
-The default seed comes from the LOCCE_SEED environment variable when no
-flag or file value is given.
+A default applies only when a field is absent or null; a given value,
+zero included, is validated. The default seed comes from the LOCCE_SEED
+environment variable when no flag or file value is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import StateVector, maximally_entangled
+from .tensor import StateVector, apply_to_batch, bell_vectors, maximally_entangled
 from .families import (
     Ensemble,
     Graph,
@@ -48,6 +54,7 @@ from .families import (
     coarsen,
     ghz_basis,
     ghz_state,
+    graph_state_basis,
     lattice_basis,
     parametric_basis,
     single_qubit_layout,
@@ -135,7 +142,9 @@ def emit(rows: list[Row], fmt_name: str, timing: bool = True) -> str:
         return json.dumps(payload, indent=2)
     table = [COLUMNS] + [r.cells(timing) for r in rows]
     if fmt_name == "csv":
-        return "\n".join(",".join(cells) for cells in table)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(table)
+        return buf.getvalue()[:-1]
     widths = [max(len(row[i]) for row in table) for i in range(len(COLUMNS))]
     lines = []
     for r, cells in enumerate(table):
@@ -149,13 +158,26 @@ class ScenarioError(Exception):
     pass
 
 
-def _require(params: dict, key: str, kind, family: str):
-    if key not in params or params[key] is None:
-        raise ScenarioError(f"{family}: missing required field '{key}'")
+_REQUIRED = object()
+
+
+def _field(params: dict, key: str, kind, family: str, default=_REQUIRED,
+           minimum=None):
+    """Field ``key`` converted by ``kind``; ``default`` only if absent or None."""
+    value = params.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{family}: missing required field '{key}'")
+        return default
     try:
-        return kind(params[key])
+        value = kind(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{family}: bad value for field '{key}': {exc}") from exc
+    if minimum is not None and value < minimum:
+        raise ScenarioError(
+            f"{family}: bad value for field '{key}': {value} is below {minimum}"
+        )
+    return value
 
 
 def _int_list(value) -> tuple[int, ...]:
@@ -172,7 +194,7 @@ def _float_list(value) -> tuple[float, ...]:
 
 def _parse_graph(params: dict) -> Graph:
     name = params.get("graph")
-    if name:
+    if name is not None:
         key = str(name).lower()
         if key not in NAMED_GRAPHS:
             raise ScenarioError(
@@ -197,9 +219,10 @@ def _parse_graph(params: dict) -> Graph:
 # -- family runners ----------------------------------------------------------
 
 def run_ghz(params: dict) -> list[Row]:
-    n = _require(params, "n", int, "ghz")
-    sizes = _int_list(params.get("sizes") or (1,) * n)
-    label = params.get("scenario") or f"ghz-n{n}-sizes{'.'.join(map(str, sizes))}"
+    n = _field(params, "n", int, "ghz", minimum=2)
+    sizes = _field(params, "sizes", _int_list, "ghz", (1,) * n)
+    label = _field(params, "scenario", str, "ghz",
+                   f"ghz-n{n}-sizes{'.'.join(map(str, sizes))}")
     t0 = time.perf_counter()
     if all(s == 1 for s in sizes):
         problem, tree = sequential_bell_protocol(n)
@@ -214,7 +237,8 @@ def run_ghz(params: dict) -> list[Row]:
 
 def run_graph(params: dict) -> list[Row]:
     g = _parse_graph(params)
-    label = params.get("scenario") or params.get("graph") or f"graph-{g.vertex_count}v"
+    label = _field(params, "scenario", str, "graph",
+                   _field(params, "graph", str, "graph", f"graph-{g.vertex_count}v"))
     t0 = time.perf_counter()
     problem, tree = graph_decode_protocol(g)
     f = run_protocol(problem, tree).fidelity
@@ -223,14 +247,14 @@ def run_graph(params: dict) -> list[Row]:
     for member in table.values():
         counts[member] = counts.get(member, 0) + 1
     mult_ok = set(counts.values()) == {2 ** g.vertex_count}
-    return [_row(str(label), "graph", "bell-orbit-decode", f, "n/a (perfect)",
+    return [_row(label, "graph", "bell-orbit-decode", f, "n/a (perfect)",
                  fmt(1.0), abs(f - 1.0) <= ATOL and mult_ok, t0)]
 
 
 def run_lattice(params: dict) -> list[Row]:
-    n = _require(params, "n", int, "lattice")
-    m = _require(params, "m", int, "lattice")
-    label = params.get("scenario") or f"lattice-n{n}-m{m}"
+    n = _field(params, "n", int, "lattice")
+    m = _field(params, "m", int, "lattice")
+    label = _field(params, "scenario", str, "lattice", f"lattice-n{n}-m{m}")
     t0 = time.perf_counter()
     problem, tree = lattice_partial_teleport(n, m)
     f = run_protocol(problem, tree).fidelity
@@ -241,9 +265,10 @@ def run_lattice(params: dict) -> list[Row]:
 
 
 def run_parametric(params: dict) -> list[Row]:
-    alpha = _require(params, "alpha", float, "parametric")
-    gamma = _require(params, "gamma", float, "parametric")
-    label = params.get("scenario") or f"parametric-a{fmt(alpha)}-g{fmt(gamma)}"
+    alpha = _field(params, "alpha", float, "parametric")
+    gamma = _field(params, "gamma", float, "parametric")
+    label = _field(params, "scenario", str, "parametric",
+                   f"parametric-a{fmt(alpha)}-g{fmt(gamma)}")
     rows = []
     t0 = time.perf_counter()
     ens = parametric_basis(alpha, gamma)
@@ -260,7 +285,7 @@ def run_parametric(params: dict) -> list[Row]:
 
 
 def run_example4(params: dict) -> list[Row]:
-    label = params.get("scenario") or "example4"
+    label = _field(params, "scenario", str, "example4", "example4")
     rows = []
     t0 = time.perf_counter()
     problem, tree = ghz_subset_bell_protocol()
@@ -280,15 +305,16 @@ def run_example4(params: dict) -> list[Row]:
 
 
 def run_oneway(params: dict) -> list[Row]:
-    lambdas = _float_list(params.get("lambdas") or (1.0, 1.0))
-    outcomes = int(params.get("outcomes") or len(lambdas) ** 2)
-    restarts = int(params.get("restarts") or 20)
-    seed = int(params.get("seed") or 0)
-    label = params.get("scenario") or f"oneway-lam{','.join(fmt(x) for x in lambdas)}"
-    spectrum = ResourceSpectrum(lambdas)
-    rep = to_matrix_rep(bell_basis()) if spectrum.d == 2 else None
-    if rep is None:
+    lambdas = _field(params, "lambdas", _float_list, "oneway", (1.0, 1.0))
+    if len(lambdas) != 2:
         raise ScenarioError("oneway: field 'lambdas' must have length 2 (qubit ensembles)")
+    outcomes = _field(params, "outcomes", int, "oneway", 4, minimum=4)
+    restarts = _field(params, "restarts", int, "oneway", 20, minimum=1)
+    seed = _field(params, "seed", int, "oneway", 0)
+    label = _field(params, "scenario", str, "oneway",
+                   f"oneway-lam{','.join(fmt(x) for x in lambdas)}")
+    spectrum = ResourceSpectrum(lambdas)
+    rep = to_matrix_rep(bell_basis())
     rows = []
     is_mes = bool(np.max(np.abs(np.asarray(lambdas) - 1.0)) <= 1e-12)
     if is_mes:
@@ -311,12 +337,11 @@ def run_oneway(params: dict) -> list[Row]:
 
 
 def run_bounds(params: dict) -> list[Row]:
-    family = str(params.get("bounds_family") or params.get("family_name") or
-                 params.get("target") or "ghz")
+    family = _field(params, "bounds_family", str, "bounds", "ghz")
     rows = []
     if family == "ghz":
-        n = int(params.get("n") or 3)
-        label = params.get("scenario") or f"bounds-ghz-{n}"
+        n = _field(params, "n", int, "bounds", 3, minimum=2)
+        label = _field(params, "scenario", str, "bounds", f"bounds-ghz-{n}")
         t0 = time.perf_counter()
         ens = ghz_basis(n, (1,) * n)
         problem, tree = computational_protocol(ens)
@@ -328,8 +353,8 @@ def run_bounds(params: dict) -> list[Row]:
         rows.append(_row(label, "bounds", "computational-vs-sep-bound", achieved,
                          fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
     elif family == "lattice":
-        n = int(params.get("n") or 2)
-        label = params.get("scenario") or f"bounds-lattice-{n}"
+        n = _field(params, "n", int, "bounds", 2, minimum=1)
+        label = _field(params, "scenario", str, "bounds", f"bounds-lattice-{n}")
         t0 = time.perf_counter()
         ens = lattice_basis(n)
         problem, tree = computational_protocol(ens)
@@ -338,9 +363,9 @@ def run_bounds(params: dict) -> list[Row]:
         rows.append(_row(label, "bounds", "computational-vs-mes-bound", achieved,
                          fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
     elif family == "parametric":
-        alpha = float(params.get("alpha") or 0.9)
-        gamma = float(params.get("gamma") or 0.8)
-        label = params.get("scenario") or "bounds-parametric"
+        alpha = _field(params, "alpha", float, "bounds", 0.9)
+        gamma = _field(params, "gamma", float, "bounds", 0.8)
+        label = _field(params, "scenario", str, "bounds", "bounds-parametric")
         t0 = time.perf_counter()
         ens = parametric_basis(alpha, gamma)
         _, achieved = optimal_guess(ens, computational_povm(ens.dims))
@@ -353,47 +378,104 @@ def run_bounds(params: dict) -> list[Row]:
 
 
 # -- the full verification battery -------------------------------------------
+#
+# ``paper-suite`` prints the rows of every criterion in order, and
+# tests/test_acceptance.py runs each criterion as one test. A check with no
+# row of its own fails the row it belongs to.
 
-def run_paper_suite(params: dict) -> list[Row]:
-    seed = int(params.get("seed") or 0)
-    fast = bool(params.get("fast"))
-    restarts = int(params.get("restarts") or 50)
-    rows: list[Row] = []
 
-    max_n = 4 if fast else 5
-    for n in range(2, max_n + 1):
+class Criterion(NamedTuple):
+    name: str
+    detail: str
+    run: Callable[[int], list[Row]]  # seed -> rows
+
+
+def _also(rows: list[Row], ok: bool) -> list[Row]:
+    """Fail every row in ``rows`` unless ``ok``."""
+    if not ok:
+        for row in rows:
+            row.status = "fail"
+    return rows
+
+
+def _sequential_bell_chain(seed: int) -> list[Row]:
+    rows = []
+    for n in range(2, 6):
         t0 = time.perf_counter()
         problem, tree = sequential_bell_protocol(n)
         res = run_protocol(problem, tree)
+        # the first round leaves all 2^N members, each later round halves
+        # them until four remain, and the last round pins the member
         sched_ok = all(
             res.survivors_after_measurement_round(j) == (2 ** (n - j + 1),)
-            for j in range(2, n)
+            for j in range(1, n)
         ) and res.survivors_after_measurement_round(n) == (1,)
         rows.append(_row(f"seq-bell-n{n}", "ghz", "sequential-bell", res.fidelity,
                          "n/a (perfect)", fmt(1.0),
                          abs(res.fidelity - 1.0) <= ATOL and sched_ok, t0))
+    return rows
 
-    cases = [(3, (2, 1)), (4, (2, 2)), (4, (3, 1))] + ([] if fast else [(5, (2, 2, 1))])
-    for n, sizes in cases:
+
+def _partitioned_ghz(seed: int) -> list[Row]:
+    rows = []
+    for n, sizes in ((3, (2, 1)), (4, (2, 2)), (4, (3, 1)), (5, (2, 2, 1))):
         rows += run_ghz({"n": n, "sizes": sizes,
                          "scenario": f"partitioned-n{n}-{'.'.join(map(str, sizes))}"})
+    return rows
 
+
+def _graph_decoding(seed: int) -> list[Row]:
+    rows = []
     for name in ("path3", "triangle", "star4", "cycle4"):
-        rows += run_graph({"graph": name, "scenario": f"graph-{name}"})
+        graph = NAMED_GRAPHS[name]()
+        n = graph.vertex_count
+        ens, _resource, stabs = graph_state_basis(graph)
+        # member x is the (-1)^(bit a of x) eigenvector of stabilizer a
+        stab_ok = all(
+            np.max(np.abs(stab.entries @ st.amps
+                          - (-1) ** (x >> (n - 1 - a) & 1) * st.amps)) < ATOL
+            for x, st in enumerate(ens.states) for a, stab in enumerate(stabs)
+        )
+        rows += _also(run_graph({"graph": name, "scenario": f"graph-{name}"}), stab_ok)
+    return rows
 
-    for m in (1, 2):
-        rows += run_lattice({"n": 2, "m": m})
+
+def _lattice_values(seed: int) -> list[Row]:
+    rows = run_lattice({"n": 2, "m": 1}) + run_lattice({"n": 2, "m": 2})
     t0 = time.perf_counter()
-    ens = lattice_basis(2)
-    problem, tree = computational_protocol(ens)
+    problem, tree = computational_protocol(lattice_basis(2))
     achieved = run_protocol(problem, tree).fidelity
     bound = mes_bound(16, 4)
     rows.append(_row("lattice-resource-free", "lattice", "computational", achieved,
-                     fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
+                     fmt(bound), fmt(bound),
+                     bound == 0.25 and abs(achieved - bound) <= ATOL, t0))
+    return rows
 
-    rows += run_bounds({"bounds_family": "ghz", "n": 3, "scenario": "ghz-bound-chain"})
-    rows += run_example4({})
 
+def _ghz_bound_chain(seed: int) -> list[Row]:
+    ens = ghz_basis(3, (1, 1, 1))
+    _, guessed = optimal_guess(ens, computational_povm(ens.dims))
+    cuts = [schmidt_coeff_sep_bound(ens, cut) for cut in ens.layout.bipartitions()]
+    rows = run_bounds({"bounds_family": "ghz", "n": 3, "scenario": "ghz-bound-chain"})
+    return _also(rows, abs(guessed - 0.5) <= ATOL and cuts == [0.5] * 3)
+
+
+def _subset_resource(seed: int) -> list[Row]:
+    joint = ghz_subset_bell_protocol()[0].joint
+    # A measuring |+> maps member i to Bell state i on the unknown B, C pair
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    bell = bell_vectors()
+    mapping_ok = True
+    for i, (_, member) in enumerate(joint.members):
+        post = apply_to_batch(np.outer(plus, plus.conj()), (2,), member.amps, joint.dims)
+        post = post / np.linalg.norm(post)
+        expected = np.kron(np.kron(bell[0], plus), bell[i])
+        mapping_ok &= abs(abs(np.vdot(expected, post)) - 1.0) < ATOL
+    protocol_row, entropy_row = run_example4({})
+    return _also([protocol_row], mapping_ok) + [entropy_row]
+
+
+def _parametric_grid(seed: int) -> list[Row]:
     t0 = time.perf_counter()
     grid = np.linspace(1 / math.sqrt(2), 1.0, 5)
     worst = 0.0
@@ -405,16 +487,28 @@ def run_paper_suite(params: dict) -> list[Row]:
             worst = max(worst, abs(f_local - (a * a + g * g) / 2))
             problem, tree = teleportation_protocol(ens, "A", "B")
             tel_ok &= abs(run_protocol(problem, tree).fidelity - 1.0) <= ATOL
-    rows.append(_row("parametric-grid-5x5", "parametric", "formula+teleport", worst,
-                     "n/a", "err<1e-09", worst <= ATOL and tel_ok, t0))
+    return [_row("parametric-grid-5x5", "parametric", "formula+teleport", worst,
+                 "n/a", "err<1e-09", worst <= ATOL and tel_ok, t0)]
 
+
+def _conversion_composition(seed: int) -> list[Row]:
     t0 = time.perf_counter()
     resource = StateVector((2, 2), [math.sqrt(0.8), 0, 0, math.sqrt(0.2)])
     _, fb_tree = computational_protocol(bell_basis())
     f = vidal_then_fallback(bell_basis(), resource, 2, fb_tree)
-    rows.append(_row("conversion-mix", "vidal", "convert-then-fallback", f, "n/a",
-                     fmt(0.7), abs(f - 0.7) <= ATOL, t0))
+    # every partial resource strictly beats the fallback alone
+    fallback = run_protocol(JointProblem(bell_basis()), fb_tree).fidelity
+    rng = np.random.default_rng(71)
+    helps = True
+    for _ in range(10):
+        lam = rng.uniform(0.02, 0.5)
+        partial = StateVector((2, 2), [math.sqrt(1 - lam), 0, 0, math.sqrt(lam)])
+        helps &= vidal_then_fallback(bell_basis(), partial, 2, fb_tree) > fallback + 1e-12
+    return [_row("conversion-mix", "vidal", "convert-then-fallback", f, "n/a",
+                 fmt(0.7), abs(f - 0.7) <= ATOL and helps, t0)]
 
+
+def _entropy_bounds(seed: int) -> list[Row]:
     t0 = time.perf_counter()
     ok = True
     for n, sizes in ((3, (1, 1, 1)), (4, (2, 2)), (4, (1, 1, 1, 1))):
@@ -422,25 +516,31 @@ def run_paper_suite(params: dict) -> list[Row]:
         report = entropy_bound_check(
             ghz_state(m), single_qubit_layout(m), ghz_basis(n, sizes),
         )
-        ok &= report.passed and all(
+        ok &= report.applicable and report.passed and report.n_partite_ok and all(
             abs(r.mean_member_entropy - 1.0) <= ATOL
             and abs(r.resource_entropy - 1.0) <= ATOL
             for r in report.rows
         )
-    product = StateVector((2, 2, 2), np.eye(8)[0])
-    bad = entropy_bound_check(product, single_qubit_layout(3), ghz_basis(3, (1, 1, 1)))
-    ok &= not bad.passed
-    rows.append(_row("entropy-bounds", "entropy", "resource-vs-mean", None, "n/a",
-                     "pass", ok, t0))
+    for basis in (ghz_basis(3, (1, 1, 1)), bell_basis()):
+        m = len(basis.layout.names)
+        product = StateVector((2,) * m, np.eye(2 ** m)[0])
+        layout = PartyLayout(tuple((name, (i,)) for i, name in enumerate(basis.layout.names)))
+        ok &= not entropy_bound_check(product, layout, basis).passed
+    return [_row("entropy-bounds", "entropy", "resource-vs-mean", None, "n/a",
+                 "pass", ok, t0)]
 
-    rows += run_oneway({"lambdas": (1.0, 1.0), "outcomes": 4,
-                        "restarts": max(10, restarts // 5), "seed": seed,
-                        "scenario": "oneway-mes"})
+
+def _oneway_feasibility(seed: int) -> list[Row]:
+    rows = run_oneway({"lambdas": (1.0, 1.0), "outcomes": 4, "restarts": 10,
+                       "seed": seed, "scenario": "oneway-mes"})
     for outcomes in (4, 8):
         rows += run_oneway({"lambdas": (1.6, 0.4), "outcomes": outcomes,
-                            "restarts": restarts, "seed": seed,
+                            "restarts": 50, "seed": seed,
                             "scenario": f"oneway-skew-K{outcomes}"})
+    return rows
 
+
+def _cross_checks(seed: int) -> list[Row]:
     t0 = time.perf_counter()
     ok = True
     for entry in standard_zoo():
@@ -456,9 +556,36 @@ def run_paper_suite(params: dict) -> list[Row]:
         coarse_problem = JointProblem(merged)
         coarse_tree = relabel_parties(entry.tree, grouping)
         ok &= abs(run_protocol(coarse_problem, coarse_tree).fidelity - res.fidelity) <= ATOL
-    rows.append(_row("cross-checks", "zoo", "flatten+mes+coarsen", None, "n/a",
-                     "pass", ok, t0))
-    return rows
+    return [_row("cross-checks", "zoo", "flatten+mes+coarsen", None, "n/a",
+                 "pass", ok, t0)]
+
+
+CRITERIA = (
+    Criterion("01 sequential-bell-chain", "N=2..5 fidelity 1, halving schedule",
+              _sequential_bell_chain),
+    Criterion("02 partitioned-ghz", "four partitionings, fidelity 1", _partitioned_ghz),
+    Criterion("03 graph-decoding", "P3 K3 S4 C4: fidelity 1, 2^N multiplicity, stabilizers",
+              _graph_decoding),
+    Criterion("04 lattice-values", "1/2^(2-m), mes bound 0.25 saturated", _lattice_values),
+    Criterion("05 ghz-bound-chain", "achieved 1/2 equals separable bound", _ghz_bound_chain),
+    Criterion("06 subset-resource", "fidelity 1, entropy check, mapping table",
+              _subset_resource),
+    Criterion("07 parametric-grid", "5x5 grid: formula and teleportation exact",
+              _parametric_grid),
+    Criterion("08 conversion-composition", "0.7 exact; partial resources always help",
+              _conversion_composition),
+    Criterion("09 entropy-bounds", "equality at 1 ebit; product resources rejected",
+              _entropy_bounds),
+    Criterion("10 oneway-feasibility",
+              "certificate < 1e-9, search < 1e-6; skew floors > 1e-2", _oneway_feasibility),
+    Criterion("11 cross-checks", "flatten/run agree; MES bounds hold; coarsening inert",
+              _cross_checks),
+)
+
+
+def run_paper_suite(params: dict) -> list[Row]:
+    seed = _field(params, "seed", int, "paper-suite", 0)
+    return [row for criterion in CRITERIA for row in criterion.run(seed)]
 
 
 FAMILIES = {
@@ -529,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("paper-suite", help="run the full verification battery")
-    p.add_argument("--fast", action="store_true", default=None,
-                   help="cap the sequential chain at 4 qubits")
-    p.add_argument("--restarts", type=int, default=None)
     common(p)
 
     return parser
@@ -551,36 +675,23 @@ def load_scenario(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    params: dict = {}
-    if args.scenario:
-        try:
-            params.update(load_scenario(args.scenario))
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    file_family = params.get("family")
-    if file_family and file_family != args.family:
-        print(f"error: scenario: field 'family' is {file_family!r} but the "
-              f"subcommand is {args.family!r}", file=sys.stderr)
-        return 2
-    for key, value in vars(args).items():
-        if key in ("scenario", "family") or value is None:
-            continue
-        if key == "scenario_name":
-            params["scenario"] = value
-        else:
-            params[key] = value
-    if params.get("seed") is None:
-        params["seed"] = int(os.environ.get("LOCCE_SEED", "0"))
-    out_format = params.get("format") or "table"
-    if out_format not in ("table", "csv", "json"):
-        print(f"error: scenario: bad value for field 'format': {out_format!r}",
-              file=sys.stderr)
-        return 2
-    timing = (params.get("timing") or "on") != "off"
+    args = build_parser().parse_args(argv)
     try:
+        params = load_scenario(args.scenario) if args.scenario else {}
+        file_family = params.get("family")
+        if file_family and file_family != args.family:
+            raise ScenarioError(f"scenario: field 'family' is {file_family!r} but the "
+                                f"subcommand is {args.family!r}")
+        for key, value in vars(args).items():
+            if key in ("scenario", "family") or value is None:
+                continue
+            params["scenario" if key == "scenario_name" else key] = value
+        if params.get("seed") is None:
+            params["seed"] = int(os.environ.get("LOCCE_SEED", "0"))
+        out_format = _field(params, "format", str, "scenario", "table")
+        if out_format not in ("table", "csv", "json"):
+            raise ScenarioError(f"scenario: bad value for field 'format': {out_format!r}")
+        timing = _field(params, "timing", str, "scenario", "on") != "off"
         rows = FAMILIES[args.family](params)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -334,24 +334,12 @@ def partitioned_ghz_protocol(num_qubits: int, party_sizes: Sequence[int]):
     return problem, build_tree(problem, script)
 
 
-_BELL_SIGMAS = None
-
-
-def _bell_sigmas():
-    """Single-qubit operators W_k with |B_k> = (I x W_k)|phi+>."""
-    global _BELL_SIGMAS
-    if _BELL_SIGMAS is None:
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        _BELL_SIGMAS = (np.eye(2, dtype=complex), z, x, x @ z)
-    return _BELL_SIGMAS
-
-
 def graph_outcome_table(g: Graph) -> dict[tuple[int, ...], int]:
     """Decoding lookup: Bell-outcome tuple -> unique consistent member.
 
     Entry sigma maps to the x with squared overlap 1 between
-    (tensor of sigma operators)|fiducial> and member x; every member is
+    (tensor of BELL_CORRECTIONS[sigma_j])|fiducial> and member x, where
+    |B_k> = (I x BELL_CORRECTIONS[k])|phi+>; every member is
     hit exactly 2**N times out of the 4**N tuples.
     """
     ens, _resource, _stabs = graph_state_basis(g)
@@ -359,12 +347,11 @@ def graph_outcome_table(g: Graph) -> dict[tuple[int, ...], int]:
     # the fiducial state is the all-plus-eigenvalue member, i.e. x = 0
     base = ens.states[0].amps
     members = ens.amplitude_matrix()
-    sigmas = _bell_sigmas()
     table: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(range(4), repeat=n):
         op = np.ones((1, 1), dtype=complex)
         for k in combo:
-            op = np.kron(op, sigmas[k])
+            op = np.kron(op, BELL_CORRECTIONS[k])
         moved = op @ base
         overlaps = np.abs(members.conj() @ moved) ** 2
         hit = np.flatnonzero(overlaps > 1 - 1e-9)

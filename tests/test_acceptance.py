@@ -1,236 +1,74 @@
 """Acceptance battery: every headline quantity at its stated tolerance.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
-per criterion. Tolerances are pinned here; nothing is calibrated later.
+Each test runs one of ``locce.cli.CRITERIA``, the same checks that
+``locce paper-suite`` prints as rows. Run with
+``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
+criterion. Tolerances are pinned in the criteria; nothing is calibrated later.
 """
 
-import math
-
-import numpy as np
-import pytest
-
-from locce.tensor import StateVector, bell_vectors, maximally_entangled
-from locce.families import (
-    Ensemble,
-    Graph,
-    PartyLayout,
-    bell_basis,
-    coarsen,
-    ghz_basis,
-    ghz_state,
-    graph_state_basis,
-    lattice_basis,
-    parametric_basis,
-    single_qubit_layout,
-)
-from locce.fidelity import (
-    average_fidelity,
-    bipartition_min_bound,
-    computational_povm,
-    entropy_bound_check,
-    mes_bound,
-    optimal_guess,
-    schmidt_coeff_sep_bound,
-)
-from locce.protocols import JointProblem, flatten_to_povm, relabel_parties, run_protocol
-from locce.oneway import (
-    ResourceSpectrum,
-    feasibility_search,
-    orthogonality_residual,
-    teleportation_certificate,
-    to_matrix_rep,
-)
-from locce.zoo import (
-    computational_protocol,
-    ghz_subset_bell_protocol,
-    ghz_subset_family,
-    graph_decode_protocol,
-    graph_outcome_table,
-    lattice_partial_teleport,
-    partitioned_ghz_protocol,
-    sequential_bell_protocol,
-    standard_zoo,
-    teleportation_protocol,
-    vidal_then_fallback,
-)
-
-ATOL = 1e-9
+from locce import cli
 
 
-def report(name: str, detail: str = ""):
-    suffix = f" ({detail})" if detail else ""
-    print(f"ACCEPTANCE {name}: PASS{suffix}")
+def run_criterion(name: str, scenarios: list[str]) -> list[cli.Row]:
+    assert cli.ATOL == 1e-9
+    criterion = next(c for c in cli.CRITERIA if c.name == name)
+    rows = criterion.run(0)
+    failing = [r for r in rows if r.status != "pass"]
+    assert not failing, "\n" + cli.emit(failing, "table")
+    assert [r.scenario for r in rows] == scenarios
+    print(f"ACCEPTANCE {criterion.name}: PASS ({criterion.detail})")
+    return rows
 
 
 def test_criterion_01_sequential_bell_exactness():
-    for n in (2, 3, 4, 5):
-        problem, tree = sequential_bell_protocol(n)
-        result = run_protocol(problem, tree)
-        assert result.fidelity == pytest.approx(1.0, abs=ATOL), f"N={n}"
-        # elimination starts at the second round and halves the field each
-        # round until four states remain; the last round pins the member
-        for j in range(2, n):
-            assert result.survivors_after_measurement_round(j) == (2 ** (n - j + 1),)
-        assert result.survivors_after_measurement_round(1) == (2 ** n,)
-        assert result.survivors_after_measurement_round(n) == (1,)
-    report("01 sequential-bell-chain", "N=2..5 fidelity 1, halving schedule")
+    run_criterion("01 sequential-bell-chain",
+                  ["seq-bell-n2", "seq-bell-n3", "seq-bell-n4", "seq-bell-n5"])
 
 
 def test_criterion_02_partitioned_ghz():
-    for n, sizes in ((3, (2, 1)), (4, (2, 2)), (4, (3, 1)), (5, (2, 2, 1))):
-        problem, tree = partitioned_ghz_protocol(n, sizes)
-        f = run_protocol(problem, tree).fidelity
-        assert f == pytest.approx(1.0, abs=ATOL), f"N={n}, sizes={sizes}"
-    report("02 partitioned-ghz", "four partitionings, fidelity 1")
+    run_criterion("02 partitioned-ghz",
+                  ["partitioned-n3-2.1", "partitioned-n4-2.2", "partitioned-n4-3.1",
+                   "partitioned-n5-2.2.1"])
 
 
 def test_criterion_03_graph_decoding():
-    cases = (Graph.path(3), Graph.complete(3), Graph.star(4), Graph.cycle(4))
-    for graph in cases:
-        n = graph.vertex_count
-        problem, tree = graph_decode_protocol(graph)
-        assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=ATOL)
-        table = graph_outcome_table(graph)
-        counts = {}
-        for member in table.values():
-            counts[member] = counts.get(member, 0) + 1
-        assert set(counts.values()) == {2 ** n}
-        ens, _resource, stabs = graph_state_basis(graph)
-        for x, st in enumerate(ens.states):
-            for a, stab in enumerate(stabs):
-                sign = -1.0 if x >> (n - 1 - a) & 1 else 1.0
-                assert np.max(np.abs(stab.entries @ st.amps - sign * st.amps)) < ATOL
-    report("03 graph-decoding", "P3 K3 S4 C4: fidelity 1, 2^N multiplicity, stabilizers")
+    run_criterion("03 graph-decoding",
+                  ["graph-path3", "graph-triangle", "graph-star4", "graph-cycle4"])
 
 
 def test_criterion_04_lattice_values():
-    for m in (1, 2):
-        problem, tree = lattice_partial_teleport(2, m)
-        f = run_protocol(problem, tree).fidelity
-        assert f == pytest.approx(1.0 / 2 ** (2 - m), abs=ATOL)
-    assert mes_bound(16, 4) == pytest.approx(0.25)
-    problem, tree = computational_protocol(lattice_basis(2))
-    achieved = run_protocol(problem, tree).fidelity
-    assert achieved == pytest.approx(0.25, abs=ATOL)  # bound saturation
-    report("04 lattice-values", "1/2^(2-m), mes bound 0.25 saturated")
+    run_criterion("04 lattice-values",
+                  ["lattice-n2-m1", "lattice-n2-m2", "lattice-resource-free"])
 
 
 def test_criterion_05_ghz_bound_chain():
-    ens = ghz_basis(3, (1, 1, 1))
-    problem, tree = computational_protocol(ens)
-    achieved = run_protocol(problem, tree).fidelity
-    assert achieved == pytest.approx(0.5, abs=ATOL)
-    _, guessed = optimal_guess(ens, computational_povm(ens.dims))
-    assert guessed == pytest.approx(0.5, abs=ATOL)
-    per_cut = {cut: schmidt_coeff_sep_bound(ens, cut)
-               for cut in ens.layout.bipartitions()}
-    assert len(per_cut) == 3
-    assert all(v == 0.5 for v in per_cut.values())
-    bound = bipartition_min_bound(per_cut)
-    assert bound == 0.5
-    assert achieved == pytest.approx(bound, abs=ATOL)
-    report("05 ghz-bound-chain", "achieved 1/2 equals separable bound")
+    run_criterion("05 ghz-bound-chain", ["ghz-bound-chain"])
 
 
 def test_criterion_06_bell_pair_on_two_of_three_parties():
-    problem, tree = ghz_subset_bell_protocol()
-    assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=ATOL)
-    report_entropy = entropy_bound_check(
-        StateVector((2, 2), maximally_entangled(2)),
-        PartyLayout((("B", (0,)), ("C", (1,)))),
-        ghz_subset_family(),
-    )
-    assert report_entropy.passed
-    # intermediate mapping: member i -> Bell state i on the unknown B, C pair
-    from locce.tensor import apply_to_batch
-    joint = problem.joint
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    bell = bell_vectors()
-    for i, (_, member) in enumerate(joint.members):
-        post = apply_to_batch(np.outer(plus, plus.conj()), (2,), member.amps, joint.dims)
-        post = post / np.linalg.norm(post)
-        expected = np.kron(np.kron(bell[0], plus), bell[i])
-        assert abs(abs(np.vdot(expected, post)) - 1.0) < ATOL, f"member {i}"
-    report("06 subset-resource", "fidelity 1, entropy check, mapping table")
+    run_criterion("06 subset-resource", ["example4", "example4"])
 
 
 def test_criterion_07_parametric_grid():
-    grid = np.linspace(1 / math.sqrt(2), 1.0, 5)
-    for alpha in grid:
-        for gamma in grid:
-            ens = parametric_basis(alpha, gamma)
-            _, f_local = optimal_guess(ens, computational_povm(ens.dims))
-            assert f_local == pytest.approx((alpha ** 2 + gamma ** 2) / 2, abs=ATOL)
-            problem, tree = teleportation_protocol(ens, "A", "B")
-            assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=ATOL)
-    report("07 parametric-grid", "5x5 grid: formula and teleportation exact")
+    run_criterion("07 parametric-grid", ["parametric-grid-5x5"])
 
 
 def test_criterion_08_conversion_composition():
-    resource = StateVector((2, 2), [math.sqrt(0.8), 0, 0, math.sqrt(0.2)])
-    _, fb_tree = computational_protocol(bell_basis())
-    f = vidal_then_fallback(bell_basis(), resource, 2, fb_tree)
-    assert f == pytest.approx(0.7, abs=ATOL)
-    rng = np.random.default_rng(71)
-    fallback = run_protocol(JointProblem(bell_basis()), fb_tree).fidelity
-    for _ in range(10):
-        lam = rng.uniform(0.02, 0.5)
-        partial = StateVector((2, 2), [math.sqrt(1 - lam), 0, 0, math.sqrt(lam)])
-        assert vidal_then_fallback(bell_basis(), partial, 2, fb_tree) > fallback + 1e-12
-    report("08 conversion-composition", "0.7 exact; partial resources always help")
+    run_criterion("08 conversion-composition", ["conversion-mix"])
 
 
 def test_criterion_09_entropy_bounds():
-    for n, sizes in ((3, (1, 1, 1)), (4, (2, 2)), (4, (1, 1, 1, 1))):
-        m = len(sizes)
-        rep = entropy_bound_check(ghz_state(m), single_qubit_layout(m),
-                                  ghz_basis(n, sizes))
-        assert rep.applicable and rep.passed, (n, sizes)
-        for row in rep.rows:
-            assert row.mean_member_entropy == pytest.approx(1.0, abs=ATOL)
-            assert row.resource_entropy == pytest.approx(1.0, abs=ATOL)
-        assert rep.n_partite_ok
-    for basis in (ghz_basis(3, (1, 1, 1)), bell_basis()):
-        m = len(basis.layout.parties)
-        product = StateVector((2,) * m, np.eye(2 ** m)[0])
-        layout = PartyLayout(tuple(
-            (name, (i,)) for i, name in enumerate(basis.layout.names)
-        ))
-        rep = entropy_bound_check(product, layout, basis)
-        assert not rep.passed
-    report("09 entropy-bounds", "equality at 1 ebit; product resources rejected")
+    run_criterion("09 entropy-bounds", ["entropy-bounds"])
 
 
 def test_criterion_10_oneway_feasibility():
-    rep = to_matrix_rep(bell_basis())
-    mes = ResourceSpectrum([1.0, 1.0])
-    phis, weights = teleportation_certificate(2)
-    assert orthogonality_residual(rep, mes, phis, weights) < 1e-9
-    found = feasibility_search(rep, mes, outcomes=4, restarts=50, seed=0)
-    assert found.best_residual < 1e-6
-    skew = ResourceSpectrum([1.6, 0.4])
-    floors = {}
-    for outcomes in (4, 8):
-        probe = feasibility_search(rep, skew, outcomes=outcomes, restarts=50, seed=0)
-        floors[outcomes] = probe.best_residual
-        assert probe.best_residual > 1e-2, f"K={outcomes}"
-    report("10 oneway-feasibility",
-           f"certificate + search < 1e-6; skew floors {floors[4]:.3f}/{floors[8]:.3f}")
+    rows = run_criterion("10 oneway-feasibility",
+                         ["oneway-mes", "oneway-mes", "oneway-skew-K4", "oneway-skew-K8"])
+    # the skewed-spectrum gates run 50 restarts at K in {4, 8}
+    assert [r.protocol for r in rows] == [
+        "explicit-certificate", "search-K4-R10", "search-K4-R50", "search-K8-R50",
+    ]
 
 
 def test_criterion_11_cross_checks():
-    for entry in standard_zoo():
-        result = run_protocol(entry.problem, entry.tree)
-        povm, guesses = flatten_to_povm(entry.tree, entry.problem)
-        flat = average_fidelity(entry.problem.joint, povm, guesses)
-        assert flat == pytest.approx(result.fidelity, abs=ATOL), entry.name
-        if entry.mes is not None:
-            k, d = entry.mes
-            assert result.fidelity <= mes_bound(k, d) + ATOL, entry.name
-        joint = entry.problem.joint
-        grouping = {name: "ALL" for name in joint.layout.names}
-        merged = Ensemble(coarsen(joint.layout, grouping), joint.members)
-        coarse_tree = relabel_parties(entry.tree, grouping)
-        coarse_f = run_protocol(JointProblem(merged), coarse_tree).fidelity
-        assert coarse_f == pytest.approx(result.fidelity, abs=ATOL), entry.name
-    report("11 cross-checks", "flatten/run agree; MES bounds hold; coarsening inert")
+    run_criterion("11 cross-checks", ["cross-checks"])

@@ -1,8 +1,12 @@
 """Command-line interface: formats, scenarios, determinism, exit codes."""
 
+import csv
 import json
 
-from locce.cli import COLUMNS, Row, emit, main
+import pytest
+
+from locce import cli
+from locce.cli import COLUMNS, Criterion, Row, emit, main
 
 
 def run_cli(capsys, *argv):
@@ -77,14 +81,30 @@ def test_oneway_quick(capsys):
     code, out, _ = run_cli(capsys, "oneway", "--lambdas", "1,1", "--outcomes", "4",
                            "--restarts", "3", "--seed", "4", "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert any("explicit-certificate" in line for line in lines)
+    rows = list(csv.reader(out.splitlines()))
+    assert all(len(row) == 8 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["oneway-lam1,1"] * 2
+    assert rows[1][2] == "explicit-certificate"
 
 
 def test_missing_field_names_it(capsys):
     code, _, err = run_cli(capsys, "lattice", "--n", "2")
     assert code == 2
     assert "'m'" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("oneway", "--lambdas", "1.6,0.4", "--restarts", "0"), "'restarts'"),
+    (("oneway", "--lambdas", "1.6,0.4", "--outcomes", "0"), "'outcomes'"),
+    (("bounds", "--family", "ghz", "--n", "0"), "'n'"),
+    (("bounds", "--family", "lattice", "--n", "0"), "'n'"),
+    (("bounds", "--family", "parametric", "--alpha", "0", "--gamma", "0"), "alpha"),
+])
+def test_zero_value_is_not_replaced_by_default(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_bad_graph_name(capsys):
@@ -154,3 +174,22 @@ def test_emit_single_row_csv():
     assert line == "s,f,p,0.5,0.25,0.5,pass,12.346"
     line_no_ms = emit([row], "csv", timing=False).splitlines()[1]
     assert line_no_ms.endswith(",0")
+
+
+def test_paper_suite_prints_criteria_rows_in_order(capsys, monkeypatch):
+    def stub(label):
+        return lambda seed: [Row(label, "f", "p", str(seed), "n/a", "-", "pass", 1.0)]
+    monkeypatch.delenv("LOCCE_SEED", raising=False)
+    monkeypatch.setattr(cli, "CRITERIA", (Criterion("a", "first", stub("first")),
+                                          Criterion("b", "second", stub("second"))))
+    code, out, _ = run_cli(capsys, "paper-suite", "--format", "csv", "--timing", "off")
+    assert code == 0
+    assert out.splitlines()[1:] == ["first,f,p,0,n/a,-,pass,0",
+                                    "second,f,p,0,n/a,-,pass,0"]
+
+
+@pytest.mark.parametrize("flag", ["--fast", "--restarts=50"])
+def test_paper_suite_has_no_knobs(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-suite", flag])
+    assert exc.value.code == 2
