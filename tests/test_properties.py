@@ -1,0 +1,101 @@
+"""Property tests: random complete instruments on the split three-qubit GHZ basis."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from locce.tensor import StateVector
+from locce.families import Ensemble, ghz_basis
+from locce.fidelity import average_fidelity
+from locce.protocols import (
+    Instrument,
+    JointProblem,
+    Leaf,
+    Round,
+    flatten_to_povm,
+    run_protocol,
+    tree_from_json,
+    tree_to_json,
+)
+
+ENSEMBLE = ghz_basis(3, (1, 1, 1))
+PROBLEM = JointProblem(ENSEMBLE)
+ATOL = 1e-9
+
+
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def random_instrument(rng: np.random.Generator) -> Instrument:
+    """A party's qubit measured by the 2x2 blocks of a random isometry."""
+    party, (target,) = ENSEMBLE.layout.parties[rng.integers(len(ENSEMBLE.layout.parties))]
+    n_outcomes = int(rng.integers(1, 4))
+    z = rng.normal(size=(2 * n_outcomes, 2)) + 1j * rng.normal(size=(2 * n_outcomes, 2))
+    isometry = np.linalg.qr(z)[0]  # (2K, 2) with orthonormal columns
+    kraus = tuple(isometry[2 * k:2 * k + 2] for k in range(n_outcomes))
+    return Instrument(party, (target,), kraus)
+
+
+def random_tree(rng: np.random.Generator, rounds: int):
+    if rounds == 0 or rng.random() < 0.2:
+        if rng.random() < 0.2:
+            return Leaf(ENSEMBLE.states[rng.integers(ENSEMBLE.size)])
+        return Leaf(int(rng.integers(ENSEMBLE.size)))
+    inst = random_instrument(rng)
+    return Round(inst, tuple(random_tree(rng, rounds - 1) for _ in range(inst.n_outcomes)))
+
+
+trees = st.builds(
+    lambda seed, rounds: random_tree(np.random.default_rng(seed), rounds),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(0, 3),
+)
+
+
+@settings(deadline=None)
+@given(trees)
+def test_run_protocol_matches_flattened_povm(tree):
+    povm, guesses = flatten_to_povm(tree, PROBLEM)
+    flat = average_fidelity(ENSEMBLE, povm, guesses)
+    assert abs(run_protocol(PROBLEM, tree).fidelity - flat) <= ATOL
+
+
+@settings(deadline=None)
+@given(trees)
+def test_member_probabilities_sum_to_one_without_pruning(tree):
+    result = run_protocol(PROBLEM, tree, prune=0.0)
+    total = sum(br.member_probabilities for br in result.branches)
+    assert np.max(np.abs(total - 1.0)) <= ATOL
+
+
+@settings(deadline=None)
+@given(trees)
+def test_json_round_trip_keeps_fidelity_bits(tree):
+    back = tree_from_json(tree_to_json(tree))
+    assert run_protocol(PROBLEM, back).fidelity == run_protocol(PROBLEM, tree).fidelity
+
+
+def conjugated(node, local: list[np.ndarray], joint: np.ndarray):
+    """``node`` with each Kraus operator K on qubit t replaced by U_t K U_t^dagger."""
+    if isinstance(node, Leaf):
+        if isinstance(node.guess, int):
+            return node
+        return Leaf(StateVector(node.guess.dims, joint @ node.guess.amps))
+    inst = node.instrument
+    u = local[inst.targets[0]]
+    kraus = tuple(u @ k @ u.conj().T for k in inst.kraus)
+    return Round(Instrument(inst.party, inst.targets, kraus),
+                 tuple(conjugated(c, local, joint) for c in node.children))
+
+
+@settings(deadline=None)
+@given(trees, st.integers(0, 2 ** 32 - 1))
+def test_fidelity_is_invariant_under_local_unitaries(tree, seed):
+    rng = np.random.default_rng(seed)
+    local = [random_unitary(rng, 2) for _ in range(3)]
+    joint = np.kron(np.kron(local[0], local[1]), local[2])
+    moved = Ensemble(ENSEMBLE.layout, tuple(
+        (p, StateVector(s.dims, joint @ s.amps)) for p, s in ENSEMBLE.members
+    ))
+    f_moved = run_protocol(JointProblem(moved), conjugated(tree, local, joint)).fidelity
+    assert abs(f_moved - run_protocol(PROBLEM, tree).fidelity) <= ATOL

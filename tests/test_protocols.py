@@ -1,6 +1,8 @@
 """Protocol trees: attachment, evaluation, flattening, serialization."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +177,20 @@ def test_flatten_povm_completeness_enforced():
     povm, _ = flatten_to_povm(tree, problem)
     total = sum(povm.elements)
     assert np.max(np.abs(total - np.eye(4))) < 1e-9
+
+
+@pytest.mark.parametrize("keep", [
+    lambda problem, tree: flatten_to_povm(tree, problem)[0].elements[0],
+    lambda problem, tree: run_protocol(problem, tree).branches[0].member_probabilities,
+], ids=["flatten_to_povm", "run_protocol"])
+def test_outputs_are_freed_without_the_cyclic_collector(keep):
+    problem, tree = computational_protocol(bell_basis())
+    gc.disable()
+    try:
+        ref = weakref.ref(keep(problem, tree))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- coarsening and resource invariance ---------------------------------------

@@ -22,7 +22,7 @@ from locce.families import (
     parametric_basis,
 )
 from locce.fidelity import average_fidelity, mes_bound
-from locce.protocols import flatten_to_povm, run_protocol, validate_one_way
+from locce.protocols import Leaf, flatten_to_povm, run_protocol, validate_one_way
 from locce.zoo import (
     computational_protocol,
     ghz_subset_bell_protocol,
@@ -155,6 +155,23 @@ def test_partitioned_ghz_trivial_partition_matches_sequential():
 def test_graph_decode_perfect(graph):
     problem, tree = graph_decode_protocol(graph)
     assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def _leaf_guesses(node, path=()):
+    if isinstance(node, Leaf):
+        yield path, node.guess
+        return
+    for k, child in enumerate(node.children):
+        yield from _leaf_guesses(child, path + (k,))
+
+
+@pytest.mark.parametrize("graph", [
+    Graph.path(2), Graph.path(3), Graph.complete(3), Graph.star(4), Graph.cycle(4),
+    Graph.complete(4),
+])
+def test_graph_decode_leaves_match_outcome_table(graph):
+    _problem, tree = graph_decode_protocol(graph)
+    assert dict(_leaf_guesses(tree)) == graph_outcome_table(graph)
 
 
 def test_graph_outcome_multiplicity():
