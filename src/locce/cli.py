@@ -92,6 +92,7 @@ from .zoo import (
 
 COLUMNS = ("scenario", "family", "protocol", "fidelity", "bound", "expected", "status", "ms")
 ATOL = 1e-9
+MAX_ROW_BYTES = 1 << 30  # largest member-row array (members x joint dim x 16 B) a run may need
 
 NAMED_GRAPHS = {
     "path2": lambda: Graph.path(2),
@@ -216,10 +217,24 @@ def _parse_graph(params: dict) -> Graph:
         raise ScenarioError(f"graph: bad value for field 'edges': {exc}") from exc
 
 
+def _check_size(family: str, field: str, members_log2: int, dim_log2: int) -> None:
+    """Refuse, before anything is built, a run whose member rows would need
+    more than MAX_ROW_BYTES. Both counts are powers of two and come in as
+    exponents, so a huge field value allocates nothing here either."""
+    need_log2 = members_log2 + dim_log2 + 4  # 16 B per complex amplitude
+    if need_log2 > 0 and 1 << min(need_log2, 64) > MAX_ROW_BYTES:
+        raise ScenarioError(
+            f"{family}: bad value for field {field}: 2^{members_log2} members of joint "
+            f"dimension 2^{dim_log2} need 2^{need_log2} B, above the limit of "
+            f"{MAX_ROW_BYTES} B"
+        )
+
+
 # -- family runners ----------------------------------------------------------
 
 def run_ghz(params: dict) -> list[Row]:
     n = _field(params, "n", int, "ghz", minimum=2)
+    _check_size("ghz", "'n'", n, 2 * n)  # n unknown qubits and an n-qubit resource
     sizes = _field(params, "sizes", _int_list, "ghz", (1,) * n)
     label = _field(params, "scenario", str, "ghz",
                    f"ghz-n{n}-sizes{'.'.join(map(str, sizes))}")
@@ -237,6 +252,8 @@ def run_ghz(params: dict) -> list[Row]:
 
 def run_graph(params: dict) -> list[Row]:
     g = _parse_graph(params)
+    field = next(f"'{k}'" for k in ("graph", "vertices", "edges") if params.get(k) is not None)
+    _check_size("graph", field, g.vertex_count, 2 * g.vertex_count)
     label = _field(params, "scenario", str, "graph",
                    _field(params, "graph", str, "graph", f"graph-{g.vertex_count}v"))
     t0 = time.perf_counter()
@@ -254,6 +271,7 @@ def run_graph(params: dict) -> list[Row]:
 def run_lattice(params: dict) -> list[Row]:
     n = _field(params, "n", int, "lattice")
     m = _field(params, "m", int, "lattice")
+    _check_size("lattice", "'n' (with 'm')", 2 * n, 2 * (n + m))
     label = _field(params, "scenario", str, "lattice", f"lattice-n{n}-m{m}")
     t0 = time.perf_counter()
     problem, tree = lattice_partial_teleport(n, m)

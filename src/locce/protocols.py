@@ -17,6 +17,19 @@ as the POVM element K_b^dagger K_b with guess phi_b (see
 :func:`flatten_to_povm`). Branches whose total weighted probability
 falls below the pruning threshold are skipped.
 
+The walk only needs ||K_b |psi_i>||^2; the overlaps come from the
+original members. It therefore pushes less than the full member rows
+through the tree, and each reduction keeps that norm exact:
+
+- a member whose row is exactly zero is dropped, since every Kraus
+  operator maps it to zero again;
+- an instrument whose Kraus operators are all rank one, K = |u><w| with
+  |u| = 1 (every Bell, computational and +/- projector), replaces each
+  row by <w|psi> on the remaining subsystems: K|psi> = |u> (x) <w|psi>
+  has the same norm, and the split-off |u> is tensored back on only when
+  a later instrument acts on one of those subsystems;
+- all Kraus operators of an instrument are applied in one contraction.
+
 Resource attachment follows the joint-space picture: discriminating
 {psi_i} with a shared resource Psi is the same problem as
 discriminating {Psi (x) psi_i}, with each sharing party now holding its
@@ -28,7 +41,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,6 +132,31 @@ class Instrument:
 
     def outcome_label(self, k: int) -> str:
         return self.labels[k] if self.labels else str(k)
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """The Kraus operators as one (outcomes, d, d) array."""
+        return np.array(self.kraus)
+
+    @cached_property
+    def _rank_one(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(kets, bras)`` with K_k = |kets[k]><bras[k]| and unit kets, or
+        None unless this rebuilds every K_k to 1e-14 of its largest entry.
+        Computed once per instrument; not a field."""
+        stack = self._stack
+        if len(stack) < stack.shape[1]:
+            return None  # fewer rank-1 terms than d cannot sum to the identity
+        scale = np.max(np.abs(stack), axis=(1, 2))
+        if not np.all(scale > 0):
+            return None
+        columns = np.argmax(np.sum(np.abs(stack) ** 2, axis=1), axis=1)
+        kets = stack[np.arange(len(stack)), :, columns]
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        bras = np.einsum("ka,kab->kb", kets.conj(), stack)
+        error = np.max(np.abs(kets[:, :, None] * bras[:, None, :] - stack), axis=(1, 2))
+        if np.any(error > 1e-14 * scale):
+            return None
+        return kets, bras
 
 
 @dataclass(frozen=True)
@@ -266,31 +305,109 @@ def _probabilities(rows: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("id,id->i", rows.conj(), rows))
 
 
-def _push_rows(node, rows, dims, priors, prune, leaf, steps=()):
-    """Push member rows (unnormalized, one per member) through ``node`` depth
-    first, replacing each leaf by ``leaf(node, rows, steps)``; return the
-    subtree, or ``node`` itself if no leaf changed. Outcomes whose weighted
-    probability is below ``prune`` are not entered, and each entered one
-    adds a StepRecord shared by the branches below; ``prune=None`` enters
-    every outcome and records no steps.
+class _Batch(NamedTuple):
+    """The member rows that reach one round.
+
+    ``rows`` holds only rows that are not exactly zero, for the members
+    ``members``. Row axes are the original subsystems ``axes``; each
+    ``(group, ket)`` in ``held`` is a group of subsystems whose factor
+    ``ket`` was split off the rows.
     """
-    if isinstance(node, Leaf):
-        return leaf(node, rows, steps)
+
+    rows: np.ndarray
+    members: np.ndarray
+    axes: tuple[int, ...]
+    held: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+
+
+def _nonzero(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Mask of the rows (last axis) that are not exactly zero; ``norms`` are
+    their squared norms, which can underflow to 0 for a tiny row."""
+    keep = norms > 0
+    maybe = ~keep
+    keep[maybe] = np.any(rows[maybe] != 0, axis=-1)
+    return keep
+
+
+def _push_rows(tree, states, dims, priors, prune, leaf):
+    """Push the member rows ``states`` through ``tree`` depth first,
+    replacing each leaf by ``leaf(node, probs, steps)`` with ``probs`` the
+    squared norm of every member's row there; return the new tree, or
+    ``tree`` itself if no leaf changed. Outcomes whose weighted probability
+    is below ``prune`` are not entered, and each entered one adds a
+    StepRecord shared by the branches below; ``prune=None`` enters every
+    outcome and records no steps.
+    """
+    probs = _probabilities(states)
+    if isinstance(tree, Leaf):
+        return leaf(tree, probs, ())
+    keep = _nonzero(states, probs)
+    batch = _Batch(states[keep], np.flatnonzero(keep), tuple(range(len(dims))), ())
+    return _descend(tree, batch, tuple(dims), priors, prune, leaf, ())
+
+
+def _descend(node: Round, batch: _Batch, dims, priors, prune, leaf, steps):
+    """:func:`_push_rows` below the root, for a round reached by ``batch``."""
     inst = node.instrument
+    rows, axes, held = _expand(batch, inst.targets)
+    pos = tuple(axes.index(t) for t in inst.targets)
+    local = tuple(dims[a] for a in axes)
+    factors = inst._rank_one
+    if factors is not None:
+        kets, bras = factors
+        axes = tuple(a for a in axes if a not in inst.targets)
+        out = _collapse(bras, pos, rows, local)
+    elif len(rows):
+        out = apply_to_batch(inst._stack, pos, rows, local)
+    else:
+        out = np.zeros((inst.n_outcomes,) + rows.shape, dtype=complex)
+    norms = np.real(np.einsum("kid,kid->ki", out.conj(), out))
+    probs = np.zeros((inst.n_outcomes, len(priors)))
+    probs[:, batch.members] = norms
+    if prune is not None:
+        survivors = np.count_nonzero(probs > prune, axis=1)
+    if not all(isinstance(child, Leaf) for child in node.children):
+        kept = _nonzero(out, norms)
     children = list(node.children)
-    for k, kraus in enumerate(inst.kraus):
-        new = apply_to_batch(kraus, inst.targets, rows, dims)
+    for k, child in enumerate(node.children):
         below = steps
         if prune is not None:
-            probs = _probabilities(new)
-            if float(np.dot(priors, probs)) < prune:
+            if float(np.dot(priors, probs[k])) < prune:
                 continue
             below = steps + (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
-                                        int(np.count_nonzero(probs > prune))),)
-        children[k] = _push_rows(children[k], new, dims, priors, prune, leaf, below)
+                                        int(survivors[k])),)
+        if isinstance(child, Leaf):
+            children[k] = leaf(child, probs[k], below)
+            continue
+        keep = kept[k]
+        sub = _Batch(out[k][keep], batch.members[keep], axes,
+                     held if factors is None else held + ((inst.targets, kets[k]),))
+        children[k] = _descend(child, sub, dims, priors, prune, leaf, below)
     if all(new is old for new, old in zip(children, node.children)):
         return node
     return Round(inst, tuple(children))
+
+
+def _expand(batch: _Batch, targets):
+    """Rows, axes and held groups of ``batch`` after tensoring back the
+    split-off factor of every group that ``targets`` touch."""
+    rows, axes, held = batch.rows, batch.axes, batch.held
+    for group, ket in batch.held:
+        if not set(group).isdisjoint(targets):
+            rows = (rows[:, :, None] * ket).reshape(len(rows), rows.shape[1] * ket.size)
+            axes += group
+            held = tuple(h for h in held if h[0] != group)
+    return rows, axes, held
+
+
+def _collapse(bras: np.ndarray, pos, rows: np.ndarray, local) -> np.ndarray:
+    """<bras[k]| on the axes ``pos`` of every row, in one product: shape
+    (k, rows, remaining dimension)."""
+    n, width = rows.shape
+    dloc = bras.shape[1]
+    arr = np.moveaxis(rows.reshape((n,) + local), [p + 1 for p in pos], range(len(pos)))
+    out = bras @ arr.reshape(dloc, n * (width // dloc))
+    return out.reshape(len(bras), n, width // dloc)
 
 
 def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolResult:
@@ -304,9 +421,8 @@ def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolR
     branches: list[BranchRecord] = []
     total = 0.0
 
-    def record(leaf, rows, steps):
+    def record(leaf, probs, steps):
         nonlocal total
-        probs = _probabilities(rows)
         if isinstance(leaf.guess, int):
             overlap = member_overlap[:, leaf.guess]
             guess_index = leaf.guess

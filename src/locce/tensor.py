@@ -343,6 +343,8 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
 
     ``mat`` acts on the product space of ``targets`` taken in the given
     order; ``batch`` has shape (n, prod(dims)). Rows are not normalized.
+    A stack of k operators, shape (k, dloc, dloc), is applied in one
+    contraction and gives one batch per operator, shape (k, n, prod(dims)).
     """
     dims = tuple(dims)
     batch = np.asarray(batch, dtype=complex)
@@ -352,19 +354,21 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
     n = batch.shape[0]
     targets = tuple(int(t) for t in targets)
     dloc = _prod(dims[t] for t in targets)
-    if mat.shape != (dloc, dloc):
+    if mat.shape[-2:] != (dloc, dloc) or mat.ndim not in (2, 3):
         raise ValueError(f"operator shape {mat.shape} != target space ({dloc}, {dloc})")
+    ops = mat if mat.ndim == 3 else mat[None]
     arr = batch.reshape((n,) + dims)
     src = [t + 1 for t in targets]
     dst = list(range(1, len(targets) + 1))
     arr = np.moveaxis(arr, src, dst)
     moved_shape = arr.shape
-    arr = arr.reshape(n, dloc, -1)
-    arr = np.matmul(mat, arr)
-    arr = arr.reshape(moved_shape)
-    arr = np.moveaxis(arr, dst, src)
-    out = arr.reshape(n, -1)
-    return out[0] if squeeze else out
+    arr = arr.reshape(n, dloc, _prod(dims) // dloc)
+    arr = np.matmul(ops[:, None], arr).reshape((len(ops),) + moved_shape)
+    arr = np.moveaxis(arr, [d + 1 for d in dst], [s + 1 for s in src])
+    out = arr.reshape(len(ops), n, _prod(dims))
+    if mat.ndim == 2:
+        out = out[0]
+    return out[..., 0, :] if squeeze else out
 
 
 def embed_operator(mat: np.ndarray, targets: Sequence[int],

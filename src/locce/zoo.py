@@ -57,7 +57,6 @@ from .protocols import (
     projective_instrument,
     run_protocol,
     unitary_instrument,
-    _probabilities,
     _push_rows,
 )
 
@@ -91,8 +90,8 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     ens = problem.joint
     priors = ens.priors
 
-    def best_member(_leaf, rows, _steps):
-        return Leaf(int(np.argmax(priors * _probabilities(rows))))
+    def best_member(_leaf, probs, _steps):
+        return Leaf(int(np.argmax(priors * probs)))
 
     return _push_rows(_grow(script, ()), ens.amplitude_matrix(), ens.dims, priors,
                       None, best_member)

@@ -107,6 +107,33 @@ def test_zero_value_is_not_replaced_by_default(capsys, argv, field):
     assert field in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("ghz", "--n", "6"), "'n'"),  # 2^6 members x joint dim 2^12 x 16 B = 4 MiB
+    (("graph", "--edges", "0-1,1-2,2-3,3-4,4-5"), "'edges'"),
+    (("graph", "--edges", "0-1", "--vertices", "6"), "'vertices'"),
+    (("lattice", "--n", "3", "--m", "3"), "'n' (with 'm')"),
+])
+def test_size_guard_refuses_before_building(capsys, monkeypatch, argv, field):
+    # a 1 MiB limit keeps this test small even if the guard is broken
+    monkeypatch.setattr(cli, "MAX_ROW_BYTES", 1 << 20)
+    for builder in ("sequential_bell_protocol", "graph_decode_protocol",
+                    "lattice_partial_teleport"):
+        monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("built past the guard"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"field {field}:" in err and "above the limit of 1048576 B" in err
+
+
+def test_size_guard_default_is_one_gib(capsys, monkeypatch):
+    assert cli.MAX_ROW_BYTES == 1 << 30
+    monkeypatch.setattr(cli, "graph_decode_protocol", lambda *a: pytest.fail("built"))
+    code, _, err = run_cli(capsys, "graph", "--edges", "0-11")  # about 1 TiB
+    assert code == 2
+    assert "2^40 B" in err
+
+
 def test_bad_graph_name(capsys):
     code, _, err = run_cli(capsys, "graph", "--graph", "dodecahedron")
     assert code == 2

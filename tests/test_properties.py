@@ -12,6 +12,7 @@ from locce.protocols import (
     Leaf,
     Round,
     flatten_to_povm,
+    projective_instrument,
     run_protocol,
     tree_from_json,
     tree_to_json,
@@ -27,8 +28,13 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_instrument(rng: np.random.Generator) -> Instrument:
-    """A party's qubit measured by the 2x2 blocks of a random isometry."""
+    """A party's qubit measured by the 2x2 blocks of a random isometry, or
+    about half the time projected onto the rows of a random unitary (rank
+    one, so the walk splits the qubit off and restores it when it is
+    measured again)."""
     party, (target,) = ENSEMBLE.layout.parties[rng.integers(len(ENSEMBLE.layout.parties))]
+    if rng.random() < 0.5:
+        return projective_instrument(party, (target,), random_unitary(rng, 2))
     n_outcomes = int(rng.integers(1, 4))
     z = rng.normal(size=(2 * n_outcomes, 2)) + 1j * rng.normal(size=(2 * n_outcomes, 2))
     isometry = np.linalg.qr(z)[0]  # (2K, 2) with orthonormal columns

@@ -1,5 +1,6 @@
 """Protocol trees: attachment, evaluation, flattening, serialization."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -191,6 +192,86 @@ def test_outputs_are_freed_without_the_cyclic_collector(keep):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- row reductions in the branch walk ----------------------------------------
+
+def _run_vs_flat(problem, tree, prune=1e-12):
+    povm, guesses = flatten_to_povm(tree, problem)
+    flat = average_fidelity(problem.joint, povm, guesses)
+    return run_protocol(problem, tree, prune).fidelity, flat
+
+
+def _leaves(n_outcomes, start=0, size=4):
+    return tuple(Leaf((start + k) % size) for k in range(n_outcomes))
+
+
+def test_rank_one_split_is_cached_and_only_for_rank_one_instruments():
+    bell = bell_instrument("A", (0, 1))
+    kets, bras = bell._rank_one
+    for kraus, ket, bra in zip(bell.kraus, kets, bras):
+        assert np.max(np.abs(np.outer(ket, bra) - kraus)) <= 1e-14
+        assert np.linalg.norm(ket) == pytest.approx(1.0, abs=1e-15)
+    assert bell._rank_one is bell._rank_one
+    assert "_rank_one" not in {f.name for f in dataclasses.fields(Instrument)}
+    assert unitary_instrument("A", (0,), np.eye(2))._rank_one is None
+    half = Instrument("A", (0,), (np.diag([S2, 0]), np.diag([S2, 1])))
+    assert half._rank_one is None  # the second operator has rank two
+
+
+@pytest.mark.parametrize("second", [
+    plus_minus_instrument("A1", 0),
+    bell_instrument("A1", (0, 1)),  # the split-off |k> now meets qubit 1's state
+], ids=["plus-minus", "bell"])
+def test_measuring_a_collapsed_qubit_again_matches_flatten(second):
+    problem = JointProblem(ghz_basis(3, (2, 1)))  # A1 holds qubits 0 and 1
+    again = tuple(Round(second, _leaves(second.n_outcomes, start=3 * k, size=8))
+                  for k in range(2))
+    tree = Round(computational_instrument("A1", (0,), (2,)), again)
+    run, flat = _run_vs_flat(problem, tree)
+    assert run == pytest.approx(flat, abs=1e-12)
+
+
+def test_unitary_on_half_of_a_bell_measured_pair_matches_flatten():
+    problem = JointProblem(ghz_basis(3, (2, 1)))  # A1 holds qubits 0 and 1
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    children = tuple(
+        Round(unitary_instrument("A1", (1,), u), (
+            Round(computational_instrument("A1", (0, 1), (2, 2)), _leaves(4, start=k, size=8)),
+        ))
+        for k in range(4)
+    )
+    tree = Round(bell_instrument("A1", (0, 1)), children)
+    run, flat = _run_vs_flat(problem, tree)
+    assert run == pytest.approx(flat, abs=1e-12)
+
+
+def test_build_tree_enters_outcomes_no_member_reaches():
+    problem = JointProblem(bell_basis())
+    measure_a = computational_instrument("A", (0,), (2,))
+    tree = build_tree(problem, [
+        measure_a,
+        measure_a,  # the second outcome that differs from the first is never reached
+        unitary_instrument("B", (1,), np.array([[S2, S2], [S2, -S2]])),
+        computational_instrument("B", (1,), (2,)),
+    ])
+    validate_tree(tree, problem.joint)
+    for prune in (1e-12, 0.0):
+        run, flat = _run_vs_flat(problem, tree, prune)
+        assert run == pytest.approx(flat, abs=1e-12)
+    unreached = run_protocol(problem, tree, prune=0.0).branches
+    assert sum(br.probability == 0.0 for br in unreached) == 4
+    assert len(run_protocol(problem, tree).branches) == 4
+
+
+def test_state_guess_below_a_collapsed_round_matches_flatten():
+    ens = ghz_basis(3, (2, 1))
+    guesses = tuple(Leaf(ens.states[k]) for k in (0, 3, 5, 6))
+    inner = Round(bell_instrument("A1", (0, 1)), guesses)
+    tree = Round(plus_minus_instrument("A2", 2), (inner, Leaf(ens.states[1])))
+    run, flat = _run_vs_flat(JointProblem(ens), tree)
+    assert run == pytest.approx(flat, abs=1e-12)
 
 
 # -- coarsening and resource invariance ---------------------------------------

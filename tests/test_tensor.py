@@ -307,6 +307,25 @@ def test_apply_respects_target_order():
     assert np.allclose(out, ket(1, 1).amps)
 
 
+def test_apply_stack_matches_one_operator_at_a_time():
+    rng = np.random.default_rng(29)
+    dims = (2, 3, 2)
+    batch = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    stack = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    out = apply_to_batch(stack, (2, 1), batch, dims)
+    assert out.shape == (3, 5, 12)
+    for mat, got in zip(stack, out):
+        assert np.allclose(got, apply_to_batch(mat, (2, 1), batch, dims), atol=1e-13)
+    assert np.allclose(apply_to_batch(stack, (2, 1), batch[0], dims), out[:, 0])
+
+
+def test_apply_to_an_empty_batch():
+    mat = np.eye(2, dtype=complex)
+    empty = np.zeros((0, 8), dtype=complex)
+    assert apply_to_batch(mat, (1,), empty, (2, 2, 2)).shape == (0, 8)
+    assert apply_to_batch(np.stack([mat, mat]), (1,), empty, (2, 2, 2)).shape == (2, 0, 8)
+
+
 def test_bell_corrections_are_unitary():
     for u in BELL_CORRECTIONS:
         assert np.allclose(u.conj().T @ u, np.eye(2))
