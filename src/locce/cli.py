@@ -359,6 +359,7 @@ def run_bounds(params: dict) -> list[Row]:
     rows = []
     if family == "ghz":
         n = _field(params, "n", int, "bounds", 3, minimum=2)
+        _check_size("bounds", "'n'", n, n)  # 2^n members of n qubits
         label = _field(params, "scenario", str, "bounds", f"bounds-ghz-{n}")
         t0 = time.perf_counter()
         ens = ghz_basis(n, (1,) * n)
@@ -372,6 +373,7 @@ def run_bounds(params: dict) -> list[Row]:
                          fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
     elif family == "lattice":
         n = _field(params, "n", int, "bounds", 2, minimum=1)
+        _check_size("bounds", "'n'", 2 * n, 2 * n)  # 4^n Bell products of 2n qubits
         label = _field(params, "scenario", str, "bounds", f"bounds-lattice-{n}")
         t0 = time.perf_counter()
         ens = lattice_basis(n)

@@ -21,8 +21,6 @@ The walk only needs ||K_b |psi_i>||^2; the overlaps come from the
 original members. It therefore pushes less than the full member rows
 through the tree, and each reduction keeps that norm exact:
 
-- a member whose row is exactly zero is dropped, since every Kraus
-  operator maps it to zero again;
 - an instrument whose Kraus operators are all rank one, K = |u><w| with
   |u| = 1 (every Bell, computational and +/- projector), replaces each
   row by <w|psi> on the remaining subsystems: K|psi> = |u> (x) <w|psi>
@@ -308,25 +306,14 @@ def _probabilities(rows: np.ndarray) -> np.ndarray:
 class _Batch(NamedTuple):
     """The member rows that reach one round.
 
-    ``rows`` holds only rows that are not exactly zero, for the members
-    ``members``. Row axes are the original subsystems ``axes``; each
-    ``(group, ket)`` in ``held`` is a group of subsystems whose factor
-    ``ket`` was split off the rows.
+    Row axes are the original subsystems ``axes``; each ``(group, ket)``
+    in ``held`` is a group of subsystems whose factor ``ket`` was split
+    off the rows.
     """
 
     rows: np.ndarray
-    members: np.ndarray
     axes: tuple[int, ...]
     held: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-
-
-def _nonzero(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Mask of the rows (last axis) that are not exactly zero; ``norms`` are
-    their squared norms, which can underflow to 0 for a tiny row."""
-    keep = norms > 0
-    maybe = ~keep
-    keep[maybe] = np.any(rows[maybe] != 0, axis=-1)
-    return keep
 
 
 def _push_rows(tree, states, dims, priors, prune, leaf):
@@ -338,11 +325,9 @@ def _push_rows(tree, states, dims, priors, prune, leaf):
     StepRecord shared by the branches below; ``prune=None`` enters every
     outcome and records no steps.
     """
-    probs = _probabilities(states)
     if isinstance(tree, Leaf):
-        return leaf(tree, probs, ())
-    keep = _nonzero(states, probs)
-    batch = _Batch(states[keep], np.flatnonzero(keep), tuple(range(len(dims))), ())
+        return leaf(tree, _probabilities(states), ())
+    batch = _Batch(states, tuple(range(len(dims))), ())
     return _descend(tree, batch, tuple(dims), priors, prune, leaf, ())
 
 
@@ -357,17 +342,12 @@ def _descend(node: Round, batch: _Batch, dims, priors, prune, leaf, steps):
         kets, bras = factors
         axes = tuple(a for a in axes if a not in inst.targets)
         out = _collapse(bras, pos, rows, local)
-    elif len(rows):
-        out = apply_to_batch(inst._stack, pos, rows, local)
     else:
-        out = np.zeros((inst.n_outcomes,) + rows.shape, dtype=complex)
-    norms = np.real(np.einsum("kid,kid->ki", out.conj(), out))
-    probs = np.zeros((inst.n_outcomes, len(priors)))
-    probs[:, batch.members] = norms
+        out = apply_to_batch(inst._stack, pos, rows, local)
+    # copied out of the complex sums, so that branch records keep only floats
+    probs = np.real(np.einsum("kid,kid->ki", out.conj(), out)).copy()
     if prune is not None:
         survivors = np.count_nonzero(probs > prune, axis=1)
-    if not all(isinstance(child, Leaf) for child in node.children):
-        kept = _nonzero(out, norms)
     children = list(node.children)
     for k, child in enumerate(node.children):
         below = steps
@@ -379,9 +359,7 @@ def _descend(node: Round, batch: _Batch, dims, priors, prune, leaf, steps):
         if isinstance(child, Leaf):
             children[k] = leaf(child, probs[k], below)
             continue
-        keep = kept[k]
-        sub = _Batch(out[k][keep], batch.members[keep], axes,
-                     held if factors is None else held + ((inst.targets, kets[k]),))
+        sub = _Batch(out[k], axes, held if factors is None else held + ((inst.targets, kets[k]),))
         children[k] = _descend(child, sub, dims, priors, prune, leaf, below)
     if all(new is old for new, old in zip(children, node.children)):
         return node

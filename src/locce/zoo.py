@@ -34,7 +34,6 @@ from .families import (
     PartyLayout,
     bell_basis,
     ghz_basis,
-    ghz_state,
     graph_state_basis,
     lattice_basis,
     parametric_basis,
@@ -107,6 +106,15 @@ def _grow(script: Sequence[ScriptStep], outcomes: tuple[int, ...]):
     return Round(inst, tuple(_grow(script, outcomes + (k,)) for k in range(inst.n_outcomes)))
 
 
+def _undo(party: str, target: int, pos: int, corrections=BELL_CORRECTIONS) -> ScriptStep:
+    """Script step: after outcome k of the round at script position ``pos``,
+    ``party`` applies ``corrections[k]`` to subsystem ``target``."""
+    def step(outcomes):
+        k = outcomes[pos]
+        return unitary_instrument(party, (target,), corrections[k], f"undo:{k}")
+    return step
+
+
 def computational_protocol(ens: Ensemble):
     """Every party measures all of its subsystems in the computational basis."""
     problem = JointProblem(ens)
@@ -176,9 +184,7 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
     )
     script = [
         generalized_bell_instrument(sender, (0,) + tuple(i + shift for i in sidx), d),
-        lambda outcomes: unitary_instrument(
-            receiver, (1,), corrections[outcomes[0]], f"undo:{outcomes[0]}",
-        ),
+        _undo(receiver, 1, 0, corrections),
         final,
     ]
     return problem, build_tree(problem, script)
@@ -213,15 +219,7 @@ def lattice_partial_teleport(num_pairs: int, teleported_pairs: int):
     if rest_a:
         script.append(computational_instrument("A", rest_a, (2,) * len(rest_a)))
     for j in range(m):
-        bell_pos = j  # A's Bell round for pair j sits at script position j
-
-        def corr(outcomes, j=j, bell_pos=bell_pos):
-            return unitary_instrument(
-                "B", (2 * j + 1,), BELL_CORRECTIONS[outcomes[bell_pos]],
-                f"undo:{outcomes[bell_pos]}",
-            )
-
-        script.append(corr)
+        script.append(_undo("B", 2 * j + 1, j))  # A's Bell round for pair j is step j
         script.append(bell_instrument("B", (2 * j + 1, shift + 2 * j + 1)))
     rest_b = tuple(shift + 2 * j + 1 for j in range(m, n))
     if rest_b:
@@ -237,33 +235,9 @@ def sequential_bell_protocol(num_parties: int, order: Sequence[str] | None = Non
     resource qubit after each outcome. Achieves fidelity 1 exactly; any
     measurement order works.
     """
-    n = num_parties
-    if n < 2:
+    if num_parties < 2:
         raise ValueError("need at least 2 parties")
-    ens = ghz_basis(n, (1,) * n)
-    res_layout = single_qubit_layout(n)
-    problem = JointProblem(ens, ghz_state(n), res_layout)
-    names = list(order) if order is not None else list(ens.layout.names)
-    if sorted(names) != sorted(ens.layout.names):
-        raise ValueError(f"order must permute {ens.layout.names}")
-    joint = problem.joint
-    script: list[ScriptStep] = []
-    for t, name in enumerate(names):
-        res_q, unk_q = joint.layout.indices(name)
-        script.append(bell_instrument(name, (res_q, unk_q)))
-        if t + 1 < n:
-            nxt = names[t + 1]
-            nxt_res = joint.layout.indices(nxt)[0]
-            bell_pos = len(script) - 1
-
-            def corr(outcomes, nxt=nxt, nxt_res=nxt_res, bell_pos=bell_pos):
-                k = outcomes[bell_pos]
-                return unitary_instrument(
-                    nxt, (nxt_res,), BELL_CORRECTIONS[k], f"undo:{k}",
-                )
-
-            script.append(corr)
-    return problem, build_tree(problem, script)
+    return _ghz_chain(num_parties, (1,) * num_parties, order)
 
 
 def _fanout_unitary(n_qubits: int) -> np.ndarray:
@@ -285,45 +259,34 @@ def partitioned_ghz_protocol(num_qubits: int, party_sizes: Sequence[int]):
     N-qubit one; the sequential Bell protocol then runs pairwise under
     the coarse layout. Fidelity 1 for any partitioning.
     """
-    sizes = tuple(int(s) for s in party_sizes)
-    n = num_qubits
+    return _ghz_chain(num_qubits, tuple(int(s) for s in party_sizes))
+
+
+def _ghz_chain(n: int, sizes: tuple[int, ...], order: Sequence[str] | None = None):
+    """``(problem, tree)`` for the GHZ basis of ``n`` qubits in parties of
+    ``sizes``, with an m-qubit GHZ resource on each party's first qubit,
+    padded with |0> ancillas over the party's block. Parties act in
+    ``order`` (default: layout order): each fans its resource qubit out
+    over its block; then, qubit by qubit, the owner Bell-measures
+    (resource, unknown) and the owner of the next qubit undoes the
+    outcome on that qubit's resource."""
     ens = ghz_basis(n, sizes)
-    offsets = []
-    off = 0
-    for s in sizes:
-        offsets.append(off)
-        off += s
-    # resource = m-qubit GHZ padded with |0> ancillas inside each party block
+    names = list(order) if order is not None else list(ens.layout.names)
+    if sorted(names) != sorted(ens.layout.names):
+        raise ValueError(f"order must permute {ens.layout.names}")
+    blocks = dict(ens.layout.parties)
     amps = np.zeros(2 ** n, dtype=complex)
-    mask = sum(1 << (n - 1 - o) for o in offsets)
-    amps[0] = amps[mask] = 1 / math.sqrt(2)
-    resource = StateVector((2,) * n, amps)
-    res_layout = PartyLayout(tuple(
-        (name, idx) for name, idx in ens.layout.parties
-    ))
-    problem = JointProblem(ens, resource, res_layout)
-    owner = {}
-    for name, idx in ens.layout.parties:
-        for q in idx:
-            owner[q] = name
-    script: list[ScriptStep] = []
-    for name, idx in ens.layout.parties:
-        if len(idx) > 1:
-            script.append(unitary_instrument(name, idx, _fanout_unitary(len(idx)), "fanout"))
-    bell_pos = {}
-    for q in range(n):
-        bell_pos[q] = len(script)
-        script.append(bell_instrument(owner[q], (q, n + q)))
-        if q + 1 < n:
-            pos = bell_pos[q]
-
-            def corr(outcomes, q=q, pos=pos):
-                k = outcomes[pos]
-                return unitary_instrument(
-                    owner[q + 1], (q + 1,), BELL_CORRECTIONS[k], f"undo:{k}",
-                )
-
-            script.append(corr)
+    amps[0] = amps[sum(1 << (n - 1 - idx[0]) for idx in blocks.values())] = 1 / math.sqrt(2)
+    problem = JointProblem(ens, StateVector((2,) * n, amps), ens.layout)
+    script: list[ScriptStep] = [
+        unitary_instrument(name, blocks[name], _fanout_unitary(len(blocks[name])), "fanout")
+        for name in names if len(blocks[name]) > 1
+    ]
+    chain = [(name, q) for name in names for q in blocks[name]]
+    for (name, q), nxt in itertools.zip_longest(chain, chain[1:]):
+        script.append(bell_instrument(name, (q, n + q)))
+        if nxt:
+            script.append(_undo(*nxt, len(script) - 1))
     return problem, build_tree(problem, script)
 
 
@@ -400,15 +363,11 @@ def ghz_subset_bell_protocol():
         u = PAULI_I if outcomes[0] == 0 else PAULI_Z
         return unitary_instrument("B", (3,), u, "I" if outcomes[0] == 0 else "Z")
 
-    def c_fix(outcomes):
-        k = outcomes[2]
-        return unitary_instrument("C", (1,), BELL_CORRECTIONS[k], f"undo:{k}")
-
     script: list[ScriptStep] = [
         plus_minus_instrument("A", 2),
         a_fix,
         bell_instrument("B", (0, 3)),
-        c_fix,
+        _undo("C", 1, 2),
         bell_instrument("C", (1, 4)),
     ]
     return problem, build_tree(problem, script)

@@ -112,12 +112,14 @@ def test_zero_value_is_not_replaced_by_default(capsys, argv, field):
     (("graph", "--edges", "0-1,1-2,2-3,3-4,4-5"), "'edges'"),
     (("graph", "--edges", "0-1", "--vertices", "6"), "'vertices'"),
     (("lattice", "--n", "3", "--m", "3"), "'n' (with 'm')"),
+    (("bounds", "--family", "ghz", "--n", "16"), "'n'"),
+    (("bounds", "--family", "lattice", "--n", "8"), "'n'"),
 ])
 def test_size_guard_refuses_before_building(capsys, monkeypatch, argv, field):
     # a 1 MiB limit keeps this test small even if the guard is broken
     monkeypatch.setattr(cli, "MAX_ROW_BYTES", 1 << 20)
     for builder in ("sequential_bell_protocol", "graph_decode_protocol",
-                    "lattice_partial_teleport"):
+                    "lattice_partial_teleport", "ghz_basis", "lattice_basis"):
         monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("built past the guard"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -22,7 +22,13 @@ from locce.families import (
     parametric_basis,
 )
 from locce.fidelity import average_fidelity, mes_bound
-from locce.protocols import Leaf, flatten_to_povm, run_protocol, validate_one_way
+from locce.protocols import (
+    Leaf,
+    flatten_to_povm,
+    run_protocol,
+    tree_to_json,
+    validate_one_way,
+)
 from locce.zoo import (
     computational_protocol,
     ghz_subset_bell_protocol,
@@ -127,6 +133,20 @@ def test_sequential_bell_elimination_schedule():
     assert result.survivors_after_measurement_round(2) == (4,)
 
 
+def test_sequential_bell_order_wiring():
+    # joint subsystems: resource qubits A1 0, A2 1, A3 2; unknown qubits 3, 4, 5
+    _, root = sequential_bell_protocol(3, ("A2", "A3", "A1"))
+    assert (root.instrument.party, root.instrument.targets) == ("A2", (1, 4))
+    assert root.instrument.labels == ("phi+", "phi-", "psi+", "psi-")
+    for k, undo in enumerate(root.children):
+        inst = undo.instrument
+        assert (inst.party, inst.targets, inst.labels) == ("A3", (2,), (f"undo:{k}",))
+        assert np.array_equal(inst.kraus[0], BELL_CORRECTIONS[k])
+        (bell,) = undo.children
+        assert (bell.instrument.party, bell.instrument.targets) == ("A3", (2, 5))
+        assert bell.instrument.n_outcomes == 4
+
+
 def test_sequential_bell_order_invariance():
     base = run_protocol(*sequential_bell_protocol(3)).fidelity
     problem, tree = sequential_bell_protocol(3, order=("A2", "A3", "A1"))
@@ -142,9 +162,12 @@ def test_partitioned_ghz_perfect(n, sizes):
 
 
 def test_partitioned_ghz_trivial_partition_matches_sequential():
-    f1 = run_protocol(*partitioned_ghz_protocol(3, (1, 1, 1))).fidelity
-    f2 = run_protocol(*sequential_bell_protocol(3)).fidelity
-    assert f1 == pytest.approx(f2, abs=1e-12)
+    for n in (2, 3, 4):
+        p1, t1 = partitioned_ghz_protocol(n, (1,) * n)
+        p2, t2 = sequential_bell_protocol(n)
+        assert tree_to_json(t1) == tree_to_json(t2)
+        assert p1.joint.layout == p2.joint.layout
+        assert p1.joint.amplitude_matrix().tobytes() == p2.joint.amplitude_matrix().tobytes()
 
 
 # -- graph decoding -----------------------------------------------------------

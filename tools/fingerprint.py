@@ -1,0 +1,64 @@
+"""Print a bit-exact fingerprint of the protocol builders and the branch walk.
+
+    PYTHONPATH=src python tools/fingerprint.py
+
+One line per case: its name, then three values.
+
+- ``tree``: sha256 of ``tree_to_json`` plus every branch's steps,
+  survivors and guess index;
+- ``probs``: sha256 of every branch probability (``float.hex``) and the
+  bytes of its ``member_probabilities``;
+- ``F``: the fidelity as ``float.hex``.
+
+The cases are the ``standard_zoo()`` entries, the 5-party sequential Bell
+chain in two fixed orders, the partitioned GHZ protocol at (2, 2, 1) and
+(3, 2), and graph decoding on the 5-cycle. Two commits agree bit for bit
+when their outputs are identical (see the README for the diff recipe).
+Uses only the standard library, numpy and ``locce``.
+"""
+
+import hashlib
+
+from locce.families import Graph
+from locce.protocols import run_protocol, tree_to_json
+from locce.zoo import (
+    graph_decode_protocol,
+    partitioned_ghz_protocol,
+    sequential_bell_protocol,
+    standard_zoo,
+)
+
+
+def cases():
+    for entry in standard_zoo():
+        yield entry.name, entry.problem, entry.tree
+    for order in (("A1", "A2", "A3", "A4", "A5"), ("A3", "A1", "A5", "A2", "A4")):
+        yield ("sequential-bell-5-" + "-".join(order),
+               *sequential_bell_protocol(5, order))
+    for sizes in ((2, 2, 1), (3, 2)):
+        yield ("partitioned-ghz-5-" + "".join(map(str, sizes)),
+               *partitioned_ghz_protocol(5, sizes))
+    yield "graph-cycle5", *graph_decode_protocol(Graph.cycle(5))
+
+
+def fingerprint(problem, tree) -> tuple[str, str, str]:
+    result = run_protocol(problem, tree)
+    shape = hashlib.sha256(tree_to_json(tree).encode())
+    probs = hashlib.sha256()
+    for branch in result.branches:
+        steps = [(s.party, s.outcome, s.label, s.n_outcomes, s.survivor_count)
+                 for s in branch.steps]
+        shape.update(repr((steps, branch.survivors, branch.guess_index)).encode())
+        probs.update(branch.probability.hex().encode())
+        probs.update(branch.member_probabilities.tobytes())
+    return shape.hexdigest(), probs.hexdigest(), result.fidelity.hex()
+
+
+def main() -> None:
+    for name, problem, tree in cases():
+        shape, probs, fidelity = fingerprint(problem, tree)
+        print(f"{name} tree={shape} probs={probs} F={fidelity}")
+
+
+if __name__ == "__main__":
+    main()
