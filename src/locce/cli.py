@@ -92,7 +92,7 @@ from .zoo import (
 
 COLUMNS = ("scenario", "family", "protocol", "fidelity", "bound", "expected", "status", "ms")
 ATOL = 1e-9
-MAX_ROW_BYTES = 1 << 30  # largest member-row array (members x joint dim x 16 B) a run may need
+MAX_ROW_BYTES = 1 << 30  # largest member-row or one-way probe array (16 B per amplitude) a run may need
 
 NAMED_GRAPHS = {
     "path2": lambda: Graph.path(2),
@@ -223,11 +223,14 @@ def _check_size(family: str, field: str, members_log2: int, dim_log2: int) -> No
     exponents, so a huge field value allocates nothing here either."""
     need_log2 = members_log2 + dim_log2 + 4  # 16 B per complex amplitude
     if need_log2 > 0 and 1 << min(need_log2, 64) > MAX_ROW_BYTES:
-        raise ScenarioError(
-            f"{family}: bad value for field {field}: 2^{members_log2} members of joint "
-            f"dimension 2^{dim_log2} need 2^{need_log2} B, above the limit of "
-            f"{MAX_ROW_BYTES} B"
-        )
+        _refuse(family, field, f"2^{members_log2} members of joint dimension 2^{dim_log2} "
+                               f"need 2^{need_log2} B")
+
+
+def _refuse(family: str, field: str, need: str) -> None:
+    raise ScenarioError(
+        f"{family}: bad value for field {field}: {need}, above the limit of {MAX_ROW_BYTES} B"
+    )
 
 
 # -- family runners ----------------------------------------------------------
@@ -333,6 +336,10 @@ def run_oneway(params: dict) -> list[Row]:
                    f"oneway-lam{','.join(fmt(x) for x in lambdas)}")
     spectrum = ResourceSpectrum(lambdas)
     rep = to_matrix_rep(bell_basis())
+    # a restart holds one d^2-vector per outcome and ordered pair of members
+    need = outcomes * rep.size * (rep.size - 1) * rep.d ** 2 * 16
+    if need > MAX_ROW_BYTES:
+        _refuse("oneway", "'outcomes'", f"{outcomes} outcomes need {need} B")
     rows = []
     is_mes = bool(np.max(np.abs(np.asarray(lambdas) - 1.0)) <= 1e-12)
     if is_mes:

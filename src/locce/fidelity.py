@@ -9,6 +9,14 @@ The optimal guess for a fixed POVM takes, per outcome, the principal
 eigenvector of rho_a = sum_i p_i <psi_i|M_a|psi_i> |psi_i><psi_i|, and
 scores sum_a lambda_max(rho_a).
 
+A :class:`Povm` holds each element as a thin factor, M_a = C_a^dagger C_a
+with C_a of shape (rank, d), so the weights <psi_i|M_a|psi_i> =
+||C_a psi_i||^2 of all outcomes come from one product of the stacked
+factor rows with the members. The flattened protocols of
+:func:`locce.protocols.flatten_to_povm` arrive as factors; dense elements
+are factored once when a POVM is built from them, and built again only
+on request.
+
 The local-protocol optimum itself is never computed here: it is only
 bracketed between protocol-achievable values (see :mod:`locce.zoo`) and
 the upper bounds in this module.
@@ -16,8 +24,8 @@ the upper bounds in this module.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,32 +58,96 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operators summing to the identity on ``dims``."""
+    """Positive operators summing to the identity on ``dims``.
+
+    Every element is held as a thin factor C_a of shape (r_a, d) with
+    E_a = C_a^dagger C_a, so positivity holds by construction. Built from
+    dense elements, ``Povm(dims, elements)`` checks each one for shape,
+    hermiticity and positivity (smallest eigenvalue at least -TOL) and
+    their sum for completeness, then factors each once. Built with
+    :meth:`from_factors`, only completeness is checked, by one Gram
+    product of all factor rows. Either way ``elements[a]`` builds the
+    dense E_a on request, and ``len(elements)`` builds nothing.
+    """
 
     dims: tuple[int, ...]
-    elements: tuple[np.ndarray, ...]
+    elements: Sequence[np.ndarray]
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         d = int(np.prod(dims))
-        elements = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        total = np.zeros((d, d), dtype=complex)
-        for k, e in enumerate(elements):
-            if e.shape != (d, d):
-                raise ValueError(f"element {k} has shape {e.shape}, expected ({d},{d})")
-            if np.max(np.abs(e - e.conj().T)) > TOL:
-                raise ValueError(f"element {k} is not Hermitian")
-            if np.linalg.eigvalsh(e).min() < -TOL:
-                raise ValueError(f"element {k} is not positive semidefinite")
-            total += e
+        if isinstance(self.elements, _Elements):
+            elements = self.elements
+            total = elements.rows.conj().T @ elements.rows
+        else:
+            dense = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+            elements = _Elements(tuple(_factor(k, e, d) for k, e in enumerate(dense)), d)
+            total = np.zeros((d, d), dtype=complex)
+            for e in dense:
+                total += e
         if np.max(np.abs(total - np.eye(d))) > TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "elements", elements)
 
+    @classmethod
+    def from_factors(cls, dims: Sequence[int], factors: Sequence[np.ndarray]) -> "Povm":
+        """The POVM with elements C_a^dagger C_a, one per factor C_a of
+        shape (r_a, prod(dims))."""
+        dims = tuple(dims)
+        return cls(dims, _Elements(factors, int(np.prod(dims))))
+
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.elements.factor(a) for a in range(len(self.elements)))
+
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
+
+
+class _Elements(Sequence):
+    """Dense POVM elements E_a = C_a^dagger C_a, each built on request
+    from its factor C_a. Only the factors are stored, stacked as ``rows``
+    in outcome order, with outcome a owning rows ``bounds[a]:bounds[a+1]``."""
+
+    def __init__(self, factors: Sequence[np.ndarray], d: int):
+        factors = tuple(np.asarray(c, dtype=complex) for c in factors)
+        for k, c in enumerate(factors):
+            if c.ndim != 2 or c.shape[1] != d:
+                raise ValueError(f"factor {k} has shape {c.shape}, expected (rank, {d})")
+        self.rows = np.concatenate(factors) if factors else np.zeros((0, d), dtype=complex)
+        self.bounds = np.cumsum([0] + [len(c) for c in factors])
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return tuple(self[i] for i in range(len(self))[a])
+        c = self.factor(a)
+        return c.conj().T @ c
+
+    def factor(self, a: int) -> np.ndarray:
+        a = range(len(self))[a]
+        return self.rows[self.bounds[a]:self.bounds[a + 1]]
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} POVM elements from {len(self.rows)} factor rows>"
+
+
+def _factor(k: int, e: np.ndarray, d: int) -> np.ndarray:
+    """Thin factor of the dense element ``e`` (number ``k``), after checking
+    its shape, hermiticity and positivity."""
+    if e.shape != (d, d):
+        raise ValueError(f"element {k} has shape {e.shape}, expected ({d},{d})")
+    if np.max(np.abs(e - e.conj().T)) > TOL:
+        raise ValueError(f"element {k} is not Hermitian")
+    vals, vecs = np.linalg.eigh(e)
+    if vals[0] < -TOL:
+        raise ValueError(f"element {k} is not positive semidefinite")
+    keep = vals > 1e-13 * vals[-1]  # eigh's rounding noise sits near 1e-16 of the largest
+    return np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T
 
 
 @dataclass(frozen=True)
@@ -94,32 +166,30 @@ class GuessStrategy:
 def computational_povm(dims: Sequence[int]) -> Povm:
     """Rank-1 projectors onto the computational product basis."""
     dims = tuple(dims)
-    d = int(np.prod(dims))
-    eye = np.eye(d, dtype=complex)
-    return Povm(dims, tuple(np.outer(eye[b], eye[b]) for b in range(d)))
+    return Povm.from_factors(dims, np.eye(int(np.prod(dims)), dtype=complex)[:, None])
 
 
 def _outcome_weights(ens: Ensemble, povm: Povm) -> np.ndarray:
-    """w[i, a] = <psi_i|M_a|psi_i>, clipped at zero."""
+    """w[i, a] = <psi_i|E_a|psi_i> = ||C_a psi_i||^2, every outcome in one product."""
     if povm.dims != ens.dims:
         raise ValueError(f"POVM dims {povm.dims} != ensemble dims {ens.dims}")
-    states = ens.amplitude_matrix()
-    w = np.empty((ens.size, povm.n_outcomes))
-    for a, e in enumerate(povm.elements):
-        w[:, a] = np.real(np.einsum("id,de,ie->i", states.conj(), e, states))
-    return np.clip(w, 0.0, None)
+    elements = povm.elements
+    amps = elements.rows @ ens.amplitude_matrix().T  # row j of C_a against every psi_i
+    per_row = amps.real ** 2 + amps.imag ** 2
+    ranks = np.diff(elements.bounds)
+    w = np.zeros((povm.n_outcomes, ens.size))
+    w[ranks > 0] = np.add.reduceat(per_row, elements.bounds[:-1][ranks > 0], axis=0)
+    return w.T
 
 
 def average_fidelity(ens: Ensemble, povm: Povm, guess: GuessStrategy) -> float:
     if len(guess) != povm.n_outcomes:
         raise ValueError("guess strategy must cover every POVM outcome")
-    states = ens.amplitude_matrix()
     w = _outcome_weights(ens, povm)
-    overlap = np.empty_like(w)
-    for a in range(povm.n_outcomes):
-        if guess[a].dims != ens.dims:
-            raise ValueError("guess dims do not match ensemble dims")
-        overlap[:, a] = np.abs(states.conj() @ guess[a].amps) ** 2
+    if any(g.dims != ens.dims for g in guess.guesses):
+        raise ValueError("guess dims do not match ensemble dims")
+    phis = np.array([g.amps for g in guess.guesses])
+    overlap = np.abs(ens.amplitude_matrix().conj() @ phis.T) ** 2
     return float(np.einsum("i,ia,ia->", ens.priors, w, overlap))
 
 

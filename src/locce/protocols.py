@@ -13,11 +13,10 @@ branch b with accumulated Kraus product K_b, the branch contributes
     p_i * ||K_b |psi_i>||^2 * |<psi_i|phi_b>|^2
 
 which matches the average-fidelity functional once each branch is read
-as the POVM element K_b^dagger K_b with guess phi_b (see
-:func:`flatten_to_povm`). Branches whose total weighted probability
-falls below the pruning threshold are skipped.
+as the POVM element K_b^dagger K_b with guess phi_b. Branches whose total
+weighted probability falls below the pruning threshold are skipped.
 
-The walk only needs ||K_b |psi_i>||^2; the overlaps come from the
+The branch walk only needs ||K_b |psi_i>||^2; the overlaps come from the
 original members. It therefore pushes less than the full member rows
 through the tree, and each reduction keeps that norm exact:
 
@@ -27,6 +26,12 @@ through the tree, and each reduction keeps that norm exact:
   has the same norm, and the split-off |u> is tensored back on only when
   a later instrument acts on one of those subsystems;
 - all Kraus operators of an instrument are applied in one contraction.
+
+:func:`flatten_to_povm` builds these elements by a separate walk, the
+reference path of the cross-checks. It carries each Kraus product as
+K_b = Q C with Q an isometry onto its range, re-factors after every
+round with an SVD, and emits the thin factor C (rank K_b rows), so that
+K_b^dagger K_b = C^dagger C; dense elements are built only on request.
 
 Resource attachment follows the joint-space picture: discriminating
 {psi_i} with a shared resource Psi is the same problem as
@@ -433,30 +438,42 @@ def validate_one_way(tree, order: Sequence[str]) -> bool:
 def flatten_to_povm(tree, problem: JointProblem):
     """Collapse a protocol tree to one global POVM element per branch.
 
-    Branch b yields K_b^dagger K_b identity-padded to the joint space,
-    paired with the leaf's guess, so that ``average_fidelity`` on the
-    result reproduces :func:`run_protocol` exactly. Its walk is kept apart
-    from :func:`_push_rows` so that the cross-checks compare two paths.
+    Branch b yields E_b = K_b^dagger K_b, with K_b its Kraus product
+    identity-padded to the joint space, paired with the leaf's guess, so
+    that ``average_fidelity`` on the result reproduces :func:`run_protocol`.
+    E_b comes as a thin factor C_b of shape (rank K_b, d) with
+    E_b = C_b^dagger C_b; no d x d element is formed. The walk is kept
+    apart from :func:`_push_rows` so that the cross-checks compare two paths.
     """
     ens = problem.joint
     validate_tree(tree, ens)
-    elements: list[np.ndarray] = []
+    factors: list[np.ndarray] = []
     guesses: list[StateVector] = []
-    _flatten(tree, np.eye(ens.dim, dtype=complex), ens.dims, ens.states,
-             elements, guesses)
-    return Povm(ens.dims, tuple(elements)), GuessStrategy(tuple(guesses))
+    eye = np.eye(ens.dim, dtype=complex)
+    _flatten(tree, eye, eye, ens.dims, ens.states, factors, guesses)
+    return Povm.from_factors(ens.dims, factors), GuessStrategy(tuple(guesses))
 
 
-def _flatten(node, kmat, dims, states, elements, guesses) -> None:
-    """Append the element and guess of every branch below ``node``."""
+def _flatten(node, basis, coef, dims, states, factors, guesses) -> None:
+    """Append the factor and guess of every branch below ``node``, which
+    the Kraus product K = basis^T coef reaches: the r rows of ``basis`` are
+    orthonormal and span the range of K, and ``coef`` has shape (r, d), so
+    K^dagger K = coef^dagger coef."""
     if isinstance(node, Leaf):
-        elements.append(kmat.conj().T @ kmat)
+        factors.append(coef)
         guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
         return
     inst = node.instrument
-    for kraus, child in zip(inst.kraus, node.children):
-        new = apply_to_batch(kraus, inst.targets, kmat.T, dims).T
-        _flatten(child, new, dims, states, elements, guesses)
+    images = apply_to_batch(inst._stack, inst.targets, basis, dims)  # (K_k basis^T)^T
+    for image, child in zip(images, node.children):
+        part = coef
+        if len(image):
+            # K_k K = image^T coef = vh^T (s u^T coef); drop directions at or
+            # below 1e-13 of the largest singular value
+            u, s, vh = np.linalg.svd(image, full_matrices=False)
+            r = int(np.count_nonzero(s > 1e-13 * s[0]))
+            image, part = vh[:r], (s[:r, None] * u[:, :r].T) @ coef
+        _flatten(child, image, part, dims, states, factors, guesses)
 
 
 def relabel_parties(tree, mapping: Mapping[str, str]):

@@ -108,11 +108,11 @@ def _grow(script: Sequence[ScriptStep], outcomes: tuple[int, ...]):
 
 def _undo(party: str, target: int, pos: int, corrections=BELL_CORRECTIONS) -> ScriptStep:
     """Script step: after outcome k of the round at script position ``pos``,
-    ``party`` applies ``corrections[k]`` to subsystem ``target``."""
-    def step(outcomes):
-        k = outcomes[pos]
-        return unitary_instrument(party, (target,), corrections[k], f"undo:{k}")
-    return step
+    ``party`` applies ``corrections[k]`` to subsystem ``target``. Each
+    correction's instrument is built once and shared by every branch."""
+    rounds = tuple(unitary_instrument(party, (target,), u, f"undo:{k}")
+                   for k, u in enumerate(corrections))
+    return lambda outcomes: rounds[outcomes[pos]]
 
 
 def computational_protocol(ens: Ensemble):

@@ -128,6 +128,17 @@ def test_size_guard_refuses_before_building(capsys, monkeypatch, argv, field):
     assert f"field {field}:" in err and "above the limit of 1048576 B" in err
 
 
+def test_oneway_outcomes_guard_refuses_before_searching(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ROW_BYTES", 1 << 20)
+    monkeypatch.setattr(cli, "feasibility_search", lambda *a: pytest.fail("searched past the guard"))
+    code, out, err = run_cli(capsys, "oneway", "--lambdas", "1.6,0.4",
+                             "--outcomes", "100000000000", "--restarts", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "field 'outcomes':" in err and "above the limit of 1048576 B" in err
+
+
 def test_size_guard_default_is_one_gib(capsys, monkeypatch):
     assert cli.MAX_ROW_BYTES == 1 << 30
     monkeypatch.setattr(cli, "graph_decode_protocol", lambda *a: pytest.fail("built"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from locce.tensor import StateVector, maximally_entangled
+from locce.tensor import TOL, StateVector, maximally_entangled
 from locce.families import (
     Ensemble,
     PartyLayout,
@@ -341,3 +341,42 @@ def test_povm_validation():
     with pytest.raises(ValueError):
         Povm((2,), (np.array([[1, 1], [0, 0]], dtype=complex),
                     np.array([[0, -1], [0, 1]], dtype=complex)))  # not Hermitian
+
+
+@pytest.mark.parametrize("low, accepted", [(-0.5 * TOL, True), (-2 * TOL, False)])
+def test_dense_povm_positivity_is_checked_at_tol(low, accepted):
+    elements = (np.diag([low, 0.5]).astype(complex), np.diag([1 - low, 0.5]).astype(complex))
+    if accepted:
+        povm = Povm((2,), elements)
+        assert np.allclose(povm.elements[0], np.diag([0.0, 0.5]), atol=TOL)
+    else:
+        with pytest.raises(ValueError, match="element 0 is not positive semidefinite"):
+            Povm((2,), elements)
+
+
+def test_dense_povm_rejects_non_hermitian_and_incomplete_elements():
+    with pytest.raises(ValueError, match="element 1 is not Hermitian"):
+        Povm((2,), (np.diag([1.0, 0.0]), np.array([[0, 1e-6], [0, 1]])))
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        Povm((2,), (np.diag([1.0, 0.0]), np.diag([0.0, 1 - 2 * TOL])))
+
+
+def test_factored_povm_checks_completeness_of_the_factor_rows():
+    half = np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        Povm.from_factors((2,), (half,))
+    with pytest.raises(ValueError, match="factor 1 has shape"):
+        Povm.from_factors((2,), (half, np.eye(3)))
+    povm = Povm.from_factors((2,), (half, np.zeros((0, 2)), np.array([[0.0, 1.0]])))
+    assert povm.n_outcomes == 3
+    assert np.array_equal(povm.elements[1], np.zeros((2, 2)))
+    assert [len(c) for c in povm.factors] == [1, 0, 1]
+
+
+def test_povm_elements_are_dense_on_request_only():
+    povm = computational_povm((2, 2))
+    assert len(povm.elements) == povm.n_outcomes == 4
+    assert povm.elements.rows.shape == (4, 4)  # one factor row per projector
+    assert np.array_equal(povm.elements[2], np.diag([0.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(sum(povm.elements), np.eye(4))
+    assert len(povm.elements[1:3]) == 2

@@ -1,11 +1,12 @@
-"""Property tests: random complete instruments on the split three-qubit GHZ basis."""
+"""Property tests: random complete instruments on the split three-qubit GHZ
+basis, and random POVMs held as factors or dense elements."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from locce.tensor import StateVector
-from locce.families import Ensemble, ghz_basis
-from locce.fidelity import average_fidelity
+from locce.families import Ensemble, PartyLayout, ghz_basis
+from locce.fidelity import Povm, _outcome_weights, average_fidelity
 from locce.protocols import (
     Instrument,
     JointProblem,
@@ -105,3 +106,22 @@ def test_fidelity_is_invariant_under_local_unitaries(tree, seed):
     ))
     f_moved = run_protocol(JointProblem(moved), conjugated(tree, local, joint)).fidelity
     assert abs(f_moved - run_protocol(PROBLEM, tree).fidelity) <= ATOL
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_factored_weights_match_dense_weights(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    ranks = rng.integers(0, dim + 1, size=int(rng.integers(1, 5)))
+    ranks[-1] += max(0, dim - int(ranks.sum()))
+    z = rng.normal(size=(int(ranks.sum()), dim)) + 1j * rng.normal(size=(int(ranks.sum()), dim))
+    factors = np.split(np.linalg.qr(z)[0], np.cumsum(ranks)[:-1])  # blocks of an isometry
+    dense = np.array([c.conj().T @ c for c in factors])
+    states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    ens = Ensemble(PartyLayout((("A", (0,)),)),
+                   tuple((1 / 3, StateVector((dim,), s)) for s in states))
+    want = np.real(np.einsum("id,ade,ie->ia", states.conj(), dense, states))
+    for povm in (Povm((dim,), tuple(dense)), Povm.from_factors((dim,), factors)):
+        assert np.max(np.abs(_outcome_weights(ens, povm) - want)) <= 1e-12

@@ -182,8 +182,9 @@ def test_flatten_povm_completeness_enforced():
 
 @pytest.mark.parametrize("keep", [
     lambda problem, tree: flatten_to_povm(tree, problem)[0].elements[0],
+    lambda problem, tree: flatten_to_povm(tree, problem)[0].factors[0],
     lambda problem, tree: run_protocol(problem, tree).branches[0].member_probabilities,
-], ids=["flatten_to_povm", "run_protocol"])
+], ids=["flatten_to_povm", "flatten_to_povm-factor", "run_protocol"])
 def test_outputs_are_freed_without_the_cyclic_collector(keep):
     problem, tree = computational_protocol(bell_basis())
     gc.disable()

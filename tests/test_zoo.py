@@ -147,6 +147,20 @@ def test_sequential_bell_order_wiring():
         assert bell.instrument.n_outcomes == 4
 
 
+def test_sequential_bell_shares_one_instrument_per_step_and_outcome():
+    _, tree = sequential_bell_protocol(5)
+    rounds, instruments, stack = 0, set(), [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Leaf):
+            rounds += 1
+            instruments.add(id(node.instrument))
+            stack.extend(node.children)
+    assert rounds == 1 + 8 + 32 + 128 + 512  # a Bell round, then undo and Bell per outcome
+    # 5 Bell rounds, and 4 undo instruments for each of the 4 undo steps
+    assert len(instruments) == 5 + 4 * 4
+
+
 def test_sequential_bell_order_invariance():
     base = run_protocol(*sequential_bell_protocol(3)).fidelity
     problem, tree = sequential_bell_protocol(3, order=("A2", "A3", "A1"))
@@ -321,3 +335,14 @@ def test_zoo_flatten_consistency_sample():
         povm, guesses = flatten_to_povm(entry.tree, entry.problem)
         flat = average_fidelity(entry.problem.joint, povm, guesses)
         assert flat == pytest.approx(res.fidelity, abs=1e-9), entry.name
+
+
+@pytest.mark.parametrize("name", ["lattice-2-2", "partitioned-ghz-4-22"])
+def test_zoo_flatten_emits_thin_factors(name):
+    (entry,) = [e for e in standard_zoo() if e.name == name]
+    d = entry.problem.joint.dim
+    povm, _ = flatten_to_povm(entry.tree, entry.problem)
+    factors = povm.factors
+    assert len(factors) == povm.n_outcomes == d
+    assert sum(len(c) for c in factors) == d  # every branch element has rank 1
+    assert sum(c.nbytes for c in factors) < 2 * d * d * 16
