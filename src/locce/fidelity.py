@@ -122,9 +122,7 @@ class _Elements(Sequence):
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, a):
-        if isinstance(a, slice):
-            return tuple(self[i] for i in range(len(self))[a])
+    def __getitem__(self, a: int) -> np.ndarray:
         c = self.factor(a)
         return c.conj().T @ c
 

@@ -110,9 +110,9 @@ def _undo(party: str, target: int, pos: int, corrections=BELL_CORRECTIONS) -> Sc
     """Script step: after outcome k of the round at script position ``pos``,
     ``party`` applies ``corrections[k]`` to subsystem ``target``. Each
     correction's instrument is built once and shared by every branch."""
-    rounds = tuple(unitary_instrument(party, (target,), u, f"undo:{k}")
-                   for k, u in enumerate(corrections))
-    return lambda outcomes: rounds[outcomes[pos]]
+    instruments = tuple(unitary_instrument(party, (target,), u, f"undo:{k}")
+                        for k, u in enumerate(corrections))
+    return lambda outcomes: instruments[outcomes[pos]]
 
 
 def computational_protocol(ens: Ensemble):

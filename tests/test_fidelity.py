@@ -341,6 +341,10 @@ def test_povm_validation():
     with pytest.raises(ValueError):
         Povm((2,), (np.array([[1, 1], [0, 0]], dtype=complex),
                     np.array([[0, -1], [0, 1]], dtype=complex)))  # not Hermitian
+    with pytest.raises(ValueError, match="element 1 is not Hermitian"):
+        Povm((2,), (np.diag([1.0, 0.0]), np.array([[0, 1e-6], [0, 1]])))
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        Povm((2,), (np.diag([1.0, 0.0]), np.diag([0.0, 1 - 2 * TOL])))
 
 
 @pytest.mark.parametrize("low, accepted", [(-0.5 * TOL, True), (-2 * TOL, False)])
@@ -352,13 +356,6 @@ def test_dense_povm_positivity_is_checked_at_tol(low, accepted):
     else:
         with pytest.raises(ValueError, match="element 0 is not positive semidefinite"):
             Povm((2,), elements)
-
-
-def test_dense_povm_rejects_non_hermitian_and_incomplete_elements():
-    with pytest.raises(ValueError, match="element 1 is not Hermitian"):
-        Povm((2,), (np.diag([1.0, 0.0]), np.array([[0, 1e-6], [0, 1]])))
-    with pytest.raises(ValueError, match="do not sum to the identity"):
-        Povm((2,), (np.diag([1.0, 0.0]), np.diag([0.0, 1 - 2 * TOL])))
 
 
 def test_factored_povm_checks_completeness_of_the_factor_rows():
@@ -373,10 +370,10 @@ def test_factored_povm_checks_completeness_of_the_factor_rows():
     assert [len(c) for c in povm.factors] == [1, 0, 1]
 
 
-def test_povm_elements_are_dense_on_request_only():
+def test_povm_stores_factors_and_builds_dense_elements_on_request():
     povm = computational_povm((2, 2))
     assert len(povm.elements) == povm.n_outcomes == 4
     assert povm.elements.rows.shape == (4, 4)  # one factor row per projector
     assert np.array_equal(povm.elements[2], np.diag([0.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(povm.elements[-1], np.diag([0.0, 0.0, 0.0, 1.0]))
     assert np.array_equal(sum(povm.elements), np.eye(4))
-    assert len(povm.elements[1:3]) == 2

@@ -4,7 +4,7 @@ basis, and random POVMs held as factors or dense elements."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from locce.tensor import StateVector
+from locce.tensor import StateVector, embed_operator
 from locce.families import Ensemble, PartyLayout, ghz_basis
 from locce.fidelity import Povm, _outcome_weights, average_fidelity
 from locce.protocols import (
@@ -65,6 +65,26 @@ def test_run_protocol_matches_flattened_povm(tree):
     povm, guesses = flatten_to_povm(tree, PROBLEM)
     flat = average_fidelity(ENSEMBLE, povm, guesses)
     assert abs(run_protocol(PROBLEM, tree).fidelity - flat) <= ATOL
+
+
+def dense_elements(node, kmat: np.ndarray):
+    """K_b^dagger K_b of every branch below ``node``, from d x d products."""
+    if isinstance(node, Leaf):
+        yield kmat.conj().T @ kmat
+        return
+    inst = node.instrument
+    for kraus, child in zip(inst.kraus, node.children):
+        yield from dense_elements(child, embed_operator(kraus, inst.targets, ENSEMBLE.dims) @ kmat)
+
+
+@settings(deadline=None)
+@given(trees)
+def test_flattened_factors_rebuild_the_dense_branch_elements(tree):
+    povm, _ = flatten_to_povm(tree, PROBLEM)
+    want = list(dense_elements(tree, np.eye(ENSEMBLE.dim, dtype=complex)))
+    assert povm.n_outcomes == len(want)
+    for a, element in enumerate(want):
+        assert np.max(np.abs(povm.elements[a] - element)) <= 1e-12
 
 
 @settings(deadline=None)
