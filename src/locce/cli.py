@@ -71,6 +71,7 @@ from .fidelity import (
 from .protocols import JointProblem, flatten_to_povm, relabel_parties, run_protocol
 from .oneway import (
     ResourceSpectrum,
+    _restart_bytes,
     feasibility_search,
     orthogonality_residual,
     teleportation_certificate,
@@ -92,7 +93,7 @@ from .zoo import (
 
 COLUMNS = ("scenario", "family", "protocol", "fidelity", "bound", "expected", "status", "ms")
 ATOL = 1e-9
-MAX_ROW_BYTES = 1 << 30  # largest member-row or one-way probe array (16 B per amplitude) a run may need
+MAX_ROW_BYTES = 1 << 30  # largest member-row or one-way restart array a run may need
 
 NAMED_GRAPHS = {
     "path2": lambda: Graph.path(2),
@@ -336,26 +337,19 @@ def run_oneway(params: dict) -> list[Row]:
                    f"oneway-lam{','.join(fmt(x) for x in lambdas)}")
     spectrum = ResourceSpectrum(lambdas)
     rep = to_matrix_rep(bell_basis())
-    # a restart holds one d^2-vector per outcome and ordered pair of members
-    need = outcomes * rep.size * (rep.size - 1) * rep.d ** 2 * 16
-    if need > MAX_ROW_BYTES:
+    if (need := _restart_bytes(rep.d, outcomes)) > MAX_ROW_BYTES:
         _refuse("oneway", "'outcomes'", f"{outcomes} outcomes need {need} B")
     rows = []
     is_mes = bool(np.max(np.abs(np.asarray(lambdas) - 1.0)) <= 1e-12)
     if is_mes:
         t0 = time.perf_counter()
-        phis, weights = teleportation_certificate(spectrum.d)
-        res = orthogonality_residual(rep, spectrum, phis, weights)
+        res = orthogonality_residual(rep, spectrum, *teleportation_certificate(spectrum.d))
         rows.append(_row(label, "oneway", "explicit-certificate", res, "n/a",
                          "<1e-09", res < 1e-9, t0))
     t0 = time.perf_counter()
     result = feasibility_search(rep, spectrum, outcomes, restarts, seed)
-    if is_mes:
-        ok = result.best_residual < 1e-6
-        expected = "<1e-06"
-    else:
-        ok = result.best_residual > 1e-2
-        expected = ">0.01 (evidence)"
+    ok = result.best_residual < 1e-6 if is_mes else result.best_residual > 1e-2
+    expected = "<1e-06" if is_mes else ">0.01 (evidence)"
     rows.append(_row(label, "oneway", f"search-K{outcomes}-R{restarts}",
                      result.best_residual, "n/a", expected, ok, t0))
     return rows

@@ -10,15 +10,17 @@ positive weights {a_k} with
     <phi_k| (Lambda (x) M_i^dag M_j) |phi_k> = 0   for all i != j
 
 The orthogonality residual below is the squared violation of that
-system; :func:`feasibility_search` probes it with seeded multi-start
-local descent. A nonzero floor is reported as evidence of
-infeasibility, never as proof.
+system, scored in d x d space: with Y_k the d x d reshape of phi_k,
+<phi_k|Lambda (x) A|phi_k> = Tr(A G_k^T) for G_k = Y_k^dag Lambda Y_k,
+so no d^2 x d^2 operator is built. :func:`feasibility_search` probes
+the residual with seeded multi-start local descent. A nonzero floor is
+reported as evidence of infeasibility, never as proof.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -93,10 +95,8 @@ def to_matrix_rep(ens: Ensemble) -> MatrixRep:
     dims = ens.dims
     if len(ens.layout.parties) != 2:
         raise ValueError("matrix representation needs a bipartite layout")
-    idx_a = ens.layout.parties[0][1]
-    idx_b = ens.layout.parties[1][1]
-    da = int(np.prod([dims[i] for i in idx_a]))
-    db = int(np.prod([dims[i] for i in idx_b]))
+    (_, idx_a), (_, idx_b) = ens.layout.parties
+    da, db = (int(np.prod([dims[i] for i in idx])) for idx in (idx_a, idx_b))
     if da != db:
         raise ValueError(f"local dimensions differ: {da} vs {db}")
     mats = []
@@ -106,17 +106,13 @@ def to_matrix_rep(ens: Ensemble) -> MatrixRep:
     return MatrixRep(da, tuple(mats))
 
 
-def _condition_operators(rep: MatrixRep, spectrum: ResourceSpectrum) -> np.ndarray:
-    """All Lambda (x) M_i^dag M_j for ordered pairs i != j, stacked."""
+def _pair_products(rep: MatrixRep, spectrum: ResourceSpectrum) -> np.ndarray:
+    """The flattened M_i^dag M_j over ordered pairs i != j, one per row."""
     if spectrum.d != rep.d:
         raise ValueError(f"spectrum dimension {spectrum.d} != rep dimension {rep.d}")
-    lam = spectrum.matrix()
-    ops = []
-    for i, mi in enumerate(rep.matrices):
-        for j, mj in enumerate(rep.matrices):
-            if i != j:
-                ops.append(np.kron(lam, mi.conj().T @ mj))
-    return np.stack(ops) if ops else np.zeros((0, rep.d ** 2, rep.d ** 2), dtype=complex)
+    rows = [(mi.conj().T @ mj).reshape(-1) for i, mi in enumerate(rep.matrices)
+            for j, mj in enumerate(rep.matrices) if i != j]
+    return np.array(rows, dtype=complex).reshape(len(rows), rep.d ** 2)
 
 
 def orthogonality_residual(rep: MatrixRep, spectrum: ResourceSpectrum,
@@ -129,27 +125,21 @@ def orthogonality_residual(rep: MatrixRep, spectrum: ResourceSpectrum,
     from the identity. Zero iff the condition holds exactly.
     """
     n = rep.d ** 2
-    phis = [np.asarray(p.amps if isinstance(p, StateVector) else p,
-                       dtype=complex).reshape(-1) for p in phis]
-    weights = np.asarray(weights, dtype=float)
-    if len(phis) != weights.size:
-        raise ValueError("one weight per state required")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    ops = _condition_operators(rep, spectrum)
-    total = 0.0
-    completeness = -np.eye(n, dtype=complex)
-    for a, phi in zip(weights, phis):
-        if phi.size != n:
-            raise ValueError(f"state length {phi.size} != d^2 = {n}")
-        norm = np.linalg.norm(phi)
-        unit = phi / norm
-        if ops.size:
-            s = np.einsum("c,mcd,d->m", unit.conj(), ops, unit)
-            total += float(np.sum(np.abs(s) ** 2))
-        completeness += a * np.outer(unit, unit.conj())
-    total += float(np.linalg.norm(completeness) ** 2)
-    return total
+    ys = [np.asarray(p.amps if isinstance(p, StateVector) else p, dtype=complex).reshape(-1)
+          for p in phis]
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if len(ys) != weights.size or any(y.size != n for y in ys):
+        raise ValueError(f"need one weight and d^2 = {n} amplitudes per state")
+    ys = np.array(ys).reshape(-1, n)
+    with np.errstate(invalid="ignore"):  # an infinite amplitude gives a NaN norm
+        norms = np.linalg.norm(ys, axis=1)
+    for what, values in (("weight", weights), ("state norm", norms)):
+        bad = np.flatnonzero(~((values > 0) & (values < np.inf)))  # NaN fails both
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} must be positive and finite, got {values[bad[0]]}")
+    ys *= (np.sqrt(weights) / norms)[:, None]
+    return _objective(_pack(ys), _pair_products(rep, spectrum), spectrum.lambdas,
+                      len(ys), rep.d)[0]
 
 
 def _pack(ys: np.ndarray) -> np.ndarray:
@@ -161,23 +151,27 @@ def _unpack(theta: np.ndarray, k: int, n: int) -> np.ndarray:
     return theta[:half].reshape(k, n) + 1j * theta[half:].reshape(k, n)
 
 
-def _objective(theta: np.ndarray, ops: np.ndarray, k: int, n: int):
-    """Residual and gradient over unnormalized vectors y_k = sqrt(a_k) phi_k."""
+def _objective(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
+    """Residual and gradient over unnormalized vectors y_k = sqrt(a_k) phi_k.
+
+    ``pairs`` holds the rows of :func:`_pair_products`. With Y_k the d x d
+    reshape of y_k and G_k = Y_k^dag Lambda Y_k, the condition values are
+    s_ij = <y_k|Lambda (x) M_i^dag M_j|y_k> = Tr(M_i^dag M_j G_k^T), and as
+    s_ji = conj(s_ij) the derivative of sum |s_ij|^2 along conj(y_k) is
+    2 Lambda Y_k W_k^T with W_k = sum_{i != j} conj(s_ij) M_i^dag M_j.
+    """
+    n = d * d
     ys = _unpack(theta, k, n)
-    s_op = ys.T @ ys.conj()  # sum_k y_k y_k^dag, shape (n, n)
-    diff = s_op - np.eye(n)
-    value = float(np.linalg.norm(diff) ** 2)
+    diff = ys.T @ ys.conj() - np.eye(n)  # sum_k y_k y_k^dag - I
+    ly = lambdas[:, None] * ys.reshape(k, d, d)  # Lambda Y_k
+    s = (ys.conj().reshape(k, d, d).swapaxes(1, 2) @ ly).reshape(k, n) @ pairs.T
+    w = (s.conj() @ pairs).reshape(k, d, d)  # W_k
+    t = np.einsum("kc,kc->k", ys.conj(), ys).real  # ||y_k||^2
+    s2 = np.einsum("km,km->k", s.conj(), s).real  # per-k condition violation
+    value = float(np.linalg.norm(diff) ** 2 + np.sum(s2 / t ** 2))
     grad = 2.0 * (ys @ diff.T)  # (diff @ y_k) per row; diff Hermitian
-    if ops.size:
-        t = np.real(np.einsum("kd,kd->k", ys.conj(), ys))
-        cy = np.einsum("mcd,kd->kmc", ops, ys)
-        s = np.einsum("kc,kmc->km", ys.conj(), cy)
-        cdy = np.einsum("mdc,kd->kmc", ops.conj(), ys)
-        s2 = np.sum(np.abs(s) ** 2, axis=1)  # per-k condition violation
-        value += float(np.sum(s2 / t ** 2))
-        grad += np.einsum("km,kmc->kc", s.conj(), cy) / t[:, None] ** 2
-        grad += np.einsum("km,kmc->kc", s, cdy) / t[:, None] ** 2
-        grad -= (2.0 * s2 / t ** 3)[:, None] * ys
+    grad += (2.0 * (ly @ w.swapaxes(1, 2))).reshape(k, n) / t[:, None] ** 2
+    grad -= (2.0 * s2 / t ** 3)[:, None] * ys
     return value, np.concatenate([2 * grad.real.reshape(-1), 2 * grad.imag.reshape(-1)])
 
 
@@ -196,15 +190,18 @@ class FeasibilityResult:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "outcomes": self.outcomes,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "best_residual": self.best_residual,
-            "best_restart": self.best_restart,
-            "wall_time_s": self.wall_time_s,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("phis", "weights")}
+        return {**record, "lambdas": list(self.lambdas)}
+
+
+_MAXCOR = 10  # L-BFGS-B history length, scipy's default
+
+
+def _restart_bytes(d: int, outcomes: int) -> int:
+    """The largest array one restart holds: L-BFGS-B's workspace of
+    (2 maxcor + 5) doubles for each of the 2 d^2 K real parameters."""
+    return (2 * _MAXCOR + 5) * 2 * d * d * outcomes * 8
 
 
 def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
@@ -224,7 +221,7 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
         raise ValueError(f"need at least d^2 = {n} outcomes for completeness")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    ops = _condition_operators(rep, spectrum)
+    pairs = _pair_products(rep, spectrum)
     start = time.perf_counter()
     best = None
     for r in range(restarts):
@@ -232,27 +229,20 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
         scale = np.sqrt(n / (2.0 * k * n))
         y0 = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
         res = minimize(
-            _objective, _pack(y0), args=(ops, k, n), method="L-BFGS-B", jac=True,
-            options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14},
+            _objective, _pack(y0), args=(pairs, spectrum.lambdas, k, rep.d),
+            method="L-BFGS-B", jac=True,
+            options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14, "maxcor": _MAXCOR},
         )
         if best is None or res.fun < best[0]:  # ties keep the earliest restart
             best = (float(res.fun), r, res.x)
     value, restart_idx, theta = best
     ys = _unpack(theta, k, n)
     norms = np.linalg.norm(ys, axis=1)
-    phis = tuple((ys[i] / norms[i]) for i in range(k))
-    weights = tuple(float(norms[i] ** 2) for i in range(k))
     return FeasibilityResult(
-        lambdas=tuple(float(x) for x in spectrum.lambdas),
-        outcomes=k,
-        restarts=int(restarts),
-        seed=int(seed),
-        best_residual=value,
-        best_restart=restart_idx,
-        phis=phis,
-        weights=weights,
-        wall_time_s=time.perf_counter() - start,
-    )
+        lambdas=tuple(float(x) for x in spectrum.lambdas), outcomes=k,
+        restarts=int(restarts), seed=int(seed), best_residual=value,
+        best_restart=restart_idx, phis=tuple(ys / norms[:, None]),
+        weights=tuple(float(x) for x in norms ** 2), wall_time_s=time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -270,9 +260,7 @@ def rk_structure_check(rep: MatrixRep, spectrum: ResourceSpectrum, phi) -> RkRep
     cross term against the first (full-rank) member.
     """
     d = rep.d
-    m1 = rep.matrices[0]
-    sv = np.linalg.svd(m1, compute_uv=False)
-    if sv[-1] <= TOL:
+    if np.linalg.svd(rep.matrices[0], compute_uv=False)[-1] <= TOL:
         raise ValueError("first member's matrix is singular; reorder a full-rank member first")
     amps = np.asarray(phi.amps if isinstance(phi, StateVector) else phi,
                       dtype=complex).reshape(-1)
@@ -288,6 +276,4 @@ def rk_structure_check(rep: MatrixRep, spectrum: ResourceSpectrum, phi) -> RkRep
 def teleportation_certificate(d: int):
     """The explicit solution at Lambda = I: the generalized Bell states
     with unit weights. Witnesses feasibility for any full basis."""
-    phis = tuple(generalized_bell_vectors(d))
-    weights = tuple(1.0 for _ in range(d * d))
-    return phis, weights
+    return tuple(generalized_bell_vectors(d)), (1.0,) * (d * d)

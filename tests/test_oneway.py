@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from locce.tensor import StateVector, maximally_entangled
+from locce.tensor import StateVector, generalized_bell_vectors, maximally_entangled
 from locce.families import Ensemble, PartyLayout, bell_basis, parametric_basis
 from locce.oneway import (
     MatrixRep,
@@ -16,9 +16,16 @@ from locce.oneway import (
     teleportation_certificate,
     to_matrix_rep,
 )
-from locce.oneway import _condition_operators, _objective
+from locce.oneway import _objective, _pair_products
 
 S2 = 1 / math.sqrt(2)
+
+
+def generalized_bell_rep(d: int, members=None) -> MatrixRep:
+    """M_i = sqrt(d) V_i^T for the generalized Bell vectors V_i, or a subset."""
+    vecs = generalized_bell_vectors(d)
+    members = range(d * d) if members is None else members
+    return MatrixRep(d, tuple(np.sqrt(d) * vecs[i].reshape(d, d).T for i in members))
 
 
 def computational_ensemble():
@@ -120,6 +127,23 @@ def test_residual_weight_validation():
         orthogonality_residual(rep, ResourceSpectrum([1.0, 1.0]), phis, [1.0, -1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("index, phi, weight, match", [
+    (2, np.zeros(4), 1.0, "state norm 2 "),
+    (1, np.array([np.nan, 0, 0, 1]), 1.0, "state norm 1 "),
+    (3, np.array([np.inf, 0, 0, 1]), 1.0, "state norm 3 "),
+    (0, None, np.nan, "weight 0 "),
+    (2, None, np.inf, "weight 2 "),
+])
+def test_residual_rejects_zero_or_nonfinite_states_and_weights(index, phi, weight, match):
+    rep = to_matrix_rep(bell_basis())
+    phis, weights = (list(x) for x in teleportation_certificate(2))
+    if phi is not None:
+        phis[index] = phi
+    weights[index] = weight
+    with pytest.raises(ValueError, match=match):
+        orthogonality_residual(rep, ResourceSpectrum([1.0, 1.0]), phis, weights)
+
+
 def test_residual_invariant_under_second_factor_rotation():
     rng = np.random.default_rng(59)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -138,19 +162,24 @@ def test_residual_invariant_under_second_factor_rotation():
 
 def test_objective_gradient_finite_difference():
     rng = np.random.default_rng(61)
-    rep = to_matrix_rep(bell_basis())
-    ops = _condition_operators(rep, ResourceSpectrum([1.3, 0.7]))
-    k, n = 5, 4
-    theta = rng.standard_normal(2 * k * n)
-    _, grad = _objective(theta, ops, k, n)
-    eps = 1e-6
-    for i in rng.choice(theta.size, size=12, replace=False):
-        up = theta.copy()
-        up[i] += eps
-        down = theta.copy()
-        down[i] -= eps
-        num = (_objective(up, ops, k, n)[0] - _objective(down, ops, k, n)[0]) / (2 * eps)
-        assert abs(num - grad[i]) < 1e-6
+    cases = (
+        (to_matrix_rep(bell_basis()), [1.3, 0.7], 5),
+        (generalized_bell_rep(3), [1.5, 0.9, 0.6], 10),
+        (MatrixRep(2, to_matrix_rep(bell_basis()).matrices[:2]), [1.3, 0.7], 4),
+    )
+    for rep, lambdas, k in cases:
+        spectrum = ResourceSpectrum(lambdas)
+        args = (_pair_products(rep, spectrum), spectrum.lambdas, k, rep.d)
+        theta = rng.standard_normal(2 * k * rep.d ** 2)
+        _, grad = _objective(theta, *args)
+        eps = 1e-6
+        for i in rng.choice(theta.size, size=12, replace=False):
+            up = theta.copy()
+            up[i] += eps
+            down = theta.copy()
+            down[i] -= eps
+            num = (_objective(up, *args)[0] - _objective(down, *args)[0]) / (2 * eps)
+            assert abs(num - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
 
 
 def test_search_finds_mes_solution():

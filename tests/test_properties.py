@@ -1,12 +1,22 @@
 """Property tests: random complete instruments on the split three-qubit GHZ
-basis, and random POVMs held as factors or dense elements."""
+basis, random POVMs held as factors or dense elements, and the one-way
+residual against its brute-force Kronecker form."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from locce.tensor import StateVector, embed_operator
-from locce.families import Ensemble, PartyLayout, ghz_basis
+from locce.tensor import StateVector, embed_operator, generalized_bell_vectors
+from locce.families import Ensemble, PartyLayout, bell_basis, ghz_basis, parametric_basis
 from locce.fidelity import Povm, _outcome_weights, average_fidelity
+from locce.oneway import (
+    MatrixRep,
+    ResourceSpectrum,
+    _objective,
+    _pack,
+    _pair_products,
+    orthogonality_residual,
+    to_matrix_rep,
+)
 from locce.protocols import (
     Instrument,
     JointProblem,
@@ -145,3 +155,68 @@ def test_factored_weights_match_dense_weights(seed):
     want = np.real(np.einsum("id,ade,ie->ia", states.conj(), dense, states))
     for povm in (Povm((dim,), tuple(dense)), Povm.from_factors((dim,), factors)):
         assert np.max(np.abs(_outcome_weights(ens, povm) - want)) <= 1e-12
+
+
+# -- one-way residual against the Kronecker stack of Lambda (x) M_i^dag M_j ---
+
+def random_rep(rng: np.random.Generator, kind: str) -> MatrixRep:
+    if kind == "bell":
+        return to_matrix_rep(bell_basis())
+    if kind == "parametric":
+        return to_matrix_rep(parametric_basis(*rng.uniform(1 / np.sqrt(2), 1, size=2)))
+    d = 3 if kind == "bell-d3" else int(rng.integers(2, 4))
+    members = (range(d * d) if kind == "bell-d3"
+               else rng.choice(d * d, size=int(rng.integers(1, d * d + 1)), replace=False))
+    vecs = generalized_bell_vectors(d)
+    return MatrixRep(d, tuple(np.sqrt(d) * vecs[i].reshape(d, d).T for i in members))
+
+
+def kron_conditions(rep: MatrixRep, lambdas: np.ndarray) -> list[np.ndarray]:
+    return [np.kron(np.diag(lambdas), mi.conj().T @ mj)
+            for i, mi in enumerate(rep.matrices)
+            for j, mj in enumerate(rep.matrices) if i != j]
+
+
+def random_problem(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    rep = random_rep(rng, kind)
+    spectrum = ResourceSpectrum(rep.d * rng.dirichlet(np.ones(rep.d)))
+    k = int(rng.integers(1, rep.d ** 2 + 4))
+    ys = rng.normal(size=(k, rep.d ** 2)) + 1j * rng.normal(size=(k, rep.d ** 2))
+    return rep, spectrum, kron_conditions(rep, spectrum.lambdas), ys
+
+
+rep_kinds = st.sampled_from(("bell", "parametric", "bell-d3", "random-subset"))
+
+
+@settings(deadline=None)
+@given(rep_kinds, st.integers(0, 2 ** 32 - 1))
+def test_residual_matches_the_kron_stack(kind, seed):
+    rep, spectrum, ops, phis = random_problem(kind, seed)
+    weights = np.random.default_rng(seed).uniform(0.1, 2.0, size=len(phis))
+    units = phis / np.linalg.norm(phis, axis=1)[:, None]
+    completeness = np.einsum("k,kc,kd->cd", weights, units, units.conj()) - np.eye(rep.d ** 2)
+    want = np.linalg.norm(completeness) ** 2 + sum(
+        abs(np.vdot(u, op @ u)) ** 2 for u in units for op in ops)
+    got = orthogonality_residual(rep, spectrum, list(phis), weights)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@settings(deadline=None)
+@given(rep_kinds, st.integers(0, 2 ** 32 - 1))
+def test_objective_value_and_gradient_match_the_kron_stack(kind, seed):
+    rep, spectrum, ops, ys = random_problem(kind, seed)
+    diff = ys.T @ ys.conj() - np.eye(rep.d ** 2)
+    want, dconj = np.linalg.norm(diff) ** 2, 2 * ys @ diff.T  # derivative along conj(y_k)
+    for k, y in enumerate(ys):
+        t = np.vdot(y, y).real
+        for op in ops:
+            s = np.vdot(y, op @ y)
+            want += abs(s) ** 2 / t ** 2
+            dconj[k] += ((np.conj(s) * op + s * op.conj().T) @ y / t ** 2
+                         - 2 * abs(s) ** 2 / t ** 3 * y)
+    value, grad = _objective(_pack(ys), _pair_products(rep, spectrum), spectrum.lambdas,
+                             len(ys), rep.d)
+    assert abs(value - want) <= 1e-12 * want
+    want_grad = 2 * _pack(dconj)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
