@@ -26,8 +26,9 @@ Scenario file schema (all keys optional unless the family needs them):
     }
 
 A default applies only when a field is absent or null; a given value,
-zero included, is validated. The default seed comes from the LOCCE_SEED
-environment variable when no flag or file value is given.
+zero included, is validated, and an integer field refuses a fraction or a
+boolean. The default seed comes from the LOCCE_SEED environment variable
+when no flag or file value is given.
 """
 
 from __future__ import annotations
@@ -182,10 +183,17 @@ def _field(params: dict, key: str, kind, family: str, default=_REQUIRED,
     return value
 
 
+def _int(value) -> int:
+    """An integer field: a bool or a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _int_list(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        return tuple(int(s) for s in value.split(",") if s)
-    return tuple(int(v) for v in value)
+        return tuple(_int(s) for s in value.split(",") if s)
+    return tuple(_int(v) for v in value)
 
 
 def _float_list(value) -> tuple[float, ...]:
@@ -206,13 +214,13 @@ def _parse_graph(params: dict) -> Graph:
     edges_spec = params.get("edges")
     if not edges_spec:
         raise ScenarioError("graph: need field 'graph' (named) or 'edges'")
+    n = _field(params, "vertices", _int, "graph", None)
     try:
         edges = []
         for part in str(edges_spec).split(","):
             a, b = part.split("-")
             edges.append((int(a), int(b)))
-        n = params.get("vertices")
-        n = int(n) if n is not None else max(max(e) for e in edges) + 1
+        n = n if n is not None else max(max(e) for e in edges) + 1
         return Graph(n, frozenset(edges))
     except (ValueError, KeyError) as exc:
         raise ScenarioError(f"graph: bad value for field 'edges': {exc}") from exc
@@ -237,7 +245,7 @@ def _refuse(family: str, field: str, need: str) -> None:
 # -- family runners ----------------------------------------------------------
 
 def run_ghz(params: dict) -> list[Row]:
-    n = _field(params, "n", int, "ghz", minimum=2)
+    n = _field(params, "n", _int, "ghz", minimum=2)
     _check_size("ghz", "'n'", n, 2 * n)  # n unknown qubits and an n-qubit resource
     sizes = _field(params, "sizes", _int_list, "ghz", (1,) * n)
     label = _field(params, "scenario", str, "ghz",
@@ -273,8 +281,8 @@ def run_graph(params: dict) -> list[Row]:
 
 
 def run_lattice(params: dict) -> list[Row]:
-    n = _field(params, "n", int, "lattice")
-    m = _field(params, "m", int, "lattice")
+    n = _field(params, "n", _int, "lattice")
+    m = _field(params, "m", _int, "lattice")
     _check_size("lattice", "'n' (with 'm')", 2 * n, 2 * (n + m))
     label = _field(params, "scenario", str, "lattice", f"lattice-n{n}-m{m}")
     t0 = time.perf_counter()
@@ -330,12 +338,15 @@ def run_oneway(params: dict) -> list[Row]:
     lambdas = _field(params, "lambdas", _float_list, "oneway", (1.0, 1.0))
     if len(lambdas) != 2:
         raise ScenarioError("oneway: field 'lambdas' must have length 2 (qubit ensembles)")
-    outcomes = _field(params, "outcomes", int, "oneway", 4, minimum=4)
-    restarts = _field(params, "restarts", int, "oneway", 20, minimum=1)
-    seed = _field(params, "seed", int, "oneway", 0)
+    outcomes = _field(params, "outcomes", _int, "oneway", 4, minimum=4)
+    restarts = _field(params, "restarts", _int, "oneway", 20, minimum=1)
+    seed = _field(params, "seed", _int, "oneway", 0)
     label = _field(params, "scenario", str, "oneway",
                    f"oneway-lam{','.join(fmt(x) for x in lambdas)}")
-    spectrum = ResourceSpectrum(lambdas)
+    try:
+        spectrum = ResourceSpectrum(lambdas)
+    except ValueError as exc:
+        raise ScenarioError(f"oneway: bad value for field 'lambdas': {exc}") from exc
     rep = to_matrix_rep(bell_basis())
     if (need := _restart_bytes(rep.d, outcomes)) > MAX_ROW_BYTES:
         _refuse("oneway", "'outcomes'", f"{outcomes} outcomes need {need} B")
@@ -359,7 +370,7 @@ def run_bounds(params: dict) -> list[Row]:
     family = _field(params, "bounds_family", str, "bounds", "ghz")
     rows = []
     if family == "ghz":
-        n = _field(params, "n", int, "bounds", 3, minimum=2)
+        n = _field(params, "n", _int, "bounds", 3, minimum=2)
         _check_size("bounds", "'n'", n, n)  # 2^n members of n qubits
         label = _field(params, "scenario", str, "bounds", f"bounds-ghz-{n}")
         t0 = time.perf_counter()
@@ -373,7 +384,7 @@ def run_bounds(params: dict) -> list[Row]:
         rows.append(_row(label, "bounds", "computational-vs-sep-bound", achieved,
                          fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
     elif family == "lattice":
-        n = _field(params, "n", int, "bounds", 2, minimum=1)
+        n = _field(params, "n", _int, "bounds", 2, minimum=1)
         _check_size("bounds", "'n'", 2 * n, 2 * n)  # 4^n Bell products of 2n qubits
         label = _field(params, "scenario", str, "bounds", f"bounds-lattice-{n}")
         t0 = time.perf_counter()
@@ -605,7 +616,7 @@ CRITERIA = (
 
 
 def run_paper_suite(params: dict) -> list[Row]:
-    seed = _field(params, "seed", int, "paper-suite", 0)
+    seed = _field(params, "seed", _int, "paper-suite", 0)
     return [row for criterion in CRITERIA for row in criterion.run(seed)]
 
 
@@ -708,11 +719,14 @@ def main(argv=None) -> int:
                 continue
             params["scenario" if key == "scenario_name" else key] = value
         if params.get("seed") is None:
-            params["seed"] = int(os.environ.get("LOCCE_SEED", "0"))
+            params["seed"] = os.environ.get("LOCCE_SEED", "0")
+        params["seed"] = _field(params, "seed", _int, "scenario")
         out_format = _field(params, "format", str, "scenario", "table")
-        if out_format not in ("table", "csv", "json"):
-            raise ScenarioError(f"scenario: bad value for field 'format': {out_format!r}")
-        timing = _field(params, "timing", str, "scenario", "on") != "off"
+        timing = _field(params, "timing", str, "scenario", "on")
+        for key, value, choices in (("format", out_format, ("table", "csv", "json")),
+                                    ("timing", timing, ("on", "off"))):
+            if value not in choices:
+                raise ScenarioError(f"scenario: bad value for field '{key}': {value!r}")
         rows = FAMILIES[args.family](params)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -720,7 +734,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {args.family}: {exc}", file=sys.stderr)
         return 2
-    print(emit(rows, out_format, timing))
+    print(emit(rows, out_format, timing == "on"))
     return 0 if all(r.status == "pass" for r in rows) else 1
 
 

@@ -19,11 +19,8 @@ from .tensor import (
     TOL,
     Operator,
     StateVector,
-    PAULI_X,
-    PAULI_Z,
     all_bipartitions,
     bell_vectors,
-    embed_operator,
 )
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "graph_state_basis",
     "parametric_basis",
     "coarsen",
-    "two_party_layout",
     "single_qubit_layout",
 ]
 
@@ -192,15 +188,6 @@ class Graph:
         return cls(n, frozenset((0, i) for i in range(1, n)))
 
 
-def two_party_layout(n_subsystems: int, split: int | None = None,
-                     names: tuple[str, str] = ("A", "B")) -> PartyLayout:
-    split = n_subsystems // 2 if split is None else split
-    return PartyLayout((
-        (names[0], tuple(range(split))),
-        (names[1], tuple(range(split, n_subsystems))),
-    ))
-
-
 def single_qubit_layout(n: int, prefix: str = "A") -> PartyLayout:
     return PartyLayout(tuple((f"{prefix}{i + 1}", (i,)) for i in range(n)))
 
@@ -283,43 +270,31 @@ def lattice_basis(num_pairs: int) -> Ensemble:
 def graph_state_basis(g: Graph):
     """Graph-state eigenbasis, the conjugate resource, and the stabilizers.
 
-    The fiducial state is built by applying a CZ for every edge to
-    |+>^N; member x applies Z^{x_a} on each vertex a and satisfies
-    K_a |psi_x> = (-1)^{x_a} |psi_x> for the vertex operator
-    K_a = X_a prod_{b ~ a} Z_b. Each party holds one qubit.
+    The fiducial state is |+>^N with a CZ for every edge, i.e. amplitude
+    (-1)^(edges inside i) / sqrt(2^N) on |i>; member x applies Z^{x_a} on
+    each vertex a and satisfies K_a |psi_x> = (-1)^{x_a} |psi_x> for the
+    vertex operator K_a = X_a prod_{b ~ a} Z_b. Each party holds one qubit.
     """
     n = g.vertex_count
     dims = (2,) * n
     d = 2 ** n
-    plus = np.full(d, 1 / math.sqrt(d), dtype=complex)
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    base = plus
-    for a, b in sorted(g.edges):
-        full = embed_operator(cz, (a, b), dims)
-        base = full @ base
-    fiducial = StateVector(dims, base)
+    index = np.arange(d)
+    bits = index[:, None] >> np.arange(n - 1, -1, -1) & 1  # bits[i, a]: qubit a of |i>
+    adjacency = np.zeros((n, n), dtype=int)
+    for a, b in g.edges:
+        adjacency[a, b] = adjacency[b, a] = 1
+    lit_neighbors = bits @ adjacency  # [i, a]: neighbors of vertex a that are 1 in |i>
+    edges_inside = (lit_neighbors * bits).sum(axis=1) // 2
+    base = (1.0 - 2 * (edges_inside % 2)) * complex(1 / math.sqrt(d))
     stabilizers = []
     for a in range(n):
-        mat = np.ones((1, 1), dtype=complex)
-        nbrs = set(g.neighbors(a))
-        for q in range(n):
-            if q == a:
-                factor = PAULI_X
-            elif q in nbrs:
-                factor = PAULI_Z
-            else:
-                factor = np.eye(2, dtype=complex)
-            mat = np.kron(mat, factor)
+        mat = np.zeros((d, d), dtype=complex)
+        mat[index ^ (1 << (n - 1 - a)), index] = 1.0 - 2 * (lit_neighbors[:, a] % 2)
         stabilizers.append(Operator(dims, mat))
-    zs = np.array([1.0, -1.0])
-    states = []
-    for x in range(d):
-        diag = np.ones(1)
-        for a in range(n):
-            diag = np.kron(diag, zs if x >> (n - 1 - a) & 1 else np.ones(2))
-        states.append(StateVector(dims, diag * base))
+    z_signs = 1.0 - 2 * (bits @ bits.T % 2)  # [x, i]: sign of Z^x on |i>
+    states = [StateVector(dims, row) for row in z_signs * base]
     ensemble = _equiprobable(single_qubit_layout(n), states)
-    resource = fiducial.conj()
+    resource = StateVector(dims, base).conj()
     return ensemble, resource, stabilizers
 
 

@@ -70,6 +70,8 @@ class ResourceSpectrum:
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(lam)):
+            raise ValueError(f"spectrum must be finite, got {lam}")
         if np.any(lam < -TOL):
             raise ValueError(f"spectrum must be nonnegative, got {lam}")
         if abs(lam.sum() - lam.size) > TOL:

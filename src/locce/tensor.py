@@ -386,20 +386,26 @@ def maximally_entangled(d: int) -> np.ndarray:
     return phi
 
 
+def _weyl(d: int) -> np.ndarray:
+    """Weyl operators W_k = X^m Z^n, index k = m*d + n, stacked (d*d, d, d).
+
+    X|j> = |j+1 mod d>, Z|j> = w^j |j> with w = exp(2 pi i / d). I x W_k
+    maps |Phi_d> to generalized Bell member k, and W_k on the receiver's
+    half undoes outcome k of a (resource half, unknown) Bell measurement.
+    """
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return np.stack([np.linalg.matrix_power(shift, m) @ np.linalg.matrix_power(clock, n)
+                     for m in range(d) for n in range(d)])
+
+
 def generalized_bell_vectors(d: int) -> np.ndarray:
     """Rows are (I x X^m Z^n)|Phi_d>, index k = m*d + n.
 
     For d = 2 this is the Bell basis in the order phi+, phi-, psi+, psi-.
     """
     phi = maximally_entangled(d).reshape(d, d)
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    out = np.empty((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for nn in range(d):
-            w = np.linalg.matrix_power(shift, m) @ np.linalg.matrix_power(clock, nn)
-            out[m * d + nn] = (phi @ w.T).reshape(-1)
-    return out
+    return np.stack([(phi @ w.T).reshape(-1) for w in _weyl(d)])
 
 
 def bell_vectors() -> np.ndarray:

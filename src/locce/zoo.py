@@ -22,11 +22,10 @@ from .tensor import (
     StateVector,
     apply_to_batch,  # noqa: F401  unused; perfbench/selftest.py checks the tracer rebinds it
     bell_vectors,
-    embed_operator,
-    generalized_bell_vectors,
     maximally_entangled,
     PAULI_I,
     PAULI_Z,
+    _weyl,
 )
 from .families import (
     Ensemble,
@@ -125,29 +124,6 @@ def computational_protocol(ens: Ensemble):
     return problem, build_tree(problem, script)
 
 
-def _teleport_corrections(d: int) -> list[np.ndarray]:
-    """Undo unitaries, one per generalized Bell outcome.
-
-    Derived numerically from the wiring used here (the measured pair is
-    (resource half, unknown), resource half first): after outcome k the
-    distant half holds T_k |chi>, and the correction is T_k^dagger.
-    """
-    bells = generalized_bell_vectors(d)
-    phi = maximally_entangled(d)
-    eye = np.eye(d)
-    out = []
-    for k in range(d * d):
-        bra = bells[k].reshape(d, d).conj()
-        t = np.empty((d, d), dtype=complex)
-        for j in range(d):
-            vec = np.kron(phi, eye[j]).reshape(d, d, d)  # (res_A, res_B, unknown)
-            t[:, j] = d * np.einsum("ac,abc->b", bra, vec)
-        if np.max(np.abs(t.conj().T @ t - np.eye(d))) > 1e-9:
-            raise AssertionError("teleportation transfer matrix is not unitary")
-        out.append(t.conj().T)
-    return out
-
-
 def _member_images(ens: Ensemble, sender: str, receiver: str) -> np.ndarray:
     """Members re-indexed to (sender block, receiver block) order."""
     perm = ens.layout.indices(sender) + ens.layout.indices(receiver)
@@ -176,7 +152,6 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
     res_layout = PartyLayout(((sender, (0,)), (receiver, (1,))))
     problem = JointProblem(ens, resource, res_layout)
     shift = 2
-    corrections = _teleport_corrections(d)
     images = _member_images(ens, sender, receiver)
     labels = tuple(str(i) for i in range(ens.size))
     final = projective_instrument(
@@ -184,7 +159,7 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
     )
     script = [
         generalized_bell_instrument(sender, (0,) + tuple(i + shift for i in sidx), d),
-        _undo(receiver, 1, 0, corrections),
+        _undo(receiver, 1, 0, _weyl(d)),
         final,
     ]
     return problem, build_tree(problem, script)
@@ -241,14 +216,11 @@ def sequential_bell_protocol(num_parties: int, order: Sequence[str] | None = Non
 
 
 def _fanout_unitary(n_qubits: int) -> np.ndarray:
-    """CNOTs copying local qubit 0 onto qubits 1..n-1."""
-    cnot = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex,
-    )
-    u = np.eye(2 ** n_qubits, dtype=complex)
-    for t in range(1, n_qubits):
-        u = embed_operator(cnot, (0, t), (2,) * n_qubits) @ u
-    return u
+    """CNOTs copying local qubit 0 onto qubits 1..n-1: the permutation that
+    flips every other bit of the basis states whose qubit 0 is 1."""
+    half = 2 ** (n_qubits - 1)
+    index = np.arange(2 * half)
+    return np.eye(2 * half, dtype=complex)[np.where(index < half, index, index ^ (half - 1))]
 
 
 def partitioned_ghz_protocol(num_qubits: int, party_sizes: Sequence[int]):

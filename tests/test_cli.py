@@ -108,6 +108,44 @@ def test_zero_value_is_not_replaced_by_default(capsys, argv, field):
     assert field in err
 
 
+@pytest.mark.parametrize("lambdas", ["nan,nan", "inf,-inf", "1.5,nan"])
+def test_oneway_non_finite_lambdas_name_the_field(capsys, lambdas):
+    code, out, err = run_cli(capsys, "oneway", "--lambdas", lambdas, "--restarts", "1")
+    assert code == 2
+    assert out == ""
+    assert "field 'lambdas':" in err and "finite" in err
+
+
+@pytest.mark.parametrize("family, fields, field", [
+    ("ghz", {"n": 3.7}, "'n'"),
+    ("ghz", {"n": 3, "sizes": [2, 1.5]}, "'sizes'"),
+    ("ghz", {"n": 3, "sizes": "2,1.5"}, "'sizes'"),
+    ("lattice", {"n": True, "m": 1}, "'n'"),
+    ("graph", {"edges": "0-1", "vertices": 2.5}, "'vertices'"),
+    ("oneway", {"restarts": True}, "'restarts'"),
+    ("oneway", {"restarts": 1, "seed": 1.5}, "'seed'"),
+])
+def test_integer_fields_refuse_fractions_and_bools(tmp_path, capsys, family, fields, field):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(fields))
+    code, out, err = run_cli(capsys, family, "--scenario", str(scenario))
+    assert code == 2
+    assert out == ""
+    assert f"field {field}:" in err
+
+
+def test_bad_timing_and_seed_env_name_the_field(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"n": 2, "timing": "bogus"}))
+    code, out, err = run_cli(capsys, "ghz", "--scenario", str(scenario))
+    assert code == 2 and out == ""
+    assert "field 'timing':" in err and "bogus" in err
+    monkeypatch.setenv("LOCCE_SEED", "abc")
+    code, out, err = run_cli(capsys, "ghz", "--n", "2")
+    assert code == 2 and out == ""
+    assert "field 'seed':" in err and "abc" in err
+
+
 @pytest.mark.parametrize("argv, field", [
     (("ghz", "--n", "6"), "'n'"),  # 2^6 members x joint dim 2^12 x 16 B = 4 MiB
     (("graph", "--edges", "0-1,1-2,2-3,3-4,4-5"), "'edges'"),

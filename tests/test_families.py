@@ -1,11 +1,21 @@
 """State-family constructors: members, layouts, stabilizer relations."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from locce.tensor import HADAMARD, apply_to_batch, entanglement_entropy, schmidt
+from locce.tensor import (
+    HADAMARD,
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
+    apply_to_batch,
+    embed_operator,
+    entanglement_entropy,
+    schmidt,
+)
 from locce.families import (
     Ensemble,
     Graph,
@@ -146,6 +156,28 @@ def test_graph_stabilizer_eigen_relations(graph):
         for a, stab in enumerate(stabs):
             sign = -1.0 if x >> (n - 1 - a) & 1 else 1.0
             assert np.max(np.abs(stab.entries @ st.amps - sign * st.amps)) < 1e-9
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(1, frozenset()),
+    Graph.path(3),
+    Graph.complete(4),
+    Graph(5, frozenset({(0, 3), (1, 4), (3, 4), (2, 3)})),
+])
+def test_graph_state_matches_dense_cz_and_pauli_products(graph):
+    ens, resource, stabs = graph_state_basis(graph)
+    n = graph.vertex_count
+    dims = (2,) * n
+    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    fiducial = np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
+    for edge in graph.edges:
+        fiducial = embed_operator(cz, edge, dims) @ fiducial
+    assert np.allclose(ens.states[0].amps, fiducial, atol=1e-12)
+    assert np.allclose(resource.amps, fiducial.conj(), atol=1e-12)
+    for a, stab in enumerate(stabs):
+        factors = [PAULI_X if q == a else PAULI_Z if q in graph.neighbors(a) else PAULI_I
+                   for q in range(n)]
+        assert np.array_equal(stab.entries, functools.reduce(np.kron, factors))
 
 
 def test_graph_pauli_orbit_hits_exactly_one_member():

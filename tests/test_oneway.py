@@ -158,6 +158,14 @@ def test_residual_invariant_under_second_factor_rotation():
 
 # -- descent ------------------------------------------------------------------
 
+@pytest.mark.parametrize("lambdas", [
+    [math.nan, math.nan], [math.inf, -math.inf], [1.5, math.nan],
+])
+def test_spectrum_rejects_non_finite(lambdas):
+    with pytest.raises(ValueError, match="finite"):
+        ResourceSpectrum(lambdas)
+
+
 def test_objective_gradient_finite_difference():
     rng = np.random.default_rng(61)
     # (rep, spectrum, outcomes, scale of the random point); the smaller scale

@@ -42,7 +42,6 @@ from locce.zoo import (
     teleportation_protocol,
     vidal_then_fallback,
 )
-from locce.zoo import _teleport_corrections
 
 S2 = 1 / math.sqrt(2)
 
@@ -50,8 +49,12 @@ S2 = 1 / math.sqrt(2)
 # -- teleportation ------------------------------------------------------------
 
 def test_teleportation_corrections_match_pauli_convention():
-    got = _teleport_corrections(2)
-    for g, want in zip(got, BELL_CORRECTIONS):
+    _problem, tree = teleportation_protocol(bell_basis(), "A", "B")
+    undos = [child.instrument for child in tree.children]
+    assert [u.labels for u in undos] == [(f"undo:{k}",) for k in range(4)]
+    assert all(u.party == "B" and u.targets == (1,) for u in undos)
+    got = [u.kraus[0] for u in undos]
+    for g, want in zip(got, BELL_CORRECTIONS, strict=True):
         # equality up to a global phase
         phase = np.vdot(want.reshape(-1), g.reshape(-1)) / 2
         assert abs(abs(phase) - 1) < 1e-12
@@ -72,13 +75,27 @@ def test_teleportation_parametric_and_lattice():
     assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
 
 
-def test_teleportation_qutrit_ensemble():
+def _teleport_generalized_bell(d, sender="A", receiver="B"):
+    """Teleport the d x d generalized Bell basis and check that final outcome
+    j decodes to member j: a wrong Weyl correction permutes the members,
+    which the fidelity alone does not show."""
     layout = PartyLayout((("A", (0,)), ("B", (1,))))
-    states = [StateVector((3, 3), row) for row in generalized_bell_vectors(3)]
-    ens = Ensemble(layout, tuple((1 / 9, s) for s in states))
-    problem, tree = teleportation_protocol(ens, "A", "B")
-    assert problem.resource.dims == (3, 3)
+    states = [StateVector((d, d), row) for row in generalized_bell_vectors(d)]
+    ens = Ensemble(layout, tuple((1 / d ** 2, s) for s in states))
+    problem, tree = teleportation_protocol(ens, sender, receiver)
+    assert problem.resource.dims == (d, d)
     assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
+    assert all(path[-1] == guess for path, guess in _leaf_guesses(tree))
+    assert validate_one_way(tree, (sender, receiver))
+
+
+def test_teleportation_qutrit_ensemble():
+    _teleport_generalized_bell(3)
+
+
+@pytest.mark.parametrize("sender, receiver", [("A", "B"), ("B", "A")])
+def test_teleportation_ququart_ensemble(sender, receiver):
+    _teleport_generalized_bell(4, sender, receiver)
 
 
 def test_teleportation_reversed_direction():
@@ -188,6 +205,7 @@ def test_partitioned_ghz_trivial_partition_matches_sequential():
 
 @pytest.mark.parametrize("graph", [
     Graph.path(2), Graph.path(3), Graph.complete(3), Graph.star(4), Graph.cycle(4),
+    Graph(3, frozenset()),
 ])
 def test_graph_decode_perfect(graph):
     problem, tree = graph_decode_protocol(graph)
@@ -204,7 +222,7 @@ def _leaf_guesses(node, path=()):
 
 @pytest.mark.parametrize("graph", [
     Graph.path(2), Graph.path(3), Graph.complete(3), Graph.star(4), Graph.cycle(4),
-    Graph.complete(4),
+    Graph.complete(4), Graph(3, frozenset()),
 ])
 def test_graph_decode_leaves_match_outcome_table(graph):
     _problem, tree = graph_decode_protocol(graph)

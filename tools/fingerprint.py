@@ -12,21 +12,25 @@ One line per case: its name, then three values.
 
 The cases are the ``standard_zoo()`` entries, the 5-party sequential Bell
 chain in two fixed orders, the partitioned GHZ protocol at (2, 2, 1) and
-(3, 2), and graph decoding on the 5-cycle. Two commits agree bit for bit
-when their outputs are identical (see the README for the diff recipe).
+(3, 2), graph decoding on the 5-cycle, and teleportation of the d = 3
+generalized Bell basis, the one case whose corrections are not Paulis.
+Two commits agree bit for bit when their outputs are identical (see the
+README for the diff recipe).
 Uses only the standard library, numpy and ``locce``.
 """
 
 import hashlib
 
-from locce.families import Graph
+from locce.families import Ensemble, Graph, PartyLayout
 from locce.protocols import run_protocol, tree_to_json
 from locce.zoo import (
     graph_decode_protocol,
     partitioned_ghz_protocol,
     sequential_bell_protocol,
     standard_zoo,
+    teleportation_protocol,
 )
+from locce.tensor import StateVector, generalized_bell_vectors
 
 
 def cases():
@@ -39,6 +43,9 @@ def cases():
         yield ("partitioned-ghz-5-" + "".join(map(str, sizes)),
                *partitioned_ghz_protocol(5, sizes))
     yield "graph-cycle5", *graph_decode_protocol(Graph.cycle(5))
+    qutrit = Ensemble(PartyLayout((("A", (0,)), ("B", (1,)))), tuple(
+        (1 / 9, StateVector((3, 3), row)) for row in generalized_bell_vectors(3)))
+    yield "teleport-qutrit", *teleportation_protocol(qutrit, "A", "B")
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
