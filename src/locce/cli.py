@@ -190,6 +190,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A real field: a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _int_list(value) -> tuple[int, ...]:
     if isinstance(value, str):
         return tuple(_int(s) for s in value.split(",") if s)
@@ -198,8 +205,8 @@ def _int_list(value) -> tuple[int, ...]:
 
 def _float_list(value) -> tuple[float, ...]:
     if isinstance(value, str):
-        return tuple(float(s) for s in value.split(",") if s)
-    return tuple(float(v) for v in value)
+        return tuple(_float(s) for s in value.split(",") if s)
+    return tuple(_float(v) for v in value)
 
 
 def _parse_graph(params: dict) -> Graph:
@@ -295,8 +302,8 @@ def run_lattice(params: dict) -> list[Row]:
 
 
 def run_parametric(params: dict) -> list[Row]:
-    alpha = _field(params, "alpha", float, "parametric")
-    gamma = _field(params, "gamma", float, "parametric")
+    alpha = _field(params, "alpha", _float, "parametric")
+    gamma = _field(params, "gamma", _float, "parametric")
     label = _field(params, "scenario", str, "parametric",
                    f"parametric-a{fmt(alpha)}-g{fmt(gamma)}")
     rows = []
@@ -395,8 +402,8 @@ def run_bounds(params: dict) -> list[Row]:
         rows.append(_row(label, "bounds", "computational-vs-mes-bound", achieved,
                          fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
     elif family == "parametric":
-        alpha = _field(params, "alpha", float, "bounds", 0.9)
-        gamma = _field(params, "gamma", float, "bounds", 0.8)
+        alpha = _field(params, "alpha", _float, "bounds", 0.9)
+        gamma = _field(params, "gamma", _float, "bounds", 0.8)
         label = _field(params, "scenario", str, "bounds", "bounds-parametric")
         t0 = time.perf_counter()
         ens = parametric_basis(alpha, gamma)
@@ -405,7 +412,7 @@ def run_bounds(params: dict) -> list[Row]:
         rows.append(_row(label, "bounds", "computational-opt-guess", achieved,
                          "n/a", fmt(expected), abs(achieved - expected) <= ATOL, t0))
     else:
-        raise ScenarioError(f"bounds: unknown field value family='{family}'")
+        raise ScenarioError(f"bounds: bad value for field 'bounds_family': {family!r}")
     return rows
 
 
@@ -720,7 +727,7 @@ def main(argv=None) -> int:
             params["scenario" if key == "scenario_name" else key] = value
         if params.get("seed") is None:
             params["seed"] = os.environ.get("LOCCE_SEED", "0")
-        params["seed"] = _field(params, "seed", _int, "scenario")
+        params["seed"] = _field(params, "seed", _int, "scenario", minimum=0)
         out_format = _field(params, "format", str, "scenario", "table")
         timing = _field(params, "timing", str, "scenario", "on")
         for key, value, choices in (("format", out_format, ("table", "csv", "json")),

@@ -1,7 +1,10 @@
 """Concrete protocol builders.
 
 Each builder returns a ``(JointProblem, tree)`` pair ready for
-:func:`locce.protocols.run_protocol`. Leaf guesses are decoded by the
+:func:`locce.protocols.run_protocol`. Builders take every round's target
+subsystems from ``problem.joint.layout``, where
+:func:`locce.protocols.attach_resource` places each party's resource
+subsystems before its unknown ones. Leaf guesses are decoded by the
 same exact branch walk that scores a tree: each leaf guesses the member
 with the largest weighted branch probability (ties to the lowest
 index), so perfect protocols end with the unique surviving member and
@@ -21,7 +24,6 @@ from .tensor import (
     BELL_CORRECTIONS,
     StateVector,
     apply_to_batch,  # noqa: F401  unused; perfbench/selftest.py checks the tracer rebinds it
-    bell_vectors,
     maximally_entangled,
     PAULI_I,
     PAULI_Z,
@@ -145,22 +147,16 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
         raise ValueError("teleportation needs a bipartite ensemble")
     if {sender, receiver} != set(ens.layout.names):
         raise ValueError(f"sender/receiver must be {ens.layout.names}")
-    sidx = ens.layout.indices(sender)
-    ridx = ens.layout.indices(receiver)
-    d = int(np.prod([ens.dims[i] for i in sidx]))
-    resource = StateVector((d, d), maximally_entangled(d))
-    res_layout = PartyLayout(((sender, (0,)), (receiver, (1,))))
-    problem = JointProblem(ens, resource, res_layout)
-    shift = 2
-    images = _member_images(ens, sender, receiver)
+    d = int(np.prod([ens.dims[i] for i in ens.layout.indices(sender)]))
+    problem = JointProblem(ens, StateVector((d, d), maximally_entangled(d)),
+                           PartyLayout(((sender, (0,)), (receiver, (1,)))))
+    send, recv = (problem.joint.layout.indices(name) for name in (sender, receiver))
     labels = tuple(str(i) for i in range(ens.size))
-    final = projective_instrument(
-        receiver, (1,) + tuple(i + shift for i in ridx), images, labels, complete=True,
-    )
     script = [
-        generalized_bell_instrument(sender, (0,) + tuple(i + shift for i in sidx), d),
-        _undo(receiver, 1, 0, _weyl(d)),
-        final,
+        generalized_bell_instrument(sender, send, d),
+        _undo(receiver, recv[0], 0, _weyl(d)),
+        projective_instrument(receiver, recv, _member_images(ens, sender, receiver),
+                              labels, complete=True),
     ]
     return problem, build_tree(problem, script)
 
@@ -176,29 +172,18 @@ def lattice_partial_teleport(num_pairs: int, teleported_pairs: int):
     n, m = num_pairs, teleported_pairs
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    ens = lattice_basis(n)
-    res_amps = np.ones(1, dtype=complex)
-    for _ in range(m):
-        res_amps = np.kron(res_amps, bell_vectors()[0])
-    resource = StateVector((2,) * (2 * m), res_amps)
-    res_layout = PartyLayout((
-        ("A", tuple(range(0, 2 * m, 2))),
-        ("B", tuple(range(1, 2 * m, 2))),
-    ))
-    problem = JointProblem(ens, resource, res_layout)
-    shift = 2 * m
-    script: list[ScriptStep] = []
+    pairs = lattice_basis(m)
+    problem = JointProblem(lattice_basis(n), pairs.states[0], pairs.layout)
+    # each party holds m resource qubits, then its n unknown ones
+    a, b = problem.joint.layout.indices("A"), problem.joint.layout.indices("B")
+    script: list[ScriptStep] = [bell_instrument("A", (a[j], a[m + j])) for j in range(m)]
+    if a[2 * m:]:
+        script.append(computational_instrument("A", a[2 * m:], (2,) * (n - m)))
     for j in range(m):
-        script.append(bell_instrument("A", (2 * j, shift + 2 * j)))
-    rest_a = tuple(shift + 2 * j for j in range(m, n))
-    if rest_a:
-        script.append(computational_instrument("A", rest_a, (2,) * len(rest_a)))
-    for j in range(m):
-        script.append(_undo("B", 2 * j + 1, j))  # A's Bell round for pair j is step j
-        script.append(bell_instrument("B", (2 * j + 1, shift + 2 * j + 1)))
-    rest_b = tuple(shift + 2 * j + 1 for j in range(m, n))
-    if rest_b:
-        script.append(computational_instrument("B", rest_b, (2,) * len(rest_b)))
+        script.append(_undo("B", b[j], j))  # A's Bell round for pair j is step j
+        script.append(bell_instrument("B", (b[j], b[m + j])))
+    if b[2 * m:]:
+        script.append(computational_instrument("B", b[2 * m:], (2,) * (n - m)))
     return problem, build_tree(problem, script)
 
 
@@ -241,7 +226,8 @@ def _ghz_chain(n: int, sizes: tuple[int, ...], order: Sequence[str] | None = Non
     ``order`` (default: layout order): each fans its resource qubit out
     over its block; then, qubit by qubit, the owner Bell-measures
     (resource, unknown) and the owner of the next qubit undoes the
-    outcome on that qubit's resource."""
+    outcome on that qubit's resource. A party's joint indices hold its
+    resource qubits, then its unknown ones, so its pairs zip the halves."""
     ens = ghz_basis(n, sizes)
     names = list(order) if order is not None else list(ens.layout.names)
     if sorted(names) != sorted(ens.layout.names):
@@ -250,15 +236,18 @@ def _ghz_chain(n: int, sizes: tuple[int, ...], order: Sequence[str] | None = Non
     amps = np.zeros(2 ** n, dtype=complex)
     amps[0] = amps[sum(1 << (n - 1 - idx[0]) for idx in blocks.values())] = 1 / math.sqrt(2)
     problem = JointProblem(ens, StateVector((2,) * n, amps), ens.layout)
+    joint = problem.joint.layout
+    halves = {name: len(joint.indices(name)) // 2 for name in names}
     script: list[ScriptStep] = [
-        unitary_instrument(name, blocks[name], _fanout_unitary(len(blocks[name])), "fanout")
-        for name in names if len(blocks[name]) > 1
+        unitary_instrument(name, joint.indices(name)[:h], _fanout_unitary(h), "fanout")
+        for name, h in halves.items() if h > 1
     ]
-    chain = [(name, q) for name in names for q in blocks[name]]
-    for (name, q), nxt in itertools.zip_longest(chain, chain[1:]):
-        script.append(bell_instrument(name, (q, n + q)))
+    chain = [(name, r, u) for name, h in halves.items()
+             for r, u in zip(joint.indices(name)[:h], joint.indices(name)[h:])]
+    for (name, r, u), nxt in itertools.zip_longest(chain, chain[1:]):
+        script.append(bell_instrument(name, (r, u)))
         if nxt:
-            script.append(_undo(*nxt, len(script) - 1))
+            script.append(_undo(*nxt[:2], len(script) - 1))
     return problem, build_tree(problem, script)
 
 
@@ -325,22 +314,20 @@ def ghz_subset_bell_protocol():
     flip, which leaves an unknown Bell pair between B and C; B and C
     finish by teleportation-style Bell discrimination. Fidelity 1.
     """
-    ens = ghz_subset_family()
-    resource = StateVector((2, 2), bell_vectors()[0])
-    res_layout = PartyLayout((("B", (0,)), ("C", (1,))))
-    problem = JointProblem(ens, resource, res_layout)
-    # joint indices: B resource 0, C resource 1, unknowns A=2, B=3, C=4
+    problem = JointProblem(ghz_subset_family(), bell_basis().states[0],
+                           PartyLayout((("B", (0,)), ("C", (1,)))))
+    a, b, c = (problem.joint.layout.indices(name) for name in "ABC")
 
     def a_fix(outcomes):
         u = PAULI_I if outcomes[0] == 0 else PAULI_Z
-        return unitary_instrument("B", (3,), u, "I" if outcomes[0] == 0 else "Z")
+        return unitary_instrument("B", b[1:], u, "I" if outcomes[0] == 0 else "Z")
 
     script: list[ScriptStep] = [
-        plus_minus_instrument("A", 2),
+        plus_minus_instrument("A", a[0]),
         a_fix,
-        bell_instrument("B", (0, 3)),
-        _undo("C", 1, 2),
-        bell_instrument("C", (1, 4)),
+        bell_instrument("B", b),
+        _undo("C", c[0], 2),
+        bell_instrument("C", c),
     ]
     return problem, build_tree(problem, script)
 

@@ -124,6 +124,11 @@ def test_oneway_non_finite_lambdas_name_the_field(capsys, lambdas):
     ("graph", {"edges": "0-1", "vertices": 2.5}, "'vertices'"),
     ("oneway", {"restarts": True}, "'restarts'"),
     ("oneway", {"restarts": 1, "seed": 1.5}, "'seed'"),
+    ("oneway", {"restarts": 1, "seed": -1}, "'seed'"),
+    ("oneway", {"restarts": 1, "lambdas": [True, 1.0]}, "'lambdas'"),
+    ("parametric", {"alpha": True, "gamma": 0.8}, "'alpha'"),
+    ("bounds", {"bounds_family": "parametric", "gamma": True}, "'gamma'"),
+    ("bounds", {"bounds_family": "bogus"}, "'bounds_family'"),
 ])
 def test_integer_fields_refuse_fractions_and_bools(tmp_path, capsys, family, fields, field):
     scenario = tmp_path / "s.json"
@@ -144,6 +149,10 @@ def test_bad_timing_and_seed_env_name_the_field(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "ghz", "--n", "2")
     assert code == 2 and out == ""
     assert "field 'seed':" in err and "abc" in err
+    monkeypatch.setenv("LOCCE_SEED", "-3")
+    code, out, err = run_cli(capsys, "oneway", "--restarts", "1")
+    assert code == 2 and out == ""
+    assert "field 'seed':" in err and "-3" in err
 
 
 @pytest.mark.parametrize("argv, field", [

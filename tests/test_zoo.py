@@ -98,6 +98,16 @@ def test_teleportation_ququart_ensemble(sender, receiver):
     _teleport_generalized_bell(4, sender, receiver)
 
 
+@pytest.mark.parametrize("sender, receiver", [("A", "B"), ("B", "A")])
+def test_teleportation_two_qubits_per_party(sender, receiver):
+    # each party's unknown share spans two subsystems, behind one d = 4 resource half
+    problem, tree = teleportation_protocol(lattice_basis(2), sender, receiver)
+    assert problem.resource.dims == (4, 4)
+    assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
+    assert all(path[-1] == guess for path, guess in _leaf_guesses(tree))
+    assert validate_one_way(tree, (sender, receiver))
+
+
 def test_teleportation_reversed_direction():
     problem, tree = teleportation_protocol(bell_basis(), "B", "A")
     assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
@@ -111,7 +121,9 @@ def test_teleportation_requires_bipartite():
 
 # -- lattice ------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,m,expected", [(1, 1, 1.0), (2, 1, 0.5), (2, 2, 1.0)])
+@pytest.mark.parametrize("n,m,expected", [
+    (1, 1, 1.0), (2, 1, 0.5), (2, 2, 1.0), (3, 1, 0.25), (3, 2, 0.5),
+])
 def test_lattice_partial_teleport_values(n, m, expected):
     problem, tree = lattice_partial_teleport(n, m)
     assert run_protocol(problem, tree).fidelity == pytest.approx(expected, abs=1e-9)

@@ -12,8 +12,10 @@ One line per case: its name, then three values.
 
 The cases are the ``standard_zoo()`` entries, the 5-party sequential Bell
 chain in two fixed orders, the partitioned GHZ protocol at (2, 2, 1) and
-(3, 2), graph decoding on the 5-cycle, and teleportation of the d = 3
-generalized Bell basis, the one case whose corrections are not Paulis.
+(3, 2), graph decoding on the 5-cycle, teleportation of the d = 3
+generalized Bell basis, the one case whose corrections are not Paulis,
+the partial lattice teleport of 2 of 3 pairs, and teleportation of the
+2-pair lattice basis from B to A, two unknown qubits per party.
 Two commits agree bit for bit when their outputs are identical (see the
 README for the diff recipe).
 Uses only the standard library, numpy and ``locce``.
@@ -21,10 +23,11 @@ Uses only the standard library, numpy and ``locce``.
 
 import hashlib
 
-from locce.families import Ensemble, Graph, PartyLayout
+from locce.families import Ensemble, Graph, PartyLayout, lattice_basis
 from locce.protocols import run_protocol, tree_to_json
 from locce.zoo import (
     graph_decode_protocol,
+    lattice_partial_teleport,
     partitioned_ghz_protocol,
     sequential_bell_protocol,
     standard_zoo,
@@ -46,6 +49,8 @@ def cases():
     qutrit = Ensemble(PartyLayout((("A", (0,)), ("B", (1,)))), tuple(
         (1 / 9, StateVector((3, 3), row)) for row in generalized_bell_vectors(3)))
     yield "teleport-qutrit", *teleportation_protocol(qutrit, "A", "B")
+    yield "lattice-3-2", *lattice_partial_teleport(3, 2)
+    yield "teleport-lattice2-BA", *teleportation_protocol(lattice_basis(2), "B", "A")
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
