@@ -255,6 +255,9 @@ def run_ghz(params: dict) -> list[Row]:
     n = _field(params, "n", _int, "ghz", minimum=2)
     _check_size("ghz", "'n'", n, 2 * n)  # n unknown qubits and an n-qubit resource
     sizes = _field(params, "sizes", _int_list, "ghz", (1,) * n)
+    if len(sizes) < 2 or any(s < 1 for s in sizes) or sum(sizes) != n:
+        raise ScenarioError(f"ghz: bad value for field 'sizes': party sizes {sizes} "
+                            f"inconsistent with {n} qubits")
     label = _field(params, "scenario", str, "ghz",
                    f"ghz-n{n}-sizes{'.'.join(map(str, sizes))}")
     t0 = time.perf_counter()
@@ -277,19 +280,27 @@ def run_graph(params: dict) -> list[Row]:
                    _field(params, "graph", str, "graph", f"graph-{g.vertex_count}v"))
     t0 = time.perf_counter()
     problem, tree = graph_decode_protocol(g)
-    f = run_protocol(problem, tree).fidelity
+    result = run_protocol(problem, tree)
     table = graph_outcome_table(g)
-    counts = {}
-    for member in table.values():
-        counts[member] = counts.get(member, 0) + 1
-    mult_ok = set(counts.values()) == {2 ** g.vertex_count}
+    n = g.vertex_count
+    decoded = [b.guess_index for b in result.branches]
+    protocol_ok = (
+        len(decoded) == 4 ** n
+        and all(table[tuple(s.outcome for s in b.steps)] == b.guess_index
+                for b in result.branches)
+        and np.all(np.bincount(decoded, minlength=2 ** n) == 2 ** n)
+    )
+    f = result.fidelity
     return [_row(label, "graph", "bell-orbit-decode", f, "n/a (perfect)",
-                 fmt(1.0), abs(f - 1.0) <= ATOL and mult_ok, t0)]
+                 fmt(1.0), abs(f - 1.0) <= ATOL and protocol_ok, t0)]
 
 
 def run_lattice(params: dict) -> list[Row]:
-    n = _field(params, "n", _int, "lattice")
+    n = _field(params, "n", _int, "lattice", minimum=1)
     m = _field(params, "m", _int, "lattice")
+    if not 1 <= m <= n:
+        raise ScenarioError(f"lattice: bad value for field 'm': need 1 <= m <= n, "
+                            f"got m={m}, n={n}")
     _check_size("lattice", "'n' (with 'm')", 2 * n, 2 * (n + m))
     label = _field(params, "scenario", str, "lattice", f"lattice-n{n}-m{m}")
     t0 = time.perf_counter()

@@ -107,7 +107,7 @@ class Ensemble:
         if not members:
             raise ValueError("ensemble needs at least one member")
         priors = [p for p, _ in members]
-        if any(p < -TOL for p in priors) or abs(sum(priors) - 1.0) > TOL:
+        if any(p < -TOL for p in priors) or not abs(sum(priors) - 1.0) <= TOL:
             raise ValueError(f"priors must be nonnegative and sum to 1, got {priors}")
         dims = members[0][1].dims
         if any(s.dims != dims for _, s in members):
@@ -267,6 +267,14 @@ def lattice_basis(num_pairs: int) -> Ensemble:
     return _equiprobable(layout, states)
 
 
+def _adjacency(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix of ``g``, shape (vertex_count, vertex_count)."""
+    adjacency = np.zeros((g.vertex_count, g.vertex_count), dtype=int)
+    for a, b in g.edges:
+        adjacency[a, b] = adjacency[b, a] = 1
+    return adjacency
+
+
 def graph_state_basis(g: Graph):
     """Graph-state eigenbasis, the conjugate resource, and the stabilizers.
 
@@ -280,10 +288,7 @@ def graph_state_basis(g: Graph):
     d = 2 ** n
     index = np.arange(d)
     bits = index[:, None] >> np.arange(n - 1, -1, -1) & 1  # bits[i, a]: qubit a of |i>
-    adjacency = np.zeros((n, n), dtype=int)
-    for a, b in g.edges:
-        adjacency[a, b] = adjacency[b, a] = 1
-    lit_neighbors = bits @ adjacency  # [i, a]: neighbors of vertex a that are 1 in |i>
+    lit_neighbors = bits @ _adjacency(g)  # [i, a]: neighbors of vertex a that are 1 in |i>
     edges_inside = (lit_neighbors * bits).sum(axis=1) // 2
     base = (1.0 - 2 * (edges_inside % 2)) * complex(1 / math.sqrt(d))
     stabilizers = []

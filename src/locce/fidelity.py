@@ -32,9 +32,9 @@ import numpy as np
 from .tensor import (
     TOL,
     StateVector,
+    _schmidt_values,
     entanglement_entropy,
     principal_eigenvector,
-    schmidt,
 )
 from .families import Ensemble, PartyLayout
 
@@ -85,7 +85,7 @@ class Povm:
             total = np.zeros((d, d), dtype=complex)
             for e in dense:
                 total += e
-        if np.max(np.abs(total - np.eye(d))) > TOL:
+        if not np.max(np.abs(total - np.eye(d))) <= TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "elements", elements)
@@ -139,7 +139,7 @@ def _factor(k: int, e: np.ndarray, d: int) -> np.ndarray:
     its shape, hermiticity and positivity."""
     if e.shape != (d, d):
         raise ValueError(f"element {k} has shape {e.shape}, expected ({d},{d})")
-    if np.max(np.abs(e - e.conj().T)) > TOL:
+    if not np.max(np.abs(e - e.conj().T)) <= TOL:
         raise ValueError(f"element {k} is not Hermitian")
     vals, vecs = np.linalg.eigh(e)
     if vals[0] < -TOL:
@@ -240,7 +240,7 @@ def schmidt_coeff_sep_bound(ens: Ensemble, bipartition) -> float:
     idx_a = ens.layout.subsystems_of(names_a)
     idx_b = ens.layout.subsystems_of(names_b)
     for i, st in enumerate(ens.states):
-        top = schmidt(st, (idx_a, idx_b)).coefficients[0]
+        top = _schmidt_values(st, (idx_a, idx_b))[0]
         if top * top > 0.5 + TOL:
             raise ValueError(
                 f"member {i} has squared max Schmidt coefficient {top * top:.6f} > 1/2; "
@@ -347,11 +347,10 @@ def vidal_conversion_probability(psi: StateVector, bipartition, target_rank: int
     r = int(target_rank)
     if r < 2:
         raise ValueError("target rank must be >= 2")
-    data = schmidt(psi, bipartition)
-    if data.rank < r:
+    s = _schmidt_values(psi, bipartition)
+    lam = s[s > TOL] ** 2  # the Schmidt rank is lam.size
+    if lam.size < r:
         return 0.0
-    lam = np.zeros(max(r, data.coefficients.size))
-    lam[: data.coefficients.size] = data.coefficients ** 2
     best = 1.0
     for l in range(1, r + 1):
         tail = float(np.sum(lam[l - 1:]))

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .tensor import TOL, StateVector, generalized_bell_vectors
+from .tensor import TOL, StateVector, _bipartition_matrix, generalized_bell_vectors
 from .families import Ensemble
 
 __all__ = [
@@ -94,18 +94,14 @@ def to_matrix_rep(ens: Ensemble) -> MatrixRep:
     The transpose makes (I (x) M_i)|Phi> reproduce each member exactly;
     for an orthonormal basis Tr(M_i^dag M_j) = d * delta_ij.
     """
-    dims = ens.dims
     if len(ens.layout.parties) != 2:
         raise ValueError("matrix representation needs a bipartite layout")
     (_, idx_a), (_, idx_b) = ens.layout.parties
-    da, db = (int(np.prod([dims[i] for i in idx])) for idx in (idx_a, idx_b))
+    mats = [_bipartition_matrix(st, idx_a, idx_b) for st in ens.states]
+    da, db = mats[0].shape
     if da != db:
         raise ValueError(f"local dimensions differ: {da} vs {db}")
-    mats = []
-    for st in ens.states:
-        t = np.moveaxis(st.amps.reshape(dims), idx_a + idx_b, range(len(dims)))
-        mats.append(np.sqrt(da) * t.reshape(da, db).T)
-    return MatrixRep(da, tuple(mats))
+    return MatrixRep(da, tuple(np.sqrt(da) * m.T for m in mats))
 
 
 def _pair_products(rep: MatrixRep, spectrum: ResourceSpectrum) -> np.ndarray:

@@ -114,10 +114,11 @@ class Instrument:
             if k.shape != (d, d):
                 raise ValueError("Kraus operators must share one square shape")
             total += k.conj().T @ k
-        if np.max(np.abs(total - np.eye(d))) > TOL:
+        err = np.max(np.abs(total - np.eye(d)))
+        if not err <= TOL:
             raise ValueError(
                 f"incomplete instrument for party {self.party!r}: "
-                f"sum K^dag K deviates from identity by {np.max(np.abs(total - np.eye(d))):.2e}"
+                f"sum K^dag K deviates from identity by {err:.2e}"
             )
         labels = self.labels
         if labels is not None:

@@ -30,7 +30,6 @@ __all__ = [
     "entanglement_entropy",
     "schmidt_measure_bounds",
     "all_bipartitions",
-    "eigh_descending",
     "principal_eigenvector",
     "apply_to_batch",
     "embed_operator",
@@ -86,7 +85,7 @@ class StateVector:
                 f"amplitude length {amps.size} != product of dims {dims}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL:
+        if not abs(norm - 1.0) <= TOL:  # written so that NaN fails
             raise ValueError(f"state vector not normalized: |amps| = {norm!r}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -215,30 +214,34 @@ def partial_trace(obj, keep: Iterable[int]) -> Operator:
     return Operator(keep_dims, rho)
 
 
-def _bipartition_matrix(psi: StateVector, part_a, part_b):
+def _bipartition_matrix(psi: StateVector, part_a, part_b) -> np.ndarray:
+    """Amplitudes of ``psi`` as a (dim A, dim B) matrix, each side's
+    subsystems taken in the order given."""
+    a, b = tuple(int(i) for i in part_a), tuple(int(i) for i in part_b)
     n = psi.n_subsystems
-    a = _check_indices(part_a, n, "bipartition side A")
-    b = _check_indices(part_b, n, "bipartition side B")
     if not a or not b:
         raise ValueError("bipartition sides must be nonempty")
     if sorted(a + b) != list(range(n)):
         raise ValueError(f"bipartition {part_a} | {part_b} does not partition 0..{n - 1}")
-    da = _prod(psi.dims[i] for i in a)
-    tensor = psi.amps.reshape(psi.dims)
-    tensor = np.moveaxis(tensor, a, range(len(a)))
-    return tensor.reshape(da, -1), a, b
+    tensor = np.moveaxis(psi.amps.reshape(psi.dims), a + b, range(n))
+    return tensor.reshape(_prod(psi.dims[i] for i in a), -1)
+
+
+def _schmidt_values(psi: StateVector, bipartition) -> np.ndarray:
+    """Singular values of the bipartite amplitude matrix, descending."""
+    return np.linalg.svd(_bipartition_matrix(psi, *bipartition), compute_uv=False)
 
 
 def schmidt(psi: StateVector, bipartition) -> SchmidtData:
     """Schmidt decomposition of ``psi`` across (A indices, B indices).
 
-    Vector phases are fixed so the first significant entry of each left
-    vector is real positive, which makes sum_k c_k |u_k>|v_k> reproduce
-    the input exactly (no residual global phase).
+    Each side's subsystems are taken in ascending order. Vector phases
+    are fixed so the first significant entry of each left vector is real
+    positive, which makes sum_k c_k |u_k>|v_k> reproduce the input
+    exactly (no residual global phase).
     """
-    part_a, part_b = bipartition
-    mat, a, b = _bipartition_matrix(psi, part_a, part_b)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    a, b = (tuple(sorted(int(i) for i in side)) for side in bipartition)
+    u, s, vh = np.linalg.svd(_bipartition_matrix(psi, a, b), full_matrices=False)
     for k in range(s.size):
         col = u[:, k]
         nz = np.flatnonzero(np.abs(col) > TOL)
@@ -260,9 +263,7 @@ def schmidt(psi: StateVector, bipartition) -> SchmidtData:
 
 def entanglement_entropy(psi: StateVector, bipartition) -> float:
     """Base-2 von Neumann entropy of either side of the bipartition (ebits)."""
-    part_a, part_b = bipartition
-    mat, _, _ = _bipartition_matrix(psi, part_a, part_b)
-    s = np.linalg.svd(mat, compute_uv=False)
+    s = _schmidt_values(psi, bipartition)
     lam = s * s
     lam = lam[lam > 1e-18]
     return float(-np.sum(lam * np.log2(lam)))
@@ -292,25 +293,10 @@ def schmidt_measure_bounds(psi: StateVector, decomposition_terms: int):
     lower = 0.0
     if n >= 2:
         for a, b in all_bipartitions(n):
-            mat, _, _ = _bipartition_matrix(psi, a, b)
-            s = np.linalg.svd(mat, compute_uv=False)
-            rank = int(np.count_nonzero(s > TOL))
+            rank = int(np.count_nonzero(_schmidt_values(psi, (a, b)) > TOL))
             lower = max(lower, math.log2(rank))
     upper = math.log2(decomposition_terms)
     return lower, upper
-
-
-def eigh_descending(matrix: np.ndarray):
-    """Hermitian eigendecomposition, eigenvalues descending, phases fixed."""
-    w, v = np.linalg.eigh(matrix)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > TOL)
-        if nz.size:
-            v[:, k] = col * (abs(col[nz[0]]) / col[nz[0]])
-    return w, v
 
 
 def principal_eigenvector(matrix: np.ndarray):
@@ -320,8 +306,8 @@ def principal_eigenvector(matrix: np.ndarray):
     normalized projection of the lowest-index computational basis state
     with support there, so ties always resolve the same way.
     """
-    w, v = eigh_descending(matrix)
-    top = w[0]
+    w, v = np.linalg.eigh(matrix)
+    top = w[-1]
     if top < 1e-12:
         e0 = np.zeros(matrix.shape[0], dtype=complex)
         e0[0] = 1.0

@@ -27,12 +27,14 @@ from .tensor import (
     maximally_entangled,
     PAULI_I,
     PAULI_Z,
+    _bipartition_matrix,
     _weyl,
 )
 from .families import (
     Ensemble,
     Graph,
     PartyLayout,
+    _adjacency,
     bell_basis,
     ghz_basis,
     graph_state_basis,
@@ -126,16 +128,6 @@ def computational_protocol(ens: Ensemble):
     return problem, build_tree(problem, script)
 
 
-def _member_images(ens: Ensemble, sender: str, receiver: str) -> np.ndarray:
-    """Members re-indexed to (sender block, receiver block) order."""
-    perm = ens.layout.indices(sender) + ens.layout.indices(receiver)
-    rows = []
-    for st in ens.states:
-        t = np.moveaxis(st.amps.reshape(st.dims), perm, range(len(perm)))
-        rows.append(t.reshape(-1))
-    return np.stack(rows)
-
-
 def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
     """Teleport the sender's share to the receiver, then project onto members.
 
@@ -147,16 +139,18 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
         raise ValueError("teleportation needs a bipartite ensemble")
     if {sender, receiver} != set(ens.layout.names):
         raise ValueError(f"sender/receiver must be {ens.layout.names}")
-    d = int(np.prod([ens.dims[i] for i in ens.layout.indices(sender)]))
+    blocks = [ens.layout.indices(name) for name in (sender, receiver)]
+    d = int(np.prod([ens.dims[i] for i in blocks[0]]))
     problem = JointProblem(ens, StateVector((d, d), maximally_entangled(d)),
                            PartyLayout(((sender, (0,)), (receiver, (1,)))))
     send, recv = (problem.joint.layout.indices(name) for name in (sender, receiver))
     labels = tuple(str(i) for i in range(ens.size))
+    # members re-indexed to (sender block, receiver block) order
+    images = np.stack([_bipartition_matrix(st, *blocks).reshape(-1) for st in ens.states])
     script = [
         generalized_bell_instrument(sender, send, d),
         _undo(receiver, recv[0], 0, _weyl(d)),
-        projective_instrument(receiver, recv, _member_images(ens, sender, receiver),
-                              labels, complete=True),
+        projective_instrument(receiver, recv, images, labels, complete=True),
     ]
     return problem, build_tree(problem, script)
 
@@ -254,28 +248,18 @@ def _ghz_chain(n: int, sizes: tuple[int, ...], order: Sequence[str] | None = Non
 def graph_outcome_table(g: Graph) -> dict[tuple[int, ...], int]:
     """Decoding lookup: Bell-outcome tuple -> unique consistent member.
 
-    Entry sigma maps to the x with squared overlap 1 between
-    (tensor of BELL_CORRECTIONS[sigma_j])|fiducial> and member x, where
-    |B_k> = (I x BELL_CORRECTIONS[k])|phi+>; every member is
-    hit exactly 2**N times out of the 4**N tuples.
+    Outcome k_a = 2 m_a + n_a leaves (tensor of X^{m_a} Z^{n_a}) on the
+    fiducial state, up to phase. The stabilizer K_a = X_a prod_{b ~ a} Z_b
+    fixes that state, so X_a acts on it as Z on a's neighbours, and the
+    tuple decodes to the member whose bits, qubit 0 most significant, are
+    x = n + Gamma m (mod 2) with Gamma the adjacency matrix. Every member
+    is hit exactly 2**N times out of the 4**N tuples.
     """
-    ens, _resource, _stabs = graph_state_basis(g)
     n = g.vertex_count
-    # the fiducial state is the all-plus-eigenvalue member, i.e. x = 0
-    base = ens.states[0].amps
-    members = ens.amplitude_matrix()
-    table: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(range(4), repeat=n):
-        op = np.ones((1, 1), dtype=complex)
-        for k in combo:
-            op = np.kron(op, BELL_CORRECTIONS[k])
-        moved = op @ base
-        overlaps = np.abs(members.conj() @ moved) ** 2
-        hit = np.flatnonzero(overlaps > 1 - 1e-9)
-        if hit.size != 1:
-            raise AssertionError(f"outcome {combo} decodes to {hit.size} members")
-        table[combo] = int(hit[0])
-    return table
+    outcomes = np.array(list(itertools.product(range(4), repeat=n))).reshape(-1, n)
+    bits = (outcomes % 2 + (outcomes // 2) @ _adjacency(g)) % 2
+    members = bits @ (1 << np.arange(n - 1, -1, -1))
+    return dict(zip(map(tuple, outcomes.tolist()), members.tolist()))
 
 
 def graph_decode_protocol(g: Graph):

@@ -129,6 +129,9 @@ def test_oneway_non_finite_lambdas_name_the_field(capsys, lambdas):
     ("parametric", {"alpha": True, "gamma": 0.8}, "'alpha'"),
     ("bounds", {"bounds_family": "parametric", "gamma": True}, "'gamma'"),
     ("bounds", {"bounds_family": "bogus"}, "'bounds_family'"),
+    ("ghz", {"n": 3, "sizes": [2, 2]}, "'sizes'"),
+    ("lattice", {"n": 2, "m": 5}, "'m'"),
+    ("lattice", {"n": 0, "m": 1}, "'n'"),
 ])
 def test_integer_fields_refuse_fractions_and_bools(tmp_path, capsys, family, fields, field):
     scenario = tmp_path / "s.json"

@@ -298,6 +298,13 @@ def test_ensemble_validation():
         Ensemble(layout3, tuple((0.25, s) for s in bell.states))  # layout mismatch
 
 
+def test_ensemble_refuses_a_nan_prior():
+    bell = bell_basis()
+    priors = (float("nan"), 0.25, 0.25, 0.25)
+    with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+        Ensemble(bell.layout, tuple(zip(priors, bell.states)))
+
+
 def test_every_constructor_orthonormal():
     for ens in (
         bell_basis(),

@@ -358,6 +358,16 @@ def test_dense_povm_positivity_is_checked_at_tol(low, accepted):
             Povm((2,), elements)
 
 
+def test_dense_povm_refuses_a_nan_element():
+    with pytest.raises(ValueError, match="element 0 is not Hermitian"):
+        Povm((2,), (np.diag([float("nan"), 0.0]), np.diag([0.0, 1.0])))
+
+
+def test_factored_povm_refuses_a_nan_factor():
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        Povm.from_factors((2,), (np.array([[float("nan"), 0.0]]), np.array([[0.0, 1.0]])))
+
+
 def test_factored_povm_checks_completeness_of_the_factor_rows():
     half = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="do not sum to the identity"):

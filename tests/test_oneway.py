@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from locce.tensor import StateVector, generalized_bell_vectors, maximally_entangled
-from locce.families import Ensemble, PartyLayout, bell_basis, parametric_basis
+from locce.families import Ensemble, PartyLayout, bell_basis, lattice_basis, parametric_basis
 from locce.oneway import (
     MatrixRep,
     ResourceSpectrum,
@@ -51,6 +51,17 @@ def test_matrix_rep_round_trip():
         for m, st in zip(rep.matrices, ens.states):
             recon = np.kron(np.eye(2), m) @ phi
             assert np.linalg.norm(recon - st.amps) < 1e-9
+
+
+def test_matrix_rep_takes_each_side_in_layout_order():
+    # lattice_basis(2) with A = (2, 0), B = (3, 1): M_i rebuilds member i with
+    # its subsystems in the order (2, 0, 3, 1)
+    ens = Ensemble(PartyLayout((("A", (2, 0)), ("B", (3, 1)))), lattice_basis(2).members)
+    rep = to_matrix_rep(ens)
+    phi = maximally_entangled(4)
+    for m, st in zip(rep.matrices, ens.states, strict=True):
+        in_layout_order = st.amps.reshape(st.dims).transpose(2, 0, 3, 1).reshape(-1)
+        assert np.linalg.norm(np.kron(np.eye(4), m) @ phi - in_layout_order) < 1e-12
 
 
 def test_matrix_rep_trace_orthogonality():

@@ -124,6 +124,12 @@ def test_incomplete_instrument_rejected_at_construction():
         Instrument("A", (0,), (half,))
 
 
+def test_nan_kraus_operator_rejected_at_construction():
+    nan_kraus = np.diag([float("nan"), 1.0])
+    with pytest.raises(ValueError, match="incomplete"):
+        Instrument("A", (0,), (nan_kraus,))
+
+
 def test_leaf_state_guess():
     bell = bell_basis()
     problem = JointProblem(bell)
@@ -332,6 +338,18 @@ def test_tree_json_structure():
     assert payload["children"][0] == {"type": "leaf", "member": 0}
     rebuilt = tree_from_json(tree_to_json(tree))
     assert run_protocol(problem, rebuilt).fidelity == pytest.approx(0.25)
+
+
+def test_tree_json_with_a_nan_kraus_entry_is_refused():
+    import json
+    _problem, tree = computational_protocol(bell_basis())
+    payload = json.loads(tree_to_json(tree))
+    payload["kraus"][0]["re"][0][0] = float("nan")
+    with pytest.raises(ValueError, match="incomplete"):
+        tree_from_json(json.dumps(payload))
+    payload = {"type": "leaf", "state": {"dims": [2], "re": [float("nan"), 0.0], "im": [0.0, 0.0]}}
+    with pytest.raises(ValueError, match="not normalized"):
+        tree_from_json(json.dumps(payload))
 
 
 def test_tree_json_state_guess():

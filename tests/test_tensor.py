@@ -25,6 +25,7 @@ from locce.tensor import (
     schmidt,
     schmidt_measure_bounds,
 )
+from locce.families import lattice_basis
 
 S2 = 1 / math.sqrt(2)
 
@@ -207,6 +208,19 @@ def test_schmidt_rejects_bad_bipartition():
         schmidt(ket(0, 0), ((0,), (0,)))
 
 
+def test_schmidt_and_entropy_ignore_the_order_within_a_side():
+    # lattice_basis(2) with A = (2, 0), B = (3, 1): each side listed out of order
+    for st in lattice_basis(2).states:
+        got = schmidt(st, ((2, 0), (3, 1)))
+        want = schmidt(st, ((0, 2), (1, 3)))
+        assert np.array_equal(got.coefficients, want.coefficients)
+        for a, b in zip(got.left_vectors + got.right_vectors,
+                        want.left_vectors + want.right_vectors, strict=True):
+            assert a.dims == b.dims and np.array_equal(a.amps, b.amps)
+        assert entanglement_entropy(st, ((2, 0), (3, 1))) == pytest.approx(
+            entanglement_entropy(st, ((0, 2), (1, 3))), abs=1e-12)
+
+
 # -- entropy ------------------------------------------------------------------
 
 def test_entropy_product_and_bell():
@@ -340,6 +354,11 @@ def test_state_vector_validation():
         StateVector((2, 2), [1.0, 0.0])  # wrong length
     with pytest.raises(ValueError):
         StateVector.normalized((2,), [0.0, 0.0])
+
+
+def test_state_vector_refuses_nan():
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector((2,), [float("nan"), float("nan")])
 
 
 def test_operator_validation():

@@ -108,6 +108,15 @@ def test_teleportation_two_qubits_per_party(sender, receiver):
     assert validate_one_way(tree, (sender, receiver))
 
 
+@pytest.mark.parametrize("sender, receiver", [("A", "B"), ("B", "A")])
+def test_teleportation_takes_each_side_in_layout_order(sender, receiver):
+    # lattice_basis(2) with A = (2, 0), B = (3, 1): each party's block out of order
+    ens = Ensemble(PartyLayout((("A", (2, 0)), ("B", (3, 1)))), lattice_basis(2).members)
+    problem, tree = teleportation_protocol(ens, sender, receiver)
+    assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
+    assert all(path[-1] == guess for path, guess in _leaf_guesses(tree))
+
+
 def test_teleportation_reversed_direction():
     problem, tree = teleportation_protocol(bell_basis(), "B", "A")
     assert run_protocol(problem, tree).fidelity == pytest.approx(1.0, abs=1e-9)
@@ -234,7 +243,7 @@ def _leaf_guesses(node, path=()):
 
 @pytest.mark.parametrize("graph", [
     Graph.path(2), Graph.path(3), Graph.complete(3), Graph.star(4), Graph.cycle(4),
-    Graph.complete(4), Graph(3, frozenset()),
+    Graph.complete(4), Graph(3, frozenset()), Graph.cycle(5),
 ])
 def test_graph_decode_leaves_match_outcome_table(graph):
     _problem, tree = graph_decode_protocol(graph)

@@ -14,8 +14,10 @@ The cases are the ``standard_zoo()`` entries, the 5-party sequential Bell
 chain in two fixed orders, the partitioned GHZ protocol at (2, 2, 1) and
 (3, 2), graph decoding on the 5-cycle, teleportation of the d = 3
 generalized Bell basis, the one case whose corrections are not Paulis,
-the partial lattice teleport of 2 of 3 pairs, and teleportation of the
-2-pair lattice basis from B to A, two unknown qubits per party.
+the partial lattice teleport of 2 of 3 pairs, teleportation of the
+2-pair lattice basis from B to A, two unknown qubits per party, and its
+teleportation from A to B with the parties' subsystems listed out of
+order, A = (2, 0) and B = (3, 1).
 Two commits agree bit for bit when their outputs are identical (see the
 README for the diff recipe).
 Uses only the standard library, numpy and ``locce``.
@@ -51,6 +53,8 @@ def cases():
     yield "teleport-qutrit", *teleportation_protocol(qutrit, "A", "B")
     yield "lattice-3-2", *lattice_partial_teleport(3, 2)
     yield "teleport-lattice2-BA", *teleportation_protocol(lattice_basis(2), "B", "A")
+    relabelled = Ensemble(PartyLayout((("A", (2, 0)), ("B", (3, 1)))), lattice_basis(2).members)
+    yield "teleport-lattice2-relabelled", *teleportation_protocol(relabelled, "A", "B")
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
