@@ -267,9 +267,15 @@ def run_ghz(params: dict) -> list[Row]:
     else:
         problem, tree = partitioned_ghz_protocol(n, sizes)
         proto = "partitioned-ghz"
-    f = run_protocol(problem, tree).fidelity
-    return [_row(label, "ghz", proto, f, "n/a (perfect)", fmt(1.0),
-                 abs(f - 1.0) <= ATOL, t0)]
+    res = run_protocol(problem, tree)
+    # the first round leaves all 2^N members, each later round halves
+    # them until four remain, and the last round pins the member
+    sched_ok = all(
+        res.survivors_after_measurement_round(j) == (2 ** (n - j + 1),)
+        for j in range(1, n)
+    ) and res.survivors_after_measurement_round(n) == (1,)
+    return [_row(label, "ghz", proto, res.fidelity, "n/a (perfect)", fmt(1.0),
+                 abs(res.fidelity - 1.0) <= ATOL and sched_ok, t0)]
 
 
 def run_graph(params: dict) -> list[Row]:
@@ -284,11 +290,16 @@ def run_graph(params: dict) -> list[Row]:
     table = graph_outcome_table(g)
     n = g.vertex_count
     decoded = [b.guess_index for b in result.branches]
+    ens, _resource, stabs = graph_state_basis(g)
     protocol_ok = (
         len(decoded) == 4 ** n
         and all(table[tuple(s.outcome for s in b.steps)] == b.guess_index
                 for b in result.branches)
         and np.all(np.bincount(decoded, minlength=2 ** n) == 2 ** n)
+        # member x is the (-1)^(bit a of x) eigenvector of stabilizer a
+        and all(np.max(np.abs(stab.entries @ st.amps
+                              - (-1) ** (x >> (n - 1 - a) & 1) * st.amps)) < ATOL
+                for x, st in enumerate(ens.states) for a, stab in enumerate(stabs))
     )
     f = result.fidelity
     return [_row(label, "graph", "bell-orbit-decode", f, "n/a (perfect)",
@@ -338,8 +349,18 @@ def run_example4(params: dict) -> list[Row]:
     t0 = time.perf_counter()
     problem, tree = ghz_subset_bell_protocol()
     f = run_protocol(problem, tree).fidelity
+    # A measuring |+> maps member i to Bell state i on the unknown B, C pair
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    bell = bell_vectors()
+    mapping_ok = True
+    joint = problem.joint
+    for i, (_, member) in enumerate(joint.members):
+        post = apply_to_batch(np.outer(plus, plus.conj()), (2,), member.amps, joint.dims)
+        post = post / np.linalg.norm(post)
+        expected = np.kron(np.kron(bell[0], plus), bell[i])
+        mapping_ok &= abs(abs(np.vdot(expected, post)) - 1.0) < ATOL
     rows.append(_row(label, "example4", "plusminus+bell-pair", f, "n/a (perfect)",
-                     fmt(1.0), abs(f - 1.0) <= ATOL, t0))
+                     fmt(1.0), abs(f - 1.0) <= ATOL and mapping_ok, t0))
     t0 = time.perf_counter()
     report = entropy_bound_check(
         StateVector((2, 2), maximally_entangled(2)),
@@ -440,53 +461,16 @@ class Criterion(NamedTuple):
     run: Callable[[int], list[Row]]  # seed -> rows
 
 
+def _each(runner: Callable[[dict], list[Row]], *scenarios: dict) -> Callable[[int], list[Row]]:
+    """A criterion that hands each scenario dict, with the suite's seed, to ``runner``."""
+    return lambda seed: [row for s in scenarios for row in runner({**s, "seed": seed})]
+
+
 def _also(rows: list[Row], ok: bool) -> list[Row]:
     """Fail every row in ``rows`` unless ``ok``."""
     if not ok:
         for row in rows:
             row.status = "fail"
-    return rows
-
-
-def _sequential_bell_chain(seed: int) -> list[Row]:
-    rows = []
-    for n in range(2, 6):
-        t0 = time.perf_counter()
-        problem, tree = sequential_bell_protocol(n)
-        res = run_protocol(problem, tree)
-        # the first round leaves all 2^N members, each later round halves
-        # them until four remain, and the last round pins the member
-        sched_ok = all(
-            res.survivors_after_measurement_round(j) == (2 ** (n - j + 1),)
-            for j in range(1, n)
-        ) and res.survivors_after_measurement_round(n) == (1,)
-        rows.append(_row(f"seq-bell-n{n}", "ghz", "sequential-bell", res.fidelity,
-                         "n/a (perfect)", fmt(1.0),
-                         abs(res.fidelity - 1.0) <= ATOL and sched_ok, t0))
-    return rows
-
-
-def _partitioned_ghz(seed: int) -> list[Row]:
-    rows = []
-    for n, sizes in ((3, (2, 1)), (4, (2, 2)), (4, (3, 1)), (5, (2, 2, 1))):
-        rows += run_ghz({"n": n, "sizes": sizes,
-                         "scenario": f"partitioned-n{n}-{'.'.join(map(str, sizes))}"})
-    return rows
-
-
-def _graph_decoding(seed: int) -> list[Row]:
-    rows = []
-    for name in ("path3", "triangle", "star4", "cycle4"):
-        graph = NAMED_GRAPHS[name]()
-        n = graph.vertex_count
-        ens, _resource, stabs = graph_state_basis(graph)
-        # member x is the (-1)^(bit a of x) eigenvector of stabilizer a
-        stab_ok = all(
-            np.max(np.abs(stab.entries @ st.amps
-                          - (-1) ** (x >> (n - 1 - a) & 1) * st.amps)) < ATOL
-            for x, st in enumerate(ens.states) for a, stab in enumerate(stabs)
-        )
-        rows += _also(run_graph({"graph": name, "scenario": f"graph-{name}"}), stab_ok)
     return rows
 
 
@@ -508,21 +492,6 @@ def _ghz_bound_chain(seed: int) -> list[Row]:
     cuts = [schmidt_coeff_sep_bound(ens, cut) for cut in ens.layout.bipartitions()]
     rows = run_bounds({"bounds_family": "ghz", "n": 3, "scenario": "ghz-bound-chain"})
     return _also(rows, abs(guessed - 0.5) <= ATOL and cuts == [0.5] * 3)
-
-
-def _subset_resource(seed: int) -> list[Row]:
-    joint = ghz_subset_bell_protocol()[0].joint
-    # A measuring |+> maps member i to Bell state i on the unknown B, C pair
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    bell = bell_vectors()
-    mapping_ok = True
-    for i, (_, member) in enumerate(joint.members):
-        post = apply_to_batch(np.outer(plus, plus.conj()), (2,), member.amps, joint.dims)
-        post = post / np.linalg.norm(post)
-        expected = np.kron(np.kron(bell[0], plus), bell[i])
-        mapping_ok &= abs(abs(np.vdot(expected, post)) - 1.0) < ATOL
-    protocol_row, entropy_row = run_example4({})
-    return _also([protocol_row], mapping_ok) + [entropy_row]
 
 
 def _parametric_grid(seed: int) -> list[Row]:
@@ -580,16 +549,6 @@ def _entropy_bounds(seed: int) -> list[Row]:
                  "pass", ok, t0)]
 
 
-def _oneway_feasibility(seed: int) -> list[Row]:
-    rows = run_oneway({"lambdas": (1.0, 1.0), "outcomes": 4, "restarts": 10,
-                       "seed": seed, "scenario": "oneway-mes"})
-    for outcomes in (4, 8):
-        rows += run_oneway({"lambdas": (1.6, 0.4), "outcomes": outcomes,
-                            "restarts": 50, "seed": seed,
-                            "scenario": f"oneway-skew-K{outcomes}"})
-    return rows
-
-
 def _cross_checks(seed: int) -> list[Row]:
     t0 = time.perf_counter()
     ok = True
@@ -612,14 +571,19 @@ def _cross_checks(seed: int) -> list[Row]:
 
 CRITERIA = (
     Criterion("01 sequential-bell-chain", "N=2..5 fidelity 1, halving schedule",
-              _sequential_bell_chain),
-    Criterion("02 partitioned-ghz", "four partitionings, fidelity 1", _partitioned_ghz),
+              _each(run_ghz, *({"n": n, "scenario": f"seq-bell-n{n}"} for n in range(2, 6)))),
+    Criterion("02 partitioned-ghz", "four partitionings, fidelity 1",
+              _each(run_ghz, *({"n": n, "sizes": sizes,
+                                "scenario": f"partitioned-n{n}-{'.'.join(map(str, sizes))}"}
+                               for n, sizes in ((3, (2, 1)), (4, (2, 2)), (4, (3, 1)),
+                                                (5, (2, 2, 1)))))),
     Criterion("03 graph-decoding", "P3 K3 S4 C4: fidelity 1, 2^N multiplicity, stabilizers",
-              _graph_decoding),
+              _each(run_graph, *({"graph": name, "scenario": f"graph-{name}"}
+                                 for name in ("path3", "triangle", "star4", "cycle4")))),
     Criterion("04 lattice-values", "1/2^(2-m), mes bound 0.25 saturated", _lattice_values),
     Criterion("05 ghz-bound-chain", "achieved 1/2 equals separable bound", _ghz_bound_chain),
     Criterion("06 subset-resource", "fidelity 1, entropy check, mapping table",
-              _subset_resource),
+              _each(run_example4, {})),
     Criterion("07 parametric-grid", "5x5 grid: formula and teleportation exact",
               _parametric_grid),
     Criterion("08 conversion-composition", "0.7 exact; partial resources always help",
@@ -627,7 +591,12 @@ CRITERIA = (
     Criterion("09 entropy-bounds", "equality at 1 ebit; product resources rejected",
               _entropy_bounds),
     Criterion("10 oneway-feasibility",
-              "certificate < 1e-9, search < 1e-6; skew floors > 1e-2", _oneway_feasibility),
+              "certificate < 1e-9, search < 1e-6; skew floors > 1e-2",
+              _each(run_oneway,
+                    {"lambdas": (1.0, 1.0), "outcomes": 4, "restarts": 10,
+                     "scenario": "oneway-mes"},
+                    *({"lambdas": (1.6, 0.4), "outcomes": k, "restarts": 50,
+                       "scenario": f"oneway-skew-K{k}"} for k in (4, 8)))),
     Criterion("11 cross-checks", "flatten/run agree; MES bounds hold; coarsening inert",
               _cross_checks),
 )

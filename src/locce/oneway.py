@@ -51,9 +51,11 @@ class MatrixRep:
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
-        for m in mats:
+        for i, m in enumerate(mats):
             if m.shape != (self.d, self.d):
                 raise ValueError(f"matrix shape {m.shape} != ({self.d},{self.d})")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"matrix of member {i} must be finite, got {m}")
         object.__setattr__(self, "matrices", mats)
 
     @property

@@ -52,6 +52,7 @@ import numpy as np
 from .tensor import (
     TOL,
     StateVector,
+    _as_int,
     apply_to_batch,
     bell_vectors,
     generalized_bell_vectors,
@@ -102,7 +103,7 @@ class Instrument:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(_as_int(t, "targets") for t in self.targets)
         if len(set(targets)) != len(targets) or not targets:
             raise ValueError(f"targets must be distinct and nonempty: {targets}")
         kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -520,7 +521,7 @@ def tree_to_dict(tree) -> dict:
 def tree_from_dict(obj):
     if obj["type"] == "leaf":
         if "member" in obj:
-            return Leaf(int(obj["member"]))
+            return Leaf(_as_int(obj["member"], "member"))
         st = obj["state"]
         return Leaf(StateVector(tuple(st["dims"]), _complex_from_json(st)))
     if obj["type"] == "round":

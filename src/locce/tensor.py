@@ -12,6 +12,7 @@ frozen dataclasses around read-only numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -32,7 +33,6 @@ __all__ = [
     "all_bipartitions",
     "principal_eigenvector",
     "apply_to_batch",
-    "embed_operator",
     "maximally_entangled",
     "generalized_bell_vectors",
     "bell_vectors",
@@ -56,8 +56,16 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 BELL_CORRECTIONS = (PAULI_I, PAULI_Z, PAULI_X, PAULI_X @ PAULI_Z)
 
 
+def _as_int(value, key: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is refused, naming ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{key}: {value!r} is not an integer")
+
+
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(_as_int(d, "dims") for d in dims)
     if not out or any(d < 2 for d in out):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {out}")
     return out
@@ -355,14 +363,6 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
     if mat.ndim == 2:
         out = out[0]
     return out[..., 0, :] if squeeze else out
-
-
-def embed_operator(mat: np.ndarray, targets: Sequence[int],
-                   dims: Sequence[int]) -> np.ndarray:
-    """Identity-pad ``mat`` (acting on ordered ``targets``) to the full space."""
-    d = _prod(dims)
-    eye = np.eye(d, dtype=complex)
-    return apply_to_batch(mat, targets, eye.T, dims).T
 
 
 def maximally_entangled(d: int) -> np.ndarray:

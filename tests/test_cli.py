@@ -4,10 +4,14 @@ import csv
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from locce import cli
 from locce.cli import COLUMNS, Criterion, Row, emit, main
+from locce.families import graph_state_basis
+from locce.protocols import ProtocolResult
+from locce.tensor import Operator
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +61,28 @@ def test_example4_passes(capsys):
     code, out, _ = run_cli(capsys, "example4", "--format", "csv")
     assert code == 0
     assert all(line.split(",")[6] == "pass" for line in out.strip().splitlines()[1:])
+
+
+def _negated_stabilizers(graph):
+    ens, resource, stabs = graph_state_basis(graph)
+    return ens, resource, [Operator(s.dims, -s.entries) for s in stabs]
+
+
+@pytest.mark.parametrize("owner, name, mutant, argv, statuses", [
+    (ProtocolResult, "survivors_after_measurement_round", lambda self, j: (),
+     ("ghz", "--n", "3"), ["fail"]),
+    (cli, "graph_state_basis", _negated_stabilizers, ("graph", "--graph", "path3"), ["fail"]),
+    (cli, "bell_vectors", lambda: np.eye(4), ("example4",), ["fail", "pass"]),
+], ids=["ghz-halving-schedule", "graph-stabilizers", "example4-plus-mapping"])
+def test_single_family_command_checks_its_invariant(capsys, monkeypatch, owner, name,
+                                                    mutant, argv, statuses):
+    # each command makes the check its paper-suite rows make: break the
+    # invariant and the command's protocol row fails
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(owner, name, mutant)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert [line.split(",")[6] for line in out.splitlines()[1:]] == statuses
 
 
 def test_graph_named(capsys):
@@ -169,7 +195,7 @@ def test_bad_timing_and_seed_env_name_the_field(tmp_path, capsys, monkeypatch):
 def test_size_guard_refuses_before_building(capsys, monkeypatch, argv, field):
     # a 1 MiB limit keeps this test small even if the guard is broken
     monkeypatch.setattr(cli, "MAX_ROW_BYTES", 1 << 20)
-    for builder in ("sequential_bell_protocol", "graph_decode_protocol",
+    for builder in ("sequential_bell_protocol", "graph_decode_protocol", "graph_state_basis",
                     "lattice_partial_teleport", "ghz_basis", "lattice_basis"):
         monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("built past the guard"))
     code, out, err = run_cli(capsys, *argv)

@@ -12,7 +12,6 @@ from locce.tensor import (
     PAULI_X,
     PAULI_Z,
     apply_to_batch,
-    embed_operator,
     entanglement_entropy,
     schmidt,
 )
@@ -28,6 +27,8 @@ from locce.families import (
     lattice_basis,
     parametric_basis,
 )
+
+from dense_reference import embed_operator
 
 S2 = 1 / math.sqrt(2)
 

@@ -177,6 +177,12 @@ def test_spectrum_rejects_non_finite(lambdas):
         ResourceSpectrum(lambdas)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_matrix_rep_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="member 1 must be finite"):
+        MatrixRep(2, (np.eye(2), np.diag([bad, 1])))
+
+
 def test_objective_gradient_finite_difference():
     rng = np.random.default_rng(61)
     # (rep, spectrum, outcomes, scale of the random point); the smaller scale

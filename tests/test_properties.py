@@ -5,7 +5,7 @@ residual against its brute-force Kronecker form."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from locce.tensor import StateVector, embed_operator, generalized_bell_vectors
+from locce.tensor import StateVector, generalized_bell_vectors
 from locce.families import Ensemble, PartyLayout, bell_basis, ghz_basis, parametric_basis
 from locce.fidelity import Povm, _outcome_weights, average_fidelity
 from locce.oneway import (
@@ -28,6 +28,8 @@ from locce.protocols import (
     tree_from_json,
     tree_to_json,
 )
+
+from dense_reference import embed_operator
 
 ENSEMBLE = ghz_basis(3, (1, 1, 1))
 PROBLEM = JointProblem(ENSEMBLE)

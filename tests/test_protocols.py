@@ -352,6 +352,40 @@ def test_tree_json_with_a_nan_kraus_entry_is_refused():
         tree_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("member", [1.7, True])
+def test_tree_json_refuses_a_member_that_is_not_an_integer(member):
+    import json
+    with pytest.raises(ValueError, match="member"):
+        tree_from_json(json.dumps({"type": "leaf", "member": member}))
+
+
+@pytest.mark.parametrize("target", [0.9, True])
+def test_tree_json_refuses_a_target_that_is_not_an_integer(target):
+    import json
+    _problem, tree = computational_protocol(bell_basis())
+    payload = json.loads(tree_to_json(tree))
+    payload["targets"] = [target]
+    with pytest.raises(ValueError, match="targets"):
+        tree_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("dims", [[2.5, 2], [True, 2]])
+def test_tree_json_refuses_a_dimension_that_is_not_an_integer(dims):
+    import json
+    payload = {"type": "leaf",
+               "state": {"dims": dims, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}}
+    with pytest.raises(ValueError, match="dims"):
+        tree_from_json(json.dumps(payload))
+
+
+def test_integer_fields_take_numpy_integers_and_integral_floats():
+    inst = Instrument("A", (np.int64(1), 0.0), (np.eye(4),))
+    assert inst.targets == (1, 0) and all(type(t) is int for t in inst.targets)
+    assert StateVector((np.int32(2), 2.0), np.eye(4)[0]).dims == (2, 2)
+    with pytest.raises(ValueError, match="targets"):
+        Instrument("A", (True,), (np.eye(2),))
+
+
 def test_tree_json_state_guess():
     st = bell_basis().states[2]
     tree = Leaf(st)

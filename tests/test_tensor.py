@@ -16,7 +16,6 @@ from locce.tensor import (
     all_bipartitions,
     apply_to_batch,
     bell_vectors,
-    embed_operator,
     entanglement_entropy,
     kron,
     maximally_entangled,
@@ -26,6 +25,8 @@ from locce.tensor import (
     schmidt_measure_bounds,
 )
 from locce.families import lattice_basis
+
+from dense_reference import embed_operator
 
 S2 = 1 / math.sqrt(2)
 
