@@ -13,15 +13,16 @@ The orthogonality residual below is the squared violation of that
 system, scored in d x d space: with Y_k the d x d reshape of phi_k,
 <phi_k|Lambda (x) A|phi_k> = Tr(A G_k^T) for G_k = Y_k^dag Lambda Y_k,
 so no d^2 x d^2 operator is built. :func:`feasibility_search` probes
-the residual with seeded multi-start local descent. A nonzero floor is
-reported as evidence of infeasibility, never as proof.
+the residual with seeded multi-start trust-region Newton descent on the
+exact dense Hessian (:func:`_hessian`, from the same d x d terms). A
+nonzero floor is reported as evidence of infeasibility, never as proof.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,6 +35,7 @@ __all__ = [
     "ResourceSpectrum",
     "to_matrix_rep",
     "orthogonality_residual",
+    "RestartRecord",
     "FeasibilityResult",
     "feasibility_search",
     "RkReport",
@@ -151,6 +153,21 @@ def _unpack(theta: np.ndarray, k: int, n: int) -> np.ndarray:
     return theta[:half].reshape(k, n) + 1j * theta[half:].reshape(k, n)
 
 
+def _terms(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
+    """The d x d terms of the residual at ``theta``: the vectors y_k, the
+    completeness difference sum_k y_k y_k^dag - I, Lambda Y_k, W_k,
+    t_k = ||y_k||^2 and the per-outcome violation sum |s|^2."""
+    n = d * d
+    ys = _unpack(theta, k, n)
+    diff = ys.T @ ys.conj() - np.eye(n)  # sum_k y_k y_k^dag - I
+    ly = lambdas[:, None] * ys.reshape(k, d, d)  # Lambda Y_k
+    s = (ys.conj().reshape(k, d, d).swapaxes(1, 2) @ ly).reshape(k, n) @ pairs.T
+    w = (s.conj() @ pairs).reshape(k, d, d)  # W_k
+    t = np.einsum("kc,kc->k", ys.conj(), ys).real  # ||y_k||^2
+    s2 = np.einsum("km,km->k", s.conj(), s).real  # per-k condition violation
+    return ys, diff, ly, w, t, s2
+
+
 def _objective(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
     """Residual and gradient over unnormalized vectors y_k = sqrt(a_k) phi_k.
 
@@ -161,18 +178,76 @@ def _objective(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int
     2 Lambda Y_k W_k^T with W_k = sum_{i != j} conj(s_ij) M_i^dag M_j.
     """
     n = d * d
-    ys = _unpack(theta, k, n)
-    diff = ys.T @ ys.conj() - np.eye(n)  # sum_k y_k y_k^dag - I
-    ly = lambdas[:, None] * ys.reshape(k, d, d)  # Lambda Y_k
-    s = (ys.conj().reshape(k, d, d).swapaxes(1, 2) @ ly).reshape(k, n) @ pairs.T
-    w = (s.conj() @ pairs).reshape(k, d, d)  # W_k
-    t = np.einsum("kc,kc->k", ys.conj(), ys).real  # ||y_k||^2
-    s2 = np.einsum("km,km->k", s.conj(), s).real  # per-k condition violation
+    ys, diff, ly, w, t, s2 = _terms(theta, pairs, lambdas, k, d)
     value = float(np.linalg.norm(diff) ** 2 + np.sum(s2 / t ** 2))
     grad = 2.0 * (ys @ diff.T)  # (diff @ y_k) per row; diff Hermitian
     grad += (2.0 * (ly @ w.swapaxes(1, 2))).reshape(k, n) / t[:, None] ** 2
     grad -= (2.0 * s2 / t ** 3)[:, None] * ys
     return value, np.concatenate([2 * grad.real.reshape(-1), 2 * grad.imag.reshape(-1)])
+
+
+def _hessian(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
+    """The exact dense Hessian of :func:`_objective` in the packed real
+    coordinates, (2 d^2 K) x (2 d^2 K).
+
+    The complex gradient g = df/d conj(y) moves as dg = A dy + B conj(dy)
+    with A Hermitian and B symmetric, so H = 2 [[Re(A + B), Im(B - A)],
+    [Im(A + B), Re(A - B)]]. Completeness couples outcomes only through
+    the Gram matrix, A_kj = 2 (y_j^dag y_k) I, and B_kj = 2 y_j y_k^T. The
+    condition term sits in the diagonal blocks. With P_m = M_i^dag M_j,
+    a_m = (Lambda (x) P_m) y_k, b_m = (Lambda (x) P_m^dag) y_k (the d x d
+    products Lambda Y_k P_m^T and Lambda Y_k conj(P_m)), u = sum |s|^2,
+    t = ||y_k||^2 and c = 3u/t^4 y_k - 4/t^3 (Lambda (x) W_k) y_k:
+
+        A_kk += 2/t^2 (sum_m a_m a_m^dag + Lambda (x) W_k) + 2 diff
+                + c y_k^dag + y_k c^dag - 2u/t^3 I
+        B_kk += 2/t^2 sum_m a_m b_m^T + c y_k^T + y_k c^T
+    """
+    n, p = d * d, len(pairs)
+    big = k * n
+    ys, diff, ly, w, t, s2 = _terms(theta, pairs, lambdas, k, d)
+    # every a_m and b_m in one product, scaled by sqrt(2)/t to carry the 2/t^2
+    mats = pairs.reshape(p, d, d)
+    right = np.concatenate([mats.transpose(2, 0, 1), mats.conj().transpose(1, 0, 2)], axis=1)
+    scaled = (np.sqrt(2.0) / t)[:, None, None] * ly
+    ab = (scaled.reshape(k * d, d) @ right.reshape(d, 2 * p * d)).reshape(k, d, 2 * p, d)
+    ab = ab.transpose(0, 2, 1, 3).reshape(k, 2 * p, n)
+    a = ab[:, :p]
+    blocks = a.swapaxes(1, 2) @ np.concatenate([a.conj(), ab[:, p:]], axis=2)
+    c = (3.0 * s2 / t ** 4)[:, None] * ys
+    c -= (4.0 / t ** 3)[:, None] * (ly @ w.swapaxes(1, 2)).reshape(k, n)
+    cy = c[:, :, None] * ys.conj()[:, None, :]
+    a_kk = blocks[:, :, :n] + cy + cy.conj().swapaxes(1, 2) + 2.0 * diff
+    idx = np.arange(d)
+    a_kk.reshape(k, d, d, d, d)[:, idx, :, idx, :] += (
+        lambdas[:, None, None, None] * ((2.0 / t ** 2)[:, None, None] * w))
+    a_kk[:, np.arange(n), np.arange(n)] -= (2.0 * s2 / t ** 3)[:, None]
+    cy = c[:, :, None] * ys[:, None, :]
+    b_kk = blocks[:, :, n:] + cy + cy.swapaxes(1, 2)
+
+    outcome = np.arange(k)
+    cross_a = np.kron(2.0 * (ys @ ys.conj().T), np.eye(n)).reshape(k, n, k, n)
+    cross_a[outcome, :, outcome, :] += a_kk
+    cross_b = (2.0 * ys.T)[None, :, :, None] * ys[:, None, None, :]
+    cross_b[outcome, :, outcome, :] += b_kk
+    cross_a, cross_b = cross_a.reshape(big, big), cross_b.reshape(big, big)
+    hess = np.empty((2 * big, 2 * big))
+    np.add(cross_a.real, cross_b.real, out=hess[:big, :big])
+    np.subtract(cross_b.imag, cross_a.imag, out=hess[:big, big:])
+    np.add(cross_a.imag, cross_b.imag, out=hess[big:, :big])
+    np.subtract(cross_a.real, cross_b.real, out=hess[big:, big:])
+    hess *= 2.0
+    return hess
+
+
+class RestartRecord(NamedTuple):
+    """How one restart of :func:`feasibility_search` ended."""
+
+    residual: float
+    nit: int
+    nfev: int
+    status: int  # 0 gradient below gtol, 1 iteration cap, 2 no predicted decrease, 3 linalg error
+    grad_norm: float
 
 
 @dataclass(frozen=True)
@@ -188,32 +263,49 @@ class FeasibilityResult:
     phis: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
     wall_time_s: float
+    records: tuple[RestartRecord, ...]  # one per restart, in restart order
 
     def to_dict(self) -> dict:
         record = {f.name: getattr(self, f.name) for f in fields(self)
                   if f.name not in ("phis", "weights")}
-        return {**record, "lambdas": list(self.lambdas)}
+        return {**record, "lambdas": list(self.lambdas),
+                "records": [r._asdict() for r in self.records]}
 
 
-_MAXCOR = 10  # L-BFGS-B history length, scipy's default
+# The trust-region options are gate parameters: criterion 10 reads its floors
+# at them. They are scipy's defaults, spelled out so that the search does not
+# move with scipy: stop once the gradient 2-norm is below gtol; inexact
+# Krylov subproblems.
+_TRUST_REGION = {"gtol": 1e-4, "initial_trust_radius": 1.0, "max_trust_radius": 1000.0,
+                 "eta": 0.15, "inexact": True}
 
 
 def _restart_bytes(d: int, outcomes: int) -> int:
-    """The largest array one restart holds: L-BFGS-B's workspace of
-    (2 maxcor + 5) doubles for each of the 2 d^2 K real parameters."""
-    return (2 * _MAXCOR + 5) * 2 * d * d * outcomes * 8
+    """The arrays :func:`_hessian` holds at once: the complex N x N blocks A
+    and B (16 B an entry each) and the real 2N x 2N Hessian (8 B an entry),
+    N = d^2 K, so 64 N^2 B."""
+    return 64 * (d * d * outcomes) ** 2
 
 
 def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
                        outcomes: int, restarts: int, seed: int,
                        maxiter: int = 1500) -> FeasibilityResult:
-    """Minimize the orthogonality residual by seeded multi-start descent.
+    """Minimize the orthogonality residual by seeded multi-start
+    trust-region Newton descent.
+
+    Each restart runs scipy's ``trust-krylov`` on the value and gradient
+    of :func:`_objective` and the exact dense Hessian of :func:`_hessian`,
+    for at most ``maxiter`` outer iterations, with the options in
+    ``_TRUST_REGION``. Exact second-order steps matter here: with more
+    outcomes than d^2 the landscape is flat along the splitting of an
+    outcome, where first-order descent crawls.
 
     Deterministic for a fixed seed: restart r draws its start from
     ``default_rng(seed + r)`` and the best (lowest residual, then lowest
-    restart index) configuration is returned. A small best residual is a
-    feasibility certificate up to that tolerance; a stubbornly large one
-    is evidence against feasibility, nothing stronger.
+    restart index) configuration is returned, with how every restart
+    ended in ``records``. A small best residual is a feasibility
+    certificate up to that tolerance; a stubbornly large one is evidence
+    against feasibility, nothing stronger.
     """
     n = rep.d ** 2
     k = int(outcomes)
@@ -224,15 +316,18 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
     pairs = _pair_products(rep, spectrum)
     start = time.perf_counter()
     best = None
+    records = []
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         scale = np.sqrt(n / (2.0 * k * n))
         y0 = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
         res = minimize(
             _objective, _pack(y0), args=(pairs, spectrum.lambdas, k, rep.d),
-            method="L-BFGS-B", jac=True,
-            options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14, "maxcor": _MAXCOR},
+            method="trust-krylov", jac=True, hess=_hessian,
+            options={"maxiter": maxiter, **_TRUST_REGION},
         )
+        records.append(RestartRecord(float(res.fun), int(res.nit), int(res.nfev),
+                                     int(res.status), float(np.linalg.norm(res.jac))))
         if best is None or res.fun < best[0]:  # ties keep the earliest restart
             best = (float(res.fun), r, res.x)
     value, restart_idx, theta = best
@@ -242,7 +337,8 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
         lambdas=tuple(float(x) for x in spectrum.lambdas), outcomes=k,
         restarts=int(restarts), seed=int(seed), best_residual=value,
         best_restart=restart_idx, phis=tuple(ys / norms[:, None]),
-        weights=tuple(float(x) for x in norms ** 2), wall_time_s=time.perf_counter() - start)
+        weights=tuple(float(x) for x in norms ** 2), wall_time_s=time.perf_counter() - start,
+        records=tuple(records))
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,10 @@ class Leaf:
 
     guess: int | StateVector
 
+    def __post_init__(self):
+        if type(self.guess) is not int and not isinstance(self.guess, StateVector):
+            object.__setattr__(self, "guess", _as_int(self.guess, "leaf guess"))
+
 
 @dataclass(frozen=True)
 class JointProblem:
@@ -243,11 +247,8 @@ def validate_tree(tree, ens: Ensemble) -> None:
             if isinstance(node.guess, int):
                 if not 0 <= node.guess < ens.size:
                     raise ValueError(f"leaf guesses member {node.guess} of {ens.size}")
-            elif isinstance(node.guess, StateVector):
-                if node.guess.dims != dims:
-                    raise ValueError("leaf guess dims do not match the ensemble")
-            else:
-                raise TypeError("leaf guess must be a member index or StateVector")
+            elif node.guess.dims != dims:
+                raise ValueError("leaf guess dims do not match the ensemble")
             return
         inst = node.instrument
         party_idx = ens.layout.indices(inst.party)  # raises for unknown party

@@ -217,19 +217,19 @@ def test_oneway_outcomes_guard_refuses_before_searching(capsys, monkeypatch):
 
 
 def test_oneway_outcomes_guard_boundary(capsys, monkeypatch):
-    # L-BFGS-B's workspace: 25 doubles per real parameter, 8 parameters per
-    # outcome at d = 2, so 1600 B per outcome and 655 outcomes fit in 1 MiB
+    # the Hessian's arrays: 64 (d^2 K)^2 B, so at d = 2 1024 K^2 B, and
+    # 32 outcomes fill 1 MiB exactly
     monkeypatch.setattr(cli, "MAX_ROW_BYTES", 1 << 20)
     searched = []
     monkeypatch.setattr(cli, "feasibility_search", lambda rep, spectrum, outcomes, *a: (
         searched.append(outcomes) or SimpleNamespace(best_residual=1.0)))
     argv = ("oneway", "--lambdas", "1.6,0.4", "--restarts", "1", "--outcomes")
-    code, out, err = run_cli(capsys, *argv, "656")
+    code, out, err = run_cli(capsys, *argv, "33")
     assert code == 2 and out == "" and searched == []
-    assert "field 'outcomes': 656 outcomes need 1049600 B" in err
-    code, out, _ = run_cli(capsys, *argv, "655")
-    assert code == 0 and searched == [655]
-    assert "search-K655-R1" in out
+    assert "field 'outcomes': 33 outcomes need 1115136 B" in err
+    code, out, _ = run_cli(capsys, *argv, "32")
+    assert code == 0 and searched == [32]
+    assert "search-K32-R1" in out
 
 
 def test_size_guard_default_is_one_gib(capsys, monkeypatch):

@@ -253,6 +253,23 @@ def test_search_report_fields():
     assert record["restarts"] == 2
     assert record["seed"] == 5
     assert record["wall_time_s"] > 0
+    assert [r["residual"] for r in record["records"]] == [r.residual for r in result.records]
+    assert set(record["records"][0]) == {"residual", "nit", "nfev", "status", "grad_norm"}
+
+
+def test_search_records_every_restart_and_k8_meets_the_k4_floor():
+    # criterion 10's skewed configurations: 50 restarts at seed 0, maxiter 1500
+    rep = to_matrix_rep(bell_basis())
+    k4, k8 = (feasibility_search(rep, ResourceSpectrum([1.6, 0.4]), outcomes=k,
+                                 restarts=50, seed=0) for k in (4, 8))
+    for result in (k4, k8):
+        assert len(result.records) == 50
+        best = result.records[result.best_restart]
+        assert best.residual == result.best_residual == min(r.residual for r in result.records)
+    assert all(r.nit < 1500 for r in k8.records)  # every restart stops before the cap
+    assert k4.best_residual <= 0.953780669789
+    assert k8.best_residual <= 0.953781676923
+    assert abs(k8.best_residual - k4.best_residual) <= 1e-8
 
 
 # -- R-matrix structure -------------------------------------------------------

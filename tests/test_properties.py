@@ -1,6 +1,7 @@
 """Property tests: random complete instruments on the split three-qubit GHZ
 basis, random POVMs held as factors or dense elements, and the one-way
-residual against its brute-force Kronecker form."""
+residual, its gradient and its Hessian against their brute-force Kronecker
+form."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from locce.fidelity import Povm, _outcome_weights, average_fidelity
 from locce.oneway import (
     MatrixRep,
     ResourceSpectrum,
+    _hessian,
     _objective,
     _pack,
     _pair_products,
@@ -222,3 +224,70 @@ def test_objective_value_and_gradient_match_the_kron_stack(kind, seed):
     assert abs(value - want) <= 1e-12 * want
     want_grad = 2 * _pack(dconj)
     assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def real_form(op: np.ndarray) -> np.ndarray:
+    """S with y^dag op y = z^T S z for z = (Re y, Im y), S complex symmetric."""
+    s = np.block([[op, 1j * op], [-1j * op, op]])
+    return (s + s.T) / 2
+
+
+def sum_abs2(forms, offsets, z):
+    """Value, gradient and Hessian of sum_q |z^T S_q z - c_q|^2 over real z."""
+    value, grad, hess = 0.0, np.zeros(z.size), np.zeros((z.size, z.size))
+    for s, c in zip(forms, offsets):
+        q, dq = z @ s @ z - c, 2 * s @ z
+        value += abs(q) ** 2
+        grad += 2 * np.real(np.conj(q) * dq)
+        hess += 2 * np.real(np.outer(dq, dq.conj())) + 4 * np.real(np.conj(q) * s)
+    return value, grad, hess
+
+
+def kron_hessian(ops, ys: np.ndarray) -> np.ndarray:
+    """Brute-force real Hessian of sum_k sum_op |<y_k|op|y_k>|^2 / t_k^2 +
+    ||sum_k y_k y_k^dag - I||^2 over the packed (Re, Im) coordinates."""
+    k, n = ys.shape
+    big = k * n
+    theta = _pack(ys)
+    slots = [np.r_[j * n:(j + 1) * n, big + j * n:big + (j + 1) * n] for j in range(k)]
+    forms, offsets = [], []
+    for a in range(n):
+        for b in range(n):  # (sum_k y_k y_k^dag)_ab = sum_k y_k^dag (e_b e_a^T) y_k
+            local = real_form(np.outer(np.eye(n)[b], np.eye(n)[a]))
+            s = np.zeros((2 * big, 2 * big), dtype=complex)
+            for idx in slots:
+                s[np.ix_(idx, idx)] = local
+            forms.append(s)
+            offsets.append(float(a == b))
+    hess = sum_abs2(forms, offsets, theta)[2]
+    conditions = [real_form(op) for op in ops]
+    for idx in slots:
+        z = theta[idx]
+        u, du, ddu = sum_abs2(conditions, [0.0] * len(conditions), z)
+        t, dt = z @ z, 2 * z
+        hess[np.ix_(idx, idx)] += (ddu / t ** 2 - 2 * (np.outer(du, dt) + np.outer(dt, du)) / t ** 3
+                                   + u * (6 * np.outer(dt, dt) / t ** 4 - 4 * np.eye(z.size) / t ** 3))
+    return hess
+
+
+@settings(deadline=None)
+@given(rep_kinds, st.integers(0, 2 ** 32 - 1))
+def test_hessian_matches_the_kron_stack_and_is_symmetric(kind, seed):
+    rep, spectrum, ops, ys = random_problem(kind, seed)
+    got = _hessian(_pack(ys), _pair_products(rep, spectrum), spectrum.lambdas, len(ys), rep.d)
+    want = kron_hessian(ops, ys)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - got.T)) <= 1e-14 * scale
+
+
+@settings(deadline=None)
+@given(rep_kinds, st.integers(0, 2 ** 32 - 1))
+def test_hessian_matches_central_differences_of_the_gradient(kind, seed):
+    rep, spectrum, _, ys = random_problem(kind, seed)
+    args = (_pair_products(rep, spectrum), spectrum.lambdas, len(ys), rep.d)
+    theta, eps = _pack(ys), 1e-5
+    got = _hessian(theta, *args)
+    for i, step in enumerate(eps * np.eye(theta.size)):
+        column = (_objective(theta + step, *args)[1] - _objective(theta - step, *args)[1]) / (2 * eps)
+        assert np.max(np.abs(got[:, i] - column)) <= 1e-8 * np.max(np.abs(got))

@@ -386,6 +386,15 @@ def test_integer_fields_take_numpy_integers_and_integral_floats():
         Instrument("A", (True,), (np.eye(2),))
 
 
+def test_leaf_takes_a_numpy_integer_and_refuses_a_bool():
+    leaf = Leaf(np.int64(1))
+    assert type(leaf.guess) is int
+    assert tree_from_json(tree_to_json(leaf)) == Leaf(1)
+    for guess in (True, np.bool_(False), 1.5):
+        with pytest.raises(ValueError, match="leaf guess"):
+            Leaf(guess)
+
+
 def test_tree_json_state_guess():
     st = bell_basis().states[2]
     tree = Leaf(st)
