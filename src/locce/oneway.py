@@ -281,9 +281,10 @@ _TRUST_REGION = {"gtol": 1e-4, "initial_trust_radius": 1.0, "max_trust_radius": 
 
 
 def _restart_bytes(d: int, outcomes: int) -> int:
-    """The arrays :func:`_hessian` holds at once: the complex N x N blocks A
-    and B (16 B an entry each) and the real 2N x 2N Hessian (8 B an entry),
-    N = d^2 K, so 64 N^2 B."""
+    """The arrays :func:`_hessian` holds at once, to leading order in K: the
+    complex N x N blocks A and B (16 B an entry each) and the real 2N x 2N
+    Hessian (8 B an entry), N = d^2 K, so 64 N^2 B. The per-outcome stacks
+    beside them grow only linearly in K."""
     return 64 * (d * d * outcomes) ** 2
 
 

@@ -264,9 +264,10 @@ def kron_hessian(ops, ys: np.ndarray) -> np.ndarray:
     for idx in slots:
         z = theta[idx]
         u, du, ddu = sum_abs2(conditions, [0.0] * len(conditions), z)
-        t, dt = z @ z, 2 * z
-        hess[np.ix_(idx, idx)] += (ddu / t ** 2 - 2 * (np.outer(du, dt) + np.outer(dt, du)) / t ** 3
-                                   + u * (6 * np.outer(dt, dt) / t ** 4 - 4 * np.eye(z.size) / t ** 3))
+        t, dt = z @ z, 2 * z  # the Hessian of t is 2 I
+        cross = np.outer(du, dt) + np.outer(dt, du)
+        curvature = 6 * np.outer(dt, dt) / t ** 4 - 4 * np.eye(z.size) / t ** 3
+        hess[np.ix_(idx, idx)] += ddu / t ** 2 - 2 * cross / t ** 3 + u * curvature
     return hess
 
 
@@ -289,5 +290,6 @@ def test_hessian_matches_central_differences_of_the_gradient(kind, seed):
     theta, eps = _pack(ys), 1e-5
     got = _hessian(theta, *args)
     for i, step in enumerate(eps * np.eye(theta.size)):
-        column = (_objective(theta + step, *args)[1] - _objective(theta - step, *args)[1]) / (2 * eps)
+        up, down = _objective(theta + step, *args)[1], _objective(theta - step, *args)[1]
+        column = (up - down) / (2 * eps)
         assert np.max(np.abs(got[:, i] - column)) <= 1e-8 * np.max(np.abs(got))
