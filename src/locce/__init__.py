@@ -32,14 +32,13 @@ from .fidelity import (
     GuessStrategy,
     Povm,
     average_fidelity,
-    bipartition_min_bound,
     computational_povm,
     entropy_bound_check,
     global_optimum_orthonormal,
     mes_bound,
     mixed_strategy_fidelity,
     optimal_guess,
-    schmidt_coeff_sep_bound,
+    separable_bound,
     vidal_conversion_probability,
 )
 from .protocols import (

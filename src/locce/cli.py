@@ -17,7 +17,7 @@ Scenario file schema (all keys optional unless the family needs them):
       "family":   "ghz",           # must match the subcommand if given
       "n": 4, "sizes": [2, 2],     # family parameters (see --help per command)
       "alpha": 0.9, "gamma": 0.8,
-      "m": 1, "graph": "triangle", "edges": "0-1,1-2",
+      "m": 1, "graph": "triangle",  # or "edges": "0-1,1-2" and "vertices": 3
       "lambdas": [1.0, 1.0], "outcomes": 4, "restarts": 20,
       "bounds_family": "ghz",      # bounds: ghz | lattice | parametric
       "seed": 7,
@@ -62,12 +62,10 @@ from .families import (
 )
 from .fidelity import (
     average_fidelity,
-    bipartition_min_bound,
     computational_povm,
     entropy_bound_check,
-    mes_bound,
     optimal_guess,
-    schmidt_coeff_sep_bound,
+    separable_bound,
 )
 from .protocols import JointProblem, flatten_to_povm, relabel_parties, run_protocol
 from .oneway import (
@@ -212,6 +210,10 @@ def _float_list(value) -> tuple[float, ...]:
 def _parse_graph(params: dict) -> Graph:
     name = params.get("graph")
     if name is not None:
+        for extra in ("edges", "vertices"):
+            if params.get(extra) is not None:
+                raise ScenarioError(f"graph: bad value for field '{extra}': "
+                                    "not allowed beside field 'graph'")
         key = str(name).lower()
         if key not in NAMED_GRAPHS:
             raise ScenarioError(
@@ -221,7 +223,7 @@ def _parse_graph(params: dict) -> Graph:
     edges_spec = params.get("edges")
     if not edges_spec:
         raise ScenarioError("graph: need field 'graph' (named) or 'edges'")
-    n = _field(params, "vertices", _int, "graph", None)
+    n = _field(params, "vertices", _int, "graph", None, minimum=2)
     try:
         edges = []
         for part in str(edges_spec).split(","):
@@ -315,10 +317,10 @@ def run_lattice(params: dict) -> list[Row]:
     _check_size("lattice", "'n' (with 'm')", 2 * n, 2 * (n + m))
     label = _field(params, "scenario", str, "lattice", f"lattice-n{n}-m{m}")
     t0 = time.perf_counter()
+    bound = separable_bound(lattice_basis(n))  # on the resource-free problem
     problem, tree = lattice_partial_teleport(n, m)
     f = run_protocol(problem, tree).fidelity
     expected = 1.0 / 2 ** (n - m)
-    bound = mes_bound(2 ** (2 * n), 2 ** n)  # on the resource-free problem
     return [_row(label, "lattice", f"partial-teleport-m{m}", f, fmt(bound),
                  fmt(expected), abs(f - expected) <= ATOL, t0)]
 
@@ -407,33 +409,7 @@ def run_oneway(params: dict) -> list[Row]:
 
 def run_bounds(params: dict) -> list[Row]:
     family = _field(params, "bounds_family", str, "bounds", "ghz")
-    rows = []
-    if family == "ghz":
-        n = _field(params, "n", _int, "bounds", 3, minimum=2)
-        _check_size("bounds", "'n'", n, n)  # 2^n members of n qubits
-        label = _field(params, "scenario", str, "bounds", f"bounds-ghz-{n}")
-        t0 = time.perf_counter()
-        ens = ghz_basis(n, (1,) * n)
-        problem, tree = computational_protocol(ens)
-        achieved = run_protocol(problem, tree).fidelity
-        per_cut = {
-            cut: schmidt_coeff_sep_bound(ens, cut) for cut in ens.layout.bipartitions()
-        }
-        bound = bipartition_min_bound(per_cut)
-        rows.append(_row(label, "bounds", "computational-vs-sep-bound", achieved,
-                         fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
-    elif family == "lattice":
-        n = _field(params, "n", _int, "bounds", 2, minimum=1)
-        _check_size("bounds", "'n'", 2 * n, 2 * n)  # 4^n Bell products of 2n qubits
-        label = _field(params, "scenario", str, "bounds", f"bounds-lattice-{n}")
-        t0 = time.perf_counter()
-        ens = lattice_basis(n)
-        problem, tree = computational_protocol(ens)
-        achieved = run_protocol(problem, tree).fidelity
-        bound = mes_bound(2 ** (2 * n), 2 ** n)
-        rows.append(_row(label, "bounds", "computational-vs-mes-bound", achieved,
-                         fmt(bound), fmt(bound), abs(achieved - bound) <= ATOL, t0))
-    elif family == "parametric":
+    if family == "parametric":
         alpha = _field(params, "alpha", _float, "bounds", 0.9)
         gamma = _field(params, "gamma", _float, "bounds", 0.8)
         label = _field(params, "scenario", str, "bounds", "bounds-parametric")
@@ -441,11 +417,23 @@ def run_bounds(params: dict) -> list[Row]:
         ens = parametric_basis(alpha, gamma)
         _, achieved = optimal_guess(ens, computational_povm(ens.dims))
         expected = (alpha ** 2 + gamma ** 2) / 2
-        rows.append(_row(label, "bounds", "computational-opt-guess", achieved,
-                         "n/a", fmt(expected), abs(achieved - expected) <= ATOL, t0))
-    else:
+        return [_row(label, "bounds", "computational-opt-guess", achieved,
+                     "n/a", fmt(expected), abs(achieved - expected) <= ATOL, t0)]
+    if family not in ("ghz", "lattice"):
         raise ScenarioError(f"bounds: bad value for field 'bounds_family': {family!r}")
-    return rows
+    ghz = family == "ghz"
+    n = _field(params, "n", _int, "bounds", 3 if ghz else 2, minimum=2 if ghz else 1)
+    qubits = n if ghz else 2 * n
+    _check_size("bounds", "'n'", qubits, qubits)  # a complete basis of 2^qubits members
+    label = _field(params, "scenario", str, "bounds", f"bounds-{family}-{n}")
+    t0 = time.perf_counter()
+    ens = ghz_basis(n, (1,) * n) if ghz else lattice_basis(n)
+    problem, tree = computational_protocol(ens)
+    achieved = run_protocol(problem, tree).fidelity
+    bound = separable_bound(ens)
+    proto = "computational-vs-sep-bound" if ghz else "computational-vs-mes-bound"
+    return [_row(label, "bounds", proto, achieved, fmt(bound), fmt(bound),
+                 abs(achieved - bound) <= ATOL, t0)]
 
 
 # -- the full verification battery -------------------------------------------
@@ -477,21 +465,25 @@ def _also(rows: list[Row], ok: bool) -> list[Row]:
 def _lattice_values(seed: int) -> list[Row]:
     rows = run_lattice({"n": 2, "m": 1}) + run_lattice({"n": 2, "m": 2})
     t0 = time.perf_counter()
-    problem, tree = computational_protocol(lattice_basis(2))
+    ens = lattice_basis(2)
+    problem, tree = computational_protocol(ens)
     achieved = run_protocol(problem, tree).fidelity
-    bound = mes_bound(16, 4)
+    bound = separable_bound(ens)
     rows.append(_row("lattice-resource-free", "lattice", "computational", achieved,
                      fmt(bound), fmt(bound),
-                     bound == 0.25 and abs(achieved - bound) <= ATOL, t0))
+                     abs(bound - 0.25) <= ATOL and abs(achieved - bound) <= ATOL, t0))
     return rows
 
 
 def _ghz_bound_chain(seed: int) -> list[Row]:
     ens = ghz_basis(3, (1, 1, 1))
     _, guessed = optimal_guess(ens, computational_povm(ens.dims))
-    cuts = [schmidt_coeff_sep_bound(ens, cut) for cut in ens.layout.bipartitions()]
+    cuts = []  # the bound across each cut alone, on the layout coarsened to that cut
+    for side_a, side_b in ens.layout.bipartitions():
+        grouping = {**dict.fromkeys(side_a, "A"), **dict.fromkeys(side_b, "B")}
+        cuts.append(separable_bound(Ensemble(coarsen(ens.layout, grouping), ens.members)))
     rows = run_bounds({"bounds_family": "ghz", "n": 3, "scenario": "ghz-bound-chain"})
-    return _also(rows, abs(guessed - 0.5) <= ATOL and cuts == [0.5] * 3)
+    return _also(rows, abs(guessed - 0.5) <= ATOL and all(abs(c - 0.5) <= ATOL for c in cuts))
 
 
 def _parametric_grid(seed: int) -> list[Row]:
@@ -556,10 +548,8 @@ def _cross_checks(seed: int) -> list[Row]:
         res = run_protocol(entry.problem, entry.tree)
         povm, guess = flatten_to_povm(entry.tree, entry.problem)
         ok &= abs(average_fidelity(entry.problem.joint, povm, guess) - res.fidelity) <= ATOL
-        if entry.mes is not None:
-            k, d = entry.mes
-            ok &= res.fidelity <= mes_bound(k, d) + ATOL
         joint = entry.problem.joint
+        ok &= res.fidelity <= separable_bound(joint) + ATOL
         grouping = {name: "ALL" for name in joint.layout.names}
         merged = Ensemble(coarsen(joint.layout, grouping), joint.members)
         coarse_problem = JointProblem(merged)
@@ -597,7 +587,7 @@ CRITERIA = (
                      "scenario": "oneway-mes"},
                     *({"lambdas": (1.6, 0.4), "outcomes": k, "restarts": 50,
                        "scenario": f"oneway-skew-K{k}"} for k in (4, 8)))),
-    Criterion("11 cross-checks", "flatten/run agree; MES bounds hold; coarsening inert",
+    Criterion("11 cross-checks", "flatten/run agree; separable bounds hold; coarsening inert",
               _cross_checks),
 )
 

@@ -144,12 +144,12 @@ class Ensemble:
         m = self.amplitude_matrix()
         return m.conj() @ m.T
 
-    def is_orthonormal(self, tol: float = TOL) -> bool:
+    def is_orthonormal(self) -> bool:
         g = self.gram()
-        return bool(np.max(np.abs(g - np.eye(self.size))) <= tol)
+        return bool(np.max(np.abs(g - np.eye(self.size))) <= TOL)
 
-    def is_complete_basis(self, tol: float = TOL) -> bool:
-        return self.size == self.dim and self.is_orthonormal(tol)
+    def is_complete_basis(self) -> bool:
+        return self.size == self.dim and self.is_orthonormal()
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,8 @@ class Graph:
         return cls(n, frozenset((0, i) for i in range(1, n)))
 
 
-def single_qubit_layout(n: int, prefix: str = "A") -> PartyLayout:
-    return PartyLayout(tuple((f"{prefix}{i + 1}", (i,)) for i in range(n)))
+def single_qubit_layout(n: int) -> PartyLayout:
+    return PartyLayout(tuple((f"A{i + 1}", (i,)) for i in range(n)))
 
 
 def _equiprobable(layout: PartyLayout, states: Sequence[StateVector]) -> Ensemble:

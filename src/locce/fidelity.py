@@ -24,7 +24,7 @@ the upper bounds in this module.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +32,7 @@ import numpy as np
 from .tensor import (
     TOL,
     StateVector,
+    _bipartition_matrix,
     _schmidt_values,
     entanglement_entropy,
     principal_eigenvector,
@@ -46,8 +47,7 @@ __all__ = [
     "optimal_guess",
     "global_optimum_orthonormal",
     "mes_bound",
-    "schmidt_coeff_sep_bound",
-    "bipartition_min_bound",
+    "separable_bound",
     "EntropyBoundRow",
     "EntropyBoundReport",
     "entropy_bound_check",
@@ -218,42 +218,35 @@ def global_optimum_orthonormal(ens: Ensemble) -> float:
 
 
 def mes_bound(k: int, d: int) -> float:
-    """Upper bound d/k on local fidelity for k equiprobable d x d
-    maximally entangled states."""
+    """d/k, the closed form of :func:`separable_bound` for k equiprobable
+    maximally entangled d x d members."""
     if k < 1 or d < 2:
         raise ValueError("need k >= 1 and d >= 2")
     return d / k
 
 
-def schmidt_coeff_sep_bound(ens: Ensemble, bipartition) -> float:
-    """Separable-fidelity bound 1/2 across a party bipartition.
+def separable_bound(ens: Ensemble) -> float:
+    """Upper bound on the fidelity any separable, hence any LOCC,
+    measurement reaches on ``ens``: min(1, D max_i p_i Lambda_i^2).
 
-    Applies to a complete equiprobable orthonormal basis whose members
-    all have squared maximal Schmidt coefficient <= 1/2 across the
-    bipartition; raises if that premise fails.
+    For a separable element E and a pure psi, Tr(E psi) <= Lambda^2(psi) Tr E,
+    with Lambda^2(psi) the largest overlap of psi with a product state
+    (Hayashi, Markham, Murao, Owari and Virmani, PRL 96, 040501 (2006)).
+    Orthonormal members keep sum_i |<psi_i|phi>|^2 <= 1 for every guess
+    phi, so summing over outcomes caps the fidelity at D max_i p_i
+    Lambda_i^2, with D the joint dimension. Lambda_i^2 is taken as the
+    smallest top squared Schmidt coefficient of member i over the party
+    bipartitions; coarsen the layout to bound across one cut only.
     """
-    if not ens.is_complete_basis():
-        raise ValueError("bound requires a complete orthonormal basis")
-    if np.max(np.abs(ens.priors - 1.0 / ens.size)) > TOL:
-        raise ValueError("bound requires equiprobable members")
-    names_a, names_b = bipartition
-    idx_a = ens.layout.subsystems_of(names_a)
-    idx_b = ens.layout.subsystems_of(names_b)
-    for i, st in enumerate(ens.states):
-        top = _schmidt_values(st, (idx_a, idx_b))[0]
-        if top * top > 0.5 + TOL:
-            raise ValueError(
-                f"member {i} has squared max Schmidt coefficient {top * top:.6f} > 1/2; "
-                "bound not applicable"
-            )
-    return 0.5
-
-
-def bipartition_min_bound(per_bipartition_bounds: Mapping) -> float:
-    """A multipartite local-fidelity bound: the minimum over bipartition bounds."""
-    if not per_bipartition_bounds:
-        raise ValueError("need at least one bipartition bound")
-    return float(min(per_bipartition_bounds.values()))
+    if not ens.is_orthonormal():
+        raise ValueError("separable bound requires orthonormal members")
+    amps = ens.amplitude_matrix()
+    overlap = np.ones(ens.size)
+    for names_a, names_b in ens.layout.bipartitions():
+        mats = _bipartition_matrix(ens.dims, amps, ens.layout.subsystems_of(names_a),
+                                   ens.layout.subsystems_of(names_b))
+        overlap = np.minimum(overlap, np.linalg.svd(mats, compute_uv=False)[:, 0] ** 2)
+    return float(min(1.0, ens.dim * np.max(ens.priors * overlap)))
 
 
 @dataclass(frozen=True)

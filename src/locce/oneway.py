@@ -101,8 +101,8 @@ def to_matrix_rep(ens: Ensemble) -> MatrixRep:
     if len(ens.layout.parties) != 2:
         raise ValueError("matrix representation needs a bipartite layout")
     (_, idx_a), (_, idx_b) = ens.layout.parties
-    mats = [_bipartition_matrix(st, idx_a, idx_b) for st in ens.states]
-    da, db = mats[0].shape
+    mats = _bipartition_matrix(ens.dims, ens.amplitude_matrix(), idx_a, idx_b)
+    da, db = mats.shape[1:]
     if da != db:
         raise ValueError(f"local dimensions differ: {da} vs {db}")
     return MatrixRep(da, tuple(np.sqrt(da) * m.T for m in mats))

@@ -536,8 +536,8 @@ def tree_from_dict(obj):
     raise ValueError(f"unknown node type {obj.get('type')!r}")
 
 
-def tree_to_json(tree, indent: int | None = None) -> str:
-    return json.dumps(tree_to_dict(tree), indent=indent)
+def tree_to_json(tree) -> str:
+    return json.dumps(tree_to_dict(tree))
 
 
 def tree_from_json(text: str):

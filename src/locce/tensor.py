@@ -222,22 +222,26 @@ def partial_trace(obj, keep: Iterable[int]) -> Operator:
     return Operator(keep_dims, rho)
 
 
-def _bipartition_matrix(psi: StateVector, part_a, part_b) -> np.ndarray:
-    """Amplitudes of ``psi`` as a (dim A, dim B) matrix, each side's
-    subsystems taken in the order given."""
+def _bipartition_matrix(dims: Sequence[int], amps: np.ndarray, part_a, part_b) -> np.ndarray:
+    """Amplitudes over ``dims`` as a (dim A, dim B) matrix, each side's
+    subsystems taken in the order given. A stack of states, shape
+    (k, prod(dims)), gives a stack of matrices, shape (k, dim A, dim B)."""
     a, b = tuple(int(i) for i in part_a), tuple(int(i) for i in part_b)
-    n = psi.n_subsystems
+    n = len(dims)
     if not a or not b:
         raise ValueError("bipartition sides must be nonempty")
     if sorted(a + b) != list(range(n)):
         raise ValueError(f"bipartition {part_a} | {part_b} does not partition 0..{n - 1}")
-    tensor = np.moveaxis(psi.amps.reshape(psi.dims), a + b, range(n))
-    return tensor.reshape(_prod(psi.dims[i] for i in a), -1)
+    lead = amps.shape[:-1]
+    axes = [len(lead) + i for i in a + b]
+    tensor = np.moveaxis(amps.reshape(lead + tuple(dims)), axes, sorted(axes))
+    return tensor.reshape(lead + (_prod(dims[i] for i in a), -1))
 
 
 def _schmidt_values(psi: StateVector, bipartition) -> np.ndarray:
     """Singular values of the bipartite amplitude matrix, descending."""
-    return np.linalg.svd(_bipartition_matrix(psi, *bipartition), compute_uv=False)
+    return np.linalg.svd(_bipartition_matrix(psi.dims, psi.amps, *bipartition),
+                         compute_uv=False)
 
 
 def schmidt(psi: StateVector, bipartition) -> SchmidtData:
@@ -249,7 +253,8 @@ def schmidt(psi: StateVector, bipartition) -> SchmidtData:
     exactly (no residual global phase).
     """
     a, b = (tuple(sorted(int(i) for i in side)) for side in bipartition)
-    u, s, vh = np.linalg.svd(_bipartition_matrix(psi, a, b), full_matrices=False)
+    u, s, vh = np.linalg.svd(_bipartition_matrix(psi.dims, psi.amps, a, b),
+                             full_matrices=False)
     for k in range(s.size):
         col = u[:, k]
         nz = np.flatnonzero(np.abs(col) > TOL)

@@ -146,7 +146,8 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
     send, recv = (problem.joint.layout.indices(name) for name in (sender, receiver))
     labels = tuple(str(i) for i in range(ens.size))
     # members re-indexed to (sender block, receiver block) order
-    images = np.stack([_bipartition_matrix(st, *blocks).reshape(-1) for st in ens.states])
+    images = _bipartition_matrix(ens.dims, ens.amplitude_matrix(), *blocks)
+    images = images.reshape(ens.size, -1)
     script = [
         generalized_bell_instrument(sender, send, d),
         _undo(receiver, recv[0], 0, _weyl(d)),
@@ -317,17 +318,16 @@ def ghz_subset_bell_protocol():
 
 
 def vidal_then_fallback(ens: Ensemble, resource: StateVector, target_rank: int,
-                        fallback_tree, resource_split=None) -> float:
+                        fallback_tree) -> float:
     """Fidelity of: convert the resource to a maximally entangled state
     when possible, teleport (optimal); otherwise run the fallback tree.
 
     Returns p * F_opt + (1 - p) * F_fallback with p the maximal local
-    conversion probability of the resource to the rank-r target.
+    conversion probability of the resource, split in half, to the rank-r target.
     """
-    if resource_split is None:
-        half = resource.n_subsystems // 2
-        resource_split = (tuple(range(half)), tuple(range(half, resource.n_subsystems)))
-    p = vidal_conversion_probability(resource, resource_split, target_rank)
+    half = resource.n_subsystems // 2
+    split = (tuple(range(half)), tuple(range(half, resource.n_subsystems)))
+    p = vidal_conversion_probability(resource, split, target_rank)
     f_opt = global_optimum_orthonormal(ens)
     fallback = run_protocol(JointProblem(ens), fallback_tree).fidelity
     return mixed_strategy_fidelity(p, f_opt, fallback)
@@ -339,8 +339,8 @@ class ZooEntry:
     problem: JointProblem
     tree: object
     expected_fidelity: float
-    mes: tuple[int, int] | None = None  # (k states, d local dim) when the
-    one_way_order: tuple[str, ...] | None = None  # joint members are MES
+    mes: tuple[int, int] | None = None  # (k, d): k MES d x d members; only perfbench reads it
+    one_way_order: tuple[str, ...] | None = None
 
 
 def standard_zoo() -> list[ZooEntry]:

@@ -9,7 +9,7 @@ import pytest
 
 from locce import cli
 from locce.cli import COLUMNS, Criterion, Row, emit, main
-from locce.families import graph_state_basis
+from locce.families import Ensemble, graph_state_basis
 from locce.protocols import ProtocolResult
 from locce.tensor import Operator
 
@@ -104,6 +104,16 @@ def test_bounds_ghz(capsys):
     assert row[3] == "0.5" and row[4] == "0.5"
 
 
+def test_bounds_ghz_checks_orthonormality_once(monkeypatch):
+    calls = []
+    is_orthonormal = Ensemble.is_orthonormal
+    monkeypatch.setattr(Ensemble, "is_orthonormal",
+                        lambda self, *a: calls.append(self.size) or is_orthonormal(self, *a))
+    (row,) = cli.run_bounds({"bounds_family": "ghz", "n": 4})
+    assert row.status == "pass"
+    assert calls == [16]
+
+
 def test_oneway_quick(capsys):
     code, out, _ = run_cli(capsys, "oneway", "--lambdas", "1,1", "--outcomes", "4",
                            "--restarts", "3", "--seed", "4", "--format", "csv")
@@ -158,6 +168,10 @@ def test_oneway_non_finite_lambdas_name_the_field(capsys, lambdas):
     ("ghz", {"n": 3, "sizes": [2, 2]}, "'sizes'"),
     ("lattice", {"n": 2, "m": 5}, "'m'"),
     ("lattice", {"n": 0, "m": 1}, "'n'"),
+    ("graph", {"edges": "0-1", "vertices": -1}, "'vertices'"),
+    ("graph", {"edges": "0-1", "vertices": 0}, "'vertices'"),
+    ("graph", {"graph": "path3", "edges": "0-1"}, "'edges'"),
+    ("graph", {"graph": "path3", "vertices": 3}, "'vertices'"),
 ])
 def test_integer_fields_refuse_fractions_and_bools(tmp_path, capsys, family, fields, field):
     scenario = tmp_path / "s.json"

@@ -10,6 +10,7 @@ from locce.families import (
     Ensemble,
     PartyLayout,
     bell_basis,
+    coarsen,
     ghz_basis,
     ghz_state,
     lattice_basis,
@@ -20,14 +21,13 @@ from locce.fidelity import (
     GuessStrategy,
     Povm,
     average_fidelity,
-    bipartition_min_bound,
     computational_povm,
     entropy_bound_check,
     global_optimum_orthonormal,
     mes_bound,
     mixed_strategy_fidelity,
     optimal_guess,
-    schmidt_coeff_sep_bound,
+    separable_bound,
     vidal_conversion_probability,
 )
 
@@ -215,27 +215,36 @@ def test_mes_bound_values():
     assert mes_bound(3, 2) == pytest.approx(2 / 3)
 
 
-def test_schmidt_coeff_sep_bound_ghz():
-    ens = ghz_basis(3, (1, 1, 1))
-    for cut in ens.layout.bipartitions():
-        assert schmidt_coeff_sep_bound(ens, cut) == 0.5
-    ens4 = ghz_basis(4, (1, 1, 1, 1))
-    for cut in ens4.layout.bipartitions():
-        assert schmidt_coeff_sep_bound(ens4, cut) == 0.5
+def _across(ens, cut):
+    """``ens`` with its layout coarsened to the two sides of ``cut``."""
+    side_a, side_b = cut
+    grouping = {**dict.fromkeys(side_a, "A"), **dict.fromkeys(side_b, "B")}
+    return Ensemble(coarsen(ens.layout, grouping), ens.members)
 
 
-def test_schmidt_coeff_sep_bound_rejects_skewed_family():
+def test_separable_bound_ghz_is_half_whole_and_per_cut():
+    for n in (3, 4):
+        ens = ghz_basis(n, (1,) * n)
+        assert separable_bound(ens) == pytest.approx(0.5, abs=1e-9)
+        for cut in ens.layout.bipartitions():
+            assert separable_bound(_across(ens, cut)) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_separable_bound_parametric_caps_the_computational_guess():
     ens = parametric_basis(0.9, 0.8)
-    with pytest.raises(ValueError, match="not applicable"):
-        schmidt_coeff_sep_bound(ens, (("A",), ("B",)))
+    _, reached = optimal_guess(ens, computational_povm(ens.dims))
+    assert reached == pytest.approx(0.725, abs=1e-12)
+    # the largest member overlap with a product state is alpha^2 = 0.81
+    assert separable_bound(ens) == pytest.approx(0.81, abs=1e-9)
+    assert separable_bound(ens) >= reached
 
 
-def test_bipartition_min_bound():
-    assert bipartition_min_bound({"a": 0.5, "b": 0.5, "c": 0.5}) == 0.5
-    assert bipartition_min_bound({"only": 0.7}) == 0.7
-    assert bipartition_min_bound({"x": 0.7, "y": 1.0}) == 0.7
-    with pytest.raises(ValueError):
-        bipartition_min_bound({})
+def test_separable_bound_refuses_non_orthonormal_members():
+    bell = bell_basis()
+    tilted = StateVector.normalized((2, 2), [1.0, 0.0, 0.0, 0.3])
+    ens = Ensemble(bell.layout, ((0.5, bell.states[0]), (0.5, tilted)))
+    with pytest.raises(ValueError, match="orthonormal"):
+        separable_bound(ens)
 
 
 # -- entropy bound ------------------------------------------------------------

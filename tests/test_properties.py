@@ -1,14 +1,28 @@
 """Property tests: random complete instruments on the split three-qubit GHZ
-basis, random POVMs held as factors or dense elements, and the one-way
-residual, its gradient and its Hessian against their brute-force Kronecker
-form."""
+basis, random POVMs held as factors or dense elements, the separable bound
+on random bases, and the one-way residual, its gradient and its Hessian
+against their brute-force Kronecker form."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from locce.tensor import StateVector, generalized_bell_vectors
-from locce.families import Ensemble, PartyLayout, bell_basis, ghz_basis, parametric_basis
-from locce.fidelity import Povm, _outcome_weights, average_fidelity
+from locce.families import (
+    Ensemble,
+    PartyLayout,
+    bell_basis,
+    ghz_basis,
+    parametric_basis,
+    single_qubit_layout,
+)
+from locce.fidelity import (
+    Povm,
+    _outcome_weights,
+    average_fidelity,
+    computational_povm,
+    optimal_guess,
+    separable_bound,
+)
 from locce.oneway import (
     MatrixRep,
     ResourceSpectrum,
@@ -159,6 +173,20 @@ def test_factored_weights_match_dense_weights(seed):
     want = np.real(np.einsum("id,ade,ie->ia", states.conj(), dense, states))
     for povm in (Povm((dim,), tuple(dense)), Povm.from_factors((dim,), factors)):
         assert np.max(np.abs(_outcome_weights(ens, povm) - want)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 2 ** 32 - 1))
+def test_separable_bound_caps_the_computational_guess(n, seed):
+    # a separable measurement on a random orthonormal basis of n qubits,
+    # one qubit per party, never beats the separable bound
+    basis = random_unitary(np.random.default_rng(seed), 2 ** n)
+    ens = Ensemble(single_qubit_layout(n),
+                   tuple((2.0 ** -n, StateVector((2,) * n, row)) for row in basis))
+    _, reached = optimal_guess(ens, computational_povm(ens.dims))
+    bound = separable_bound(ens)
+    assert reached <= bound + ATOL
+    assert bound <= 1.0
 
 
 # -- one-way residual against the Kronecker stack of Lambda (x) M_i^dag M_j ---

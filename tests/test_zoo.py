@@ -21,7 +21,7 @@ from locce.families import (
     lattice_basis,
     parametric_basis,
 )
-from locce.fidelity import average_fidelity, mes_bound
+from locce.fidelity import average_fidelity, mes_bound, separable_bound
 from locce.protocols import (
     Leaf,
     flatten_to_povm,
@@ -360,6 +360,20 @@ def test_zoo_expected_fidelities():
     for entry in standard_zoo():
         f = run_protocol(entry.problem, entry.tree).fidelity
         assert f == pytest.approx(entry.expected_fidelity, abs=1e-9), entry.name
+
+
+def test_zoo_fidelities_sit_under_the_separable_bound():
+    entries = standard_zoo()
+    assert len(entries) == 16
+    mes = 0
+    for entry in entries:
+        bound = separable_bound(entry.problem.joint)
+        f = run_protocol(entry.problem, entry.tree).fidelity
+        assert f <= bound + 1e-9, entry.name
+        if entry.mes is not None:
+            mes += 1
+            assert bound == pytest.approx(mes_bound(*entry.mes), abs=1e-9), entry.name
+    assert mes == 6
 
 
 def test_zoo_one_way_claims():
