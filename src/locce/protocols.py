@@ -29,9 +29,13 @@ through the tree, and each reduction keeps that norm exact:
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
 reference path of the cross-checks. It carries each Kraus product as
-K_b = Q C with Q an isometry onto its range, re-factors after every
-round with an SVD, and emits the thin factor C (rank K_b rows), so that
-K_b^dagger K_b = C^dagger C; dense elements are built only on request.
+K_b = Q C with Q an isometry onto its range and emits the thin factor C
+(rank K_b rows), so that K_b^dagger K_b = C^dagger C; dense elements are
+built only on request. Each round re-factors the product with an SVD,
+except that a rank-one round factors only its rows contracted with
+<w| on the targets (d / d_T columns instead of d), and a single-outcome
+unitary round, whose image of orthonormal rows is orthonormal, needs no
+SVD at all.
 
 Resource attachment follows the joint-space picture: discriminating
 {psi_i} with a shared resource Psi is the same problem as
@@ -142,6 +146,15 @@ class Instrument:
     def _stack(self) -> np.ndarray:
         """The Kraus operators as one (outcomes, d, d) array."""
         return np.array(self.kraus)
+
+    @cached_property
+    def _unitary(self) -> bool:
+        """True for a single Kraus operator U with U^dagger U within 1e-14
+        of the identity. Computed once per instrument; not a field."""
+        if len(self.kraus) != 1:
+            return False
+        u = self.kraus[0]
+        return bool(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-14)
 
     @cached_property
     def _rank_one(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -445,8 +458,10 @@ def flatten_to_povm(tree, problem: JointProblem):
     identity-padded to the joint space, paired with the leaf's guess, so
     that ``average_fidelity`` on the result reproduces :func:`run_protocol`.
     E_b comes as a thin factor C_b of shape (rank K_b, d) with
-    E_b = C_b^dagger C_b; no d x d element is formed. The walk is kept
-    apart from :func:`_push_rows` so that the cross-checks compare two paths.
+    E_b = C_b^dagger C_b; no d x d element is formed. Rank-one rounds are
+    factored on their contracted rows and single-outcome unitary rounds
+    skip the SVD (see :func:`_flatten`). The walk is kept apart from
+    :func:`_push_rows` so that the cross-checks compare two paths.
     """
     ens = problem.joint
     validate_tree(tree, ens)
@@ -461,18 +476,46 @@ def _flatten(node, basis, coef, dims, states, factors, guesses) -> None:
     """Append the factor and guess of every branch below ``node``, which
     the Kraus product K = basis^T coef reaches: the r rows of ``basis`` are
     orthonormal and span the range of K, and ``coef`` has shape (r, d), so
-    K^dagger K = coef^dagger coef."""
+    K^dagger K = coef^dagger coef.
+
+    A round re-factors K_k K = image^T coef as vh^T (s u^T coef) from the
+    SVD u s vh of the image rows, dropping directions at or below 1e-13 of
+    the largest singular value. A rank-one round, K_k = |u_k><w_k|, SVDs
+    only the rows contracted with <w_k| on the targets and puts |u_k> back
+    on the new rows; a single-outcome unitary round keeps ``coef``, since
+    the image of orthonormal rows is orthonormal."""
     if isinstance(node, Leaf):
         factors.append(coef)
         guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
         return
     inst = node.instrument
+    rank_one = inst._rank_one
+    if rank_one is not None:
+        kets, bras = rank_one
+        (n, d), dloc = basis.shape, bras.shape[1]
+        order = inst.targets + tuple(a for a in range(len(dims)) if a not in inst.targets)
+        moved = basis.reshape((n,) + tuple(dims)).transpose([0] + [a + 1 for a in order])
+        # <w_k| on the targets of every row: shape (k, r, d / d_T)
+        contracted = (bras @ moved.reshape(n, dloc, d // dloc)).swapaxes(0, 1)
+        shape = moved.shape[1:]
+        back = [0] + [int(p) + 1 for p in np.argsort(order)]
+        for ket, rows, child in zip(kets, contracted, node.children):
+            image, part = basis, coef
+            if n:
+                u, s, vh = np.linalg.svd(rows, full_matrices=False)
+                r = int(np.count_nonzero(s > 1e-13 * s[0]))
+                image = (ket[:, None] * vh[:r, None, :]).reshape((r,) + shape)
+                image = image.transpose(back).reshape(r, d)
+                part = (s[:r, None] * u[:, :r].T) @ coef
+            _flatten(child, image, part, dims, states, factors, guesses)
+        return
     images = apply_to_batch(inst._stack, inst.targets, basis, dims)  # (K_k basis^T)^T
+    if inst._unitary:
+        _flatten(node.children[0], images[0], coef, dims, states, factors, guesses)
+        return
     for image, child in zip(images, node.children):
         part = coef
         if len(image):
-            # K_k K = image^T coef = vh^T (s u^T coef); drop directions at or
-            # below 1e-13 of the largest singular value
             u, s, vh = np.linalg.svd(image, full_matrices=False)
             r = int(np.count_nonzero(s > 1e-13 * s[0]))
             image, part = vh[:r], (s[:r, None] * u[:, :r].T) @ coef
