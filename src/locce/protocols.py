@@ -478,12 +478,11 @@ def _flatten(node, basis, coef, dims, states, factors, guesses) -> None:
     orthonormal and span the range of K, and ``coef`` has shape (r, d), so
     K^dagger K = coef^dagger coef.
 
-    A round re-factors K_k K = image^T coef as vh^T (s u^T coef) from the
-    SVD u s vh of the image rows, dropping directions at or below 1e-13 of
-    the largest singular value. A rank-one round, K_k = |u_k><w_k|, SVDs
-    only the rows contracted with <w_k| on the targets and puts |u_k> back
-    on the new rows; a single-outcome unitary round keeps ``coef``, since
-    the image of orthonormal rows is orthonormal."""
+    A round re-factors K_k K = image^T coef with :func:`_refactor`. A
+    rank-one round, K_k = |u_k><w_k|, factors only the rows contracted
+    with <w_k| on the targets and puts |u_k> back on the new rows; a
+    single-outcome unitary round keeps ``coef``, since the image of
+    orthonormal rows is orthonormal."""
     if isinstance(node, Leaf):
         factors.append(coef)
         guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
@@ -500,26 +499,28 @@ def _flatten(node, basis, coef, dims, states, factors, guesses) -> None:
         shape = moved.shape[1:]
         back = [0] + [int(p) + 1 for p in np.argsort(order)]
         for ket, rows, child in zip(kets, contracted, node.children):
-            image, part = basis, coef
-            if n:
-                u, s, vh = np.linalg.svd(rows, full_matrices=False)
-                r = int(np.count_nonzero(s > 1e-13 * s[0]))
-                image = (ket[:, None] * vh[:r, None, :]).reshape((r,) + shape)
-                image = image.transpose(back).reshape(r, d)
-                part = (s[:r, None] * u[:, :r].T) @ coef
-            _flatten(child, image, part, dims, states, factors, guesses)
+            vh, part = _refactor(rows, coef)
+            image = (ket[:, None] * vh[:, None, :]).reshape((len(vh),) + shape)
+            _flatten(child, image.transpose(back).reshape(len(vh), d), part,
+                     dims, states, factors, guesses)
         return
     images = apply_to_batch(inst._stack, inst.targets, basis, dims)  # (K_k basis^T)^T
     if inst._unitary:
         _flatten(node.children[0], images[0], coef, dims, states, factors, guesses)
         return
     for image, child in zip(images, node.children):
-        part = coef
-        if len(image):
-            u, s, vh = np.linalg.svd(image, full_matrices=False)
-            r = int(np.count_nonzero(s > 1e-13 * s[0]))
-            image, part = vh[:r], (s[:r, None] * u[:, :r].T) @ coef
-        _flatten(child, image, part, dims, states, factors, guesses)
+        _flatten(child, *_refactor(image, coef), dims, states, factors, guesses)
+
+
+def _refactor(rows: np.ndarray, coef: np.ndarray):
+    """``(vh, part)`` with rows^T coef = vh^T part and orthonormal rows in
+    ``vh``, from the SVD u s vh of ``rows``: part = s u^T coef, dropping
+    directions at or below 1e-13 of the largest singular value."""
+    if not len(rows):
+        return rows, coef
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    r = int(np.count_nonzero(s > 1e-13 * s[0]))
+    return vh[:r], (s[:r, None] * u[:, :r].T) @ coef
 
 
 def relabel_parties(tree, mapping: Mapping[str, str]):

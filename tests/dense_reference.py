@@ -3,6 +3,9 @@
 import math
 
 import numpy as np
+from scipy import sparse
+
+from locce.protocols import Leaf
 
 
 def embed_operator(mat, targets, dims) -> np.ndarray:
@@ -19,3 +22,25 @@ def embed_operator(mat, targets, dims) -> np.ndarray:
     back = list(np.argsort(order))
     full = full.transpose(back + [len(dims) + k for k in back])
     return full.reshape(math.prod(dims), math.prod(dims))
+
+
+def branch_kraus(tree, dims):
+    """The dense Kraus product K_b of every branch of ``tree``, in leaf order.
+
+    Each instrument is embedded once, as a sparse matrix, however many
+    nodes share it.
+    """
+    embedded = {}
+
+    def walk(node, kmat):
+        if isinstance(node, Leaf):
+            yield kmat
+            return
+        inst = node.instrument
+        if id(inst) not in embedded:
+            embedded[id(inst)] = [sparse.csr_array(embed_operator(k, inst.targets, dims))
+                                  for k in inst.kraus]
+        for kraus, child in zip(embedded[id(inst)], node.children):
+            yield from walk(child, kraus @ kmat)
+
+    yield from walk(tree, np.eye(math.prod(dims), dtype=complex))

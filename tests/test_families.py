@@ -11,6 +11,7 @@ from locce.tensor import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    StateVector,
     apply_to_batch,
     entanglement_entropy,
     schmidt,
@@ -111,6 +112,23 @@ def test_ghz_state_values():
     from locce.tensor import all_bipartitions
     for cut in all_bipartitions(4):
         assert entanglement_entropy(four, cut) == pytest.approx(1.0)
+
+
+def _qubit_pair(a, b) -> Ensemble:
+    return Ensemble(PartyLayout((("A", (0,)),)),
+                    ((0.5, StateVector((2,), a)), (0.5, StateVector((2,), b))))
+
+
+def test_is_orthonormal_refuses_an_overlap_that_is_purely_imaginary():
+    # <a|b> = i / sqrt 2: the real part of the Gram is the identity
+    ens = _qubit_pair(np.array([1, 0]), np.array([1j, 1]) / math.sqrt(2))
+    assert np.allclose(ens.gram().real, np.eye(2))
+    assert not ens.is_orthonormal()
+
+
+def test_is_orthonormal_refuses_a_real_basis_that_is_not_orthogonal():
+    assert not _qubit_pair(np.array([1, 0]), np.array([1, 1]) / math.sqrt(2)).is_orthonormal()
+    assert _qubit_pair(np.array([1, 0]), np.array([0, 1])).is_orthonormal()
 
 
 # -- Lattice ------------------------------------------------------------------

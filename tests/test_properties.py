@@ -1,5 +1,6 @@
 """Property tests: random complete instruments on the split three-qubit GHZ
-basis, random POVMs held as factors or dense elements, the separable bound
+basis, random trees that mix rank-one, unitary and general rounds on 2 or
+3 Bell pairs, random POVMs held as factors or dense elements, the separable bound
 on random bases, and the one-way residual, its gradient and its Hessian
 against their brute-force Kronecker form."""
 
@@ -12,6 +13,7 @@ from locce.families import (
     PartyLayout,
     bell_basis,
     ghz_basis,
+    lattice_basis,
     parametric_basis,
     single_qubit_layout,
 )
@@ -43,9 +45,10 @@ from locce.protocols import (
     run_protocol,
     tree_from_json,
     tree_to_json,
+    unitary_instrument,
 )
 
-from dense_reference import embed_operator
+from dense_reference import branch_kraus
 
 ENSEMBLE = ghz_basis(3, (1, 1, 1))
 PROBLEM = JointProblem(ENSEMBLE)
@@ -95,24 +98,54 @@ def test_run_protocol_matches_flattened_povm(tree):
     assert abs(run_protocol(PROBLEM, tree).fidelity - flat) <= ATOL
 
 
-def dense_elements(node, kmat: np.ndarray):
-    """K_b^dagger K_b of every branch below ``node``, from d x d products."""
-    if isinstance(node, Leaf):
-        yield kmat.conj().T @ kmat
-        return
-    inst = node.instrument
-    for kraus, child in zip(inst.kraus, node.children):
-        yield from dense_elements(child, embed_operator(kraus, inst.targets, ENSEMBLE.dims) @ kmat)
-
-
 @settings(deadline=None)
 @given(trees)
 def test_flattened_factors_rebuild_the_dense_branch_elements(tree):
     povm, _ = flatten_to_povm(tree, PROBLEM)
-    want = list(dense_elements(tree, np.eye(ENSEMBLE.dim, dtype=complex)))
+    want = [k.conj().T @ k for k in branch_kraus(tree, ENSEMBLE.dims)]
     assert povm.n_outcomes == len(want)
     for a, element in enumerate(want):
         assert np.max(np.abs(povm.elements[a] - element)) <= 1e-12
+
+
+def random_lattice_round(rng: np.random.Generator, ens: Ensemble) -> Instrument:
+    """One round on one or two of a party's qubits, in a random order: a
+    rank-one projective measurement, a single-outcome unitary or the
+    blocks of a random isometry (1 to 3 outcomes of full rank), about a
+    third of the time each."""
+    party, qubits = ens.layout.parties[rng.integers(2)]
+    targets = tuple(int(q) for q in rng.permutation(qubits)[:rng.integers(1, 3)])
+    d = 2 ** len(targets)
+    kind = rng.integers(3)
+    if kind == 0:
+        return projective_instrument(party, targets, random_unitary(rng, d))
+    if kind == 1:
+        return unitary_instrument(party, targets, random_unitary(rng, d))
+    n_outcomes = int(rng.integers(1, 4))
+    z = rng.normal(size=(d * n_outcomes, d)) + 1j * rng.normal(size=(d * n_outcomes, d))
+    isometry = np.linalg.qr(z)[0]
+    return Instrument(party, targets, tuple(isometry[d * k:d * (k + 1)] for k in range(n_outcomes)))
+
+
+def random_lattice_tree(rng: np.random.Generator, ens: Ensemble, rounds: int):
+    if rounds == 0 or rng.random() < 0.2:
+        if rng.random() < 0.2:
+            return Leaf(ens.states[rng.integers(ens.size)])
+        return Leaf(int(rng.integers(ens.size)))
+    inst = random_lattice_round(rng, ens)
+    return Round(inst, tuple(random_lattice_tree(rng, ens, rounds - 1)
+                             for _ in range(inst.n_outcomes)))
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+def test_flattening_mixed_rounds_on_qubit_pairs_matches_the_walk(pairs, seed, rounds):
+    ens = lattice_basis(pairs)
+    problem = JointProblem(ens)
+    tree = random_lattice_tree(np.random.default_rng(seed), ens, rounds)
+    povm, guesses = flatten_to_povm(tree, problem)  # raises unless the POVM is complete
+    flat = average_fidelity(ens, povm, guesses)
+    assert abs(run_protocol(problem, tree).fidelity - flat) <= ATOL
 
 
 @settings(deadline=None)

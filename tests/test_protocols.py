@@ -21,6 +21,7 @@ from locce.protocols import (
     computational_instrument,
     flatten_to_povm,
     plus_minus_instrument,
+    projective_instrument,
     relabel_parties,
     run_protocol,
     tree_from_json,
@@ -31,7 +32,14 @@ from locce.protocols import (
 )
 from locce.zoo import build_tree, computational_protocol
 
+from dense_reference import branch_kraus
+
 S2 = 1 / math.sqrt(2)
+ATOL = 1e-9
+
+
+def _random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
 # -- resource attachment ------------------------------------------------------
@@ -279,6 +287,58 @@ def test_state_guess_below_a_collapsed_round_matches_flatten():
     tree = Round(plus_minus_instrument("A2", 2), (inner, Leaf(ens.states[1])))
     run, flat = _run_vs_flat(JointProblem(ens), tree)
     assert run == pytest.approx(flat, abs=1e-12)
+
+
+# -- flattening by round kind -------------------------------------------------
+
+def _weak(party, target):
+    """Two-outcome weak measurement of one qubit: neither operator is rank one."""
+    return Instrument(party, (target,), (np.diag([math.sqrt(0.3), math.sqrt(0.7)]),
+                                         np.diag([math.sqrt(0.7), math.sqrt(0.3)])))
+
+
+def _round_kinds():
+    """(tree, SVD calls flattening it makes) on 5 qubits, A holding (0, 4)."""
+    rng = np.random.default_rng(7)
+    u4, u2 = _random_unitary(rng, 4), _random_unitary(rng, 2)
+    rank_one = projective_instrument("A", (4, 0), _random_unitary(rng, 4))
+    nearly = Instrument("B", (3, 1), (u4 @ np.diag([1 + 1e-12, 1, 1, 1]),))
+    measure_0 = computational_instrument("A", (0,), (2,))
+    plus_minus = plus_minus_instrument("B", 2)
+    annihilated = Round(unitary_instrument("B", (2,), u2), (
+        Round(_weak("B", 1), (Round(rank_one, _leaves(4, size=32)), Leaf(3))),))
+    return {
+        # 4 outcomes, and 2 below the first
+        "rank-one-out-of-order": (Round(rank_one, (Round(plus_minus, _leaves(2, size=32)),)
+                                        + _leaves(3, start=1, size=32)), 6),
+        "unitary": (Round(unitary_instrument("A", (4, 0), u4), (Round(plus_minus, _leaves(2)),)), 2),
+        "nearly-complete": (Round(nearly, (Leaf(5),)), 1),
+        "weak": (Round(_weak("B", 3), (Round(rank_one, _leaves(4, size=32)), Leaf(1))), 6),
+        # measure_0 again: its outcome 1 leaves no rows, and no round below SVDs
+        "annihilating": (Round(measure_0, (Round(measure_0, (Leaf(0), annihilated)), Leaf(1))), 4),
+    }
+
+
+ROUND_KINDS = _round_kinds()
+
+
+@pytest.mark.parametrize("kind", list(ROUND_KINDS))
+def test_flatten_factors_rebuild_the_dense_kraus_products(kind, monkeypatch):
+    tree, svd_calls = ROUND_KINDS[kind]
+    ens = Ensemble(PartyLayout((("A", (0, 4)), ("B", (1, 2, 3)))), ghz_basis(5, (1,) * 5).members)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw))
+    povm, _ = flatten_to_povm(tree, JointProblem(ens))  # raises unless the POVM is complete
+    assert len(calls) == svd_calls
+    want = list(branch_kraus(tree, ens.dims))
+    assert povm.n_outcomes == len(want)
+    for c, k in zip(povm.factors, want):
+        assert np.max(np.abs(c.conj().T @ c - k.conj().T @ k)) <= ATOL
+    if kind == "annihilating":
+        assert [len(c) for c in povm.factors] == [16] + [0] * 5 + [16]
+    if kind == "nearly-complete":
+        assert not tree.instrument._unitary
 
 
 # -- coarsening and resource invariance ---------------------------------------

@@ -43,6 +43,8 @@ from locce.zoo import (
     vidal_then_fallback,
 )
 
+from dense_reference import branch_kraus
+
 S2 = 1 / math.sqrt(2)
 
 
@@ -399,3 +401,36 @@ def test_zoo_flatten_emits_thin_factors(name):
     assert len(factors) == povm.n_outcomes == d
     assert sum(len(c) for c in factors) == d  # every branch element has rank 1
     assert sum(c.nbytes for c in factors) < 2 * d * d * 16
+
+
+def _instruments(node):
+    if not isinstance(node, Leaf):
+        yield node.instrument
+        for child in node.children:
+            yield from _instruments(child)
+
+
+@pytest.mark.parametrize("name", ["lattice-2-2", "partitioned-ghz-4-22"])
+def test_zoo_flatten_factors_contracted_rows_and_skips_unitary_rounds(name, monkeypatch):
+    (entry,) = [e for e in standard_zoo() if e.name == name]
+    instruments = list(_instruments(entry.tree))
+    assert any(inst._unitary for inst in instruments)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    flatten_to_povm(entry.tree, entry.problem)
+    # the rank-one rounds act on 2 of the 8 qubits: 64 columns to factor, never 256
+    assert max(cols for _, cols in shapes) <= 64
+    # one SVD per outcome of every round but the single-outcome unitary ones
+    assert len(shapes) == sum(inst.n_outcomes for inst in instruments if not inst._unitary)
+
+
+def test_zoo_flatten_factor_ranks_match_the_dense_kraus_products():
+    for entry in standard_zoo():
+        povm, _ = flatten_to_povm(entry.tree, entry.problem)
+        ranks = []
+        for k in branch_kraus(entry.tree, entry.problem.joint.dims):
+            # all-zero rows and columns change no rank, and dropping them keeps it cheap
+            k = k[np.any(k != 0, axis=1)][:, np.any(k != 0, axis=0)]
+            ranks.append(int(np.linalg.matrix_rank(k)))
+        assert [len(c) for c in povm.factors] == ranks, entry.name
