@@ -59,12 +59,12 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
-def random_instrument(rng: np.random.Generator) -> Instrument:
+def random_instrument(rng: np.random.Generator, ens: Ensemble) -> Instrument:
     """A party's qubit measured by the 2x2 blocks of a random isometry, or
     about half the time projected onto the rows of a random unitary (rank
     one, so the walk splits the qubit off and restores it when it is
     measured again)."""
-    party, (target,) = ENSEMBLE.layout.parties[rng.integers(len(ENSEMBLE.layout.parties))]
+    party, (target,) = ens.layout.parties[rng.integers(len(ens.layout.parties))]
     if rng.random() < 0.5:
         return projective_instrument(party, (target,), random_unitary(rng, 2))
     n_outcomes = int(rng.integers(1, 4))
@@ -74,13 +74,15 @@ def random_instrument(rng: np.random.Generator) -> Instrument:
     return Instrument(party, (target,), kraus)
 
 
-def random_tree(rng: np.random.Generator, rounds: int):
+def random_tree(rng: np.random.Generator, rounds: int, ens: Ensemble = ENSEMBLE,
+                make_round=random_instrument):
     if rounds == 0 or rng.random() < 0.2:
         if rng.random() < 0.2:
-            return Leaf(ENSEMBLE.states[rng.integers(ENSEMBLE.size)])
-        return Leaf(int(rng.integers(ENSEMBLE.size)))
-    inst = random_instrument(rng)
-    return Round(inst, tuple(random_tree(rng, rounds - 1) for _ in range(inst.n_outcomes)))
+            return Leaf(ens.states[rng.integers(ens.size)])
+        return Leaf(int(rng.integers(ens.size)))
+    inst = make_round(rng, ens)
+    return Round(inst, tuple(random_tree(rng, rounds - 1, ens, make_round)
+                             for _ in range(inst.n_outcomes)))
 
 
 trees = st.builds(
@@ -127,22 +129,12 @@ def random_lattice_round(rng: np.random.Generator, ens: Ensemble) -> Instrument:
     return Instrument(party, targets, tuple(isometry[d * k:d * (k + 1)] for k in range(n_outcomes)))
 
 
-def random_lattice_tree(rng: np.random.Generator, ens: Ensemble, rounds: int):
-    if rounds == 0 or rng.random() < 0.2:
-        if rng.random() < 0.2:
-            return Leaf(ens.states[rng.integers(ens.size)])
-        return Leaf(int(rng.integers(ens.size)))
-    inst = random_lattice_round(rng, ens)
-    return Round(inst, tuple(random_lattice_tree(rng, ens, rounds - 1)
-                             for _ in range(inst.n_outcomes)))
-
-
 @settings(deadline=None)
 @given(st.sampled_from((2, 3)), st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
 def test_flattening_mixed_rounds_on_qubit_pairs_matches_the_walk(pairs, seed, rounds):
     ens = lattice_basis(pairs)
     problem = JointProblem(ens)
-    tree = random_lattice_tree(np.random.default_rng(seed), ens, rounds)
+    tree = random_tree(np.random.default_rng(seed), rounds, ens, random_lattice_round)
     povm, guesses = flatten_to_povm(tree, problem)  # raises unless the POVM is complete
     flat = average_fidelity(ens, povm, guesses)
     assert abs(run_protocol(problem, tree).fidelity - flat) <= ATOL
