@@ -45,6 +45,7 @@ resource subsystems in front of its unknown-state subsystems.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -320,93 +321,154 @@ class ProtocolResult:
 
 
 def _probabilities(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each member row."""
-    return np.real(np.einsum("id,id->i", rows.conj(), rows))
+    """Squared norm along the last axis, taken over runs of the first axis
+    that keep the complex temporaries near 4 MiB; a new float array."""
+    probs = np.empty(rows.shape[:-1])
+    step = max(1, (1 << 22) // max(1, rows[:1].nbytes))
+    for start in range(0, len(rows), step):
+        run = rows[start:start + step]
+        probs[start:start + step] = np.real(np.einsum("...d,...d->...", run.conj(), run))
+    return probs
 
 
-class _Batch(NamedTuple):
-    """The member rows that reach one round.
+class _Entry(NamedTuple):
+    """A round that the walk has entered, with the member rows that reach it.
 
-    Row axes are the original subsystems ``axes``; each ``(group, ket)``
-    in ``held`` is a group of subsystems whose factor ``ket`` was split
-    off the rows.
+    ``path`` holds the outcomes from the root and ``steps`` the records
+    made on the way. The rows are ``block[index]``, with ``block`` the
+    output of the contraction above. Row axes are the original subsystems
+    ``axes``; each ``(group, ket)`` in ``held`` is a group of subsystems
+    whose factor ``ket`` was split off the rows.
     """
 
-    rows: np.ndarray
+    node: Round
+    path: tuple[int, ...]
+    steps: tuple[StepRecord, ...]
+    block: np.ndarray
+    index: int
     axes: tuple[int, ...]
     held: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
 
 def _push_rows(tree, states, dims, priors, prune, leaf):
-    """Push the member rows ``states`` through ``tree`` depth first,
-    replacing each leaf by ``leaf(node, probs, steps)`` with ``probs`` the
-    squared norm of every member's row there; return the new tree, or
-    ``tree`` itself if no leaf changed. Outcomes whose weighted probability
-    is below ``prune`` are not entered, and each entered one adds a
-    StepRecord shared by the branches below; ``prune=None`` enters every
-    outcome and records no steps.
+    """Push the member rows ``states`` through ``tree`` one depth at a
+    time, replacing each leaf by ``leaf(node, probs, steps)`` with
+    ``probs`` the squared norm of every member's row there; return the new
+    tree, or ``tree`` itself if no leaf changed.
+
+    The rounds entered at one depth are grouped by the shape of their
+    step (targets, outcome count, rank one or not, row axes and held
+    groups), never by instrument, and each group is contracted at once
+    (:func:`_contract`). Leaves are collected with their outcome paths and
+    handed to ``leaf`` in depth-first order. Outcomes whose weighted
+    probability is below ``prune`` are not entered, and each entered one
+    adds a StepRecord shared by the branches below; ``prune=None`` enters
+    every outcome and records no steps.
     """
     if isinstance(tree, Leaf):
         return leaf(tree, _probabilities(states), ())
-    batch = _Batch(states, tuple(range(len(dims))), ())
-    return _descend(tree, batch, tuple(dims), priors, prune, leaf, ())
+    dims = tuple(dims)
+    frontier = [_Entry(tree, (), (), states[None], 0, tuple(range(len(dims))), ())]
+    leaves: list = []  # (path, leaf node, probs, steps)
+    while frontier:
+        groups: dict = {}
+        for entry in frontier:
+            inst = entry.node.instrument
+            key = (inst.targets, inst.n_outcomes, inst._rank_one is None, entry.axes,
+                   tuple(group for group, _ in entry.held))
+            groups.setdefault(key, []).append(entry)
+        frontier = []
+        for group in groups.values():
+            frontier += _contract(group, dims, priors, prune, leaves)
+    leaves.sort(key=lambda item: item[0])
+    changed = []
+    for path, node, probs, steps in leaves:
+        new = leaf(node, probs, steps)
+        if new is not node:
+            changed.append((path, new))
+    return _rebuild(tree, changed, 0) if changed else tree
 
 
-def _descend(node: Round, batch: _Batch, dims, priors, prune, leaf, steps):
-    """:func:`_push_rows` below the root, for a round reached by ``batch``."""
-    inst = node.instrument
-    rows, axes, held = _expand(batch, inst.targets)
-    pos = tuple(axes.index(t) for t in inst.targets)
-    local = tuple(dims[a] for a in axes)
-    factors = inst._rank_one
-    if factors is not None:
-        kets, bras = factors
-        axes = tuple(a for a in axes if a not in inst.targets)
-        out = _collapse(bras, pos, rows, local)
+def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
+    """Apply the rounds of ``group``, which share the shape of their step,
+    to their stacked rows (shape (B, members, width)) in one product:
+    ``<w|`` for rank-one rounds, the Kraus stacks otherwise. Append the
+    entered leaves to ``leaves`` and return the entered rounds below."""
+    first = group[0]
+    targets = first.node.instrument.targets
+    if len(group) == len(first.block) and all(
+            entry.block is first.block and entry.index == b for b, entry in enumerate(group)):
+        rows = first.block  # every round below one contraction, in order: no copy
     else:
-        out = apply_to_batch(inst._stack, pos, rows, local)
-    # copied out of the complex sums, so that branch records keep only floats
-    probs = np.real(np.einsum("kid,kid->ki", out.conj(), out)).copy()
-    if prune is not None:
-        survivors = np.count_nonzero(probs > prune, axis=1)
-    children = list(node.children)
-    for k, child in enumerate(node.children):
-        below = steps
-        if prune is not None:
-            if float(np.dot(priors, probs[k])) < prune:
-                continue
-            below = steps + (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
-                                        int(survivors[k])),)
-        if isinstance(child, Leaf):
-            children[k] = leaf(child, probs[k], below)
+        rows = np.stack([entry.block[entry.index] for entry in group])
+    n_entries, members = rows.shape[:2]
+    axes, kept = first.axes, []
+    for j, (held_group, _) in enumerate(first.held):
+        if set(held_group).isdisjoint(targets):
+            kept.append(j)
             continue
-        sub = _Batch(out[k], axes, held if factors is None else held + ((inst.targets, kets[k]),))
-        children[k] = _descend(child, sub, dims, priors, prune, leaf, below)
-    if all(new is old for new, old in zip(children, node.children)):
-        return node
-    return Round(inst, tuple(children))
-
-
-def _expand(batch: _Batch, targets):
-    """Rows, axes and held groups of ``batch`` after tensoring back the
-    split-off factor of every group that ``targets`` touch."""
-    rows, axes, held = batch.rows, batch.axes, batch.held
-    for group, ket in batch.held:
-        if not set(group).isdisjoint(targets):
-            rows = (rows[:, :, None] * ket).reshape(len(rows), rows.shape[1] * ket.size)
-            axes += group
-            held = tuple(h for h in held if h[0] != group)
-    return rows, axes, held
+        kets = np.stack([entry.held[j][1] for entry in group])
+        rows = (rows[:, :, :, None] * kets[:, None, None, :]).reshape(n_entries, members, -1)
+        axes += held_group
+    pos = tuple(axes.index(t) for t in targets)
+    local = tuple(dims[a] for a in axes)
+    rank_one = first.node.instrument._rank_one is not None
+    if rank_one:
+        factors = [entry.node.instrument._rank_one for entry in group]
+        split = np.stack([kets for kets, _ in factors])
+        out = _collapse(np.stack([bras for _, bras in factors]), pos, rows, local)
+        axes = tuple(a for a in axes if a not in targets)
+    else:
+        ops = np.stack([entry.node.instrument._stack for entry in group])
+        out = apply_to_batch(ops, pos, rows.reshape(n_entries * members, -1), local)
+    probs = _probabilities(out)
+    if prune is not None:
+        weights = probs @ priors
+        survivors = np.count_nonzero(probs > prune, axis=2)
+    n_outcomes = out.shape[1]
+    out = out.reshape((-1,) + out.shape[2:])  # row blocks of the rounds below
+    below = []
+    for b, entry in enumerate(group):
+        inst = entry.node.instrument
+        held = tuple(entry.held[j] for j in kept)
+        for k, child in enumerate(entry.node.children):
+            steps = entry.steps
+            if prune is not None:
+                if weights[b, k] < prune:
+                    continue
+                steps += (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
+                                     int(survivors[b, k])),)
+            path = entry.path + (k,)
+            if isinstance(child, Leaf):
+                leaves.append((path, child, probs[b, k], steps))
+            else:
+                below.append(_Entry(child, path, steps, out, b * n_outcomes + k, axes,
+                                    held + ((targets, split[b, k]),) if rank_one else held))
+    return below
 
 
 def _collapse(bras: np.ndarray, pos, rows: np.ndarray, local) -> np.ndarray:
-    """<bras[k]| on the axes ``pos`` of every row, in one product: shape
-    (k, rows, remaining dimension)."""
-    n, width = rows.shape
-    dloc = bras.shape[1]
-    arr = np.moveaxis(rows.reshape((n,) + local), [p + 1 for p in pos], range(len(pos)))
-    out = bras @ arr.reshape(dloc, n * (width // dloc))
-    return out.reshape(len(bras), n, width // dloc)
+    """<bras[b, k]| on the axes ``pos`` of every row of ``rows[b]``, one
+    (k, dloc) @ (dloc, members * rest) product per b: shape (B, k, members,
+    remaining dimension)."""
+    n_entries, members, width = rows.shape
+    dloc = bras.shape[2]
+    arr = np.moveaxis(rows.reshape((n_entries, members) + local), [p + 2 for p in pos],
+                      range(1, len(pos) + 1))
+    out = bras @ arr.reshape(n_entries, dloc, members * (width // dloc))
+    return out.reshape(n_entries, bras.shape[1], members, width // dloc)
+
+
+def _rebuild(node, leaves, depth: int):
+    """``node`` with the leaves below it replaced: ``leaves`` holds the
+    sorted ``(path, new leaf)`` pairs whose paths pass through ``node``,
+    which sits at ``depth``. Subtrees that hold none are kept as they are."""
+    if isinstance(node, Leaf):
+        return leaves[0][1]
+    children = list(node.children)
+    for k, below in itertools.groupby(leaves, key=lambda item: item[0][depth]):
+        children[k] = _rebuild(children[k], list(below), depth + 1)
+    return Round(node.instrument, tuple(children))
 
 
 def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolResult:
@@ -415,30 +477,31 @@ def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolR
     validate_tree(tree, ens)
     states = ens.amplitude_matrix()
     priors = ens.priors
-    member_overlap = np.abs(states.conj() @ states.T) ** 2  # |<psi_i|psi_g>|^2
-
     branches: list[BranchRecord] = []
-    total = 0.0
+    guesses: list = []
 
     def record(leaf, probs, steps):
-        nonlocal total
-        if isinstance(leaf.guess, int):
-            overlap = member_overlap[:, leaf.guess]
-            guess_index = leaf.guess
-        else:
-            overlap = np.abs(states.conj() @ leaf.guess.amps) ** 2
-            guess_index = None
-        total += float(np.dot(priors * probs, overlap))
+        guesses.append(leaf.guess)
         branches.append(BranchRecord(
             steps=steps,
             probability=float(np.dot(priors, probs)),
             member_probabilities=probs,
             survivors=tuple(int(i) for i in np.flatnonzero(probs > prune)),
-            guess_index=guess_index,
+            guess_index=leaf.guess if isinstance(leaf.guess, int) else None,
         ))
         return leaf
 
     _push_rows(tree, states, ens.dims, priors, prune, record)
+    members = sorted({g for g in guesses if isinstance(g, int)})
+    # |<psi_i|psi_g>|^2 for the guessed members g only, in one product
+    overlaps = dict(zip(members, (np.abs(states.conj() @ states[members].T) ** 2).T))
+    total = 0.0
+    for branch, guess in zip(branches, guesses):
+        if isinstance(guess, int):
+            overlap = overlaps[guess]
+        else:
+            overlap = np.abs(states.conj() @ guess.amps) ** 2
+        total += float(np.dot(priors * branch.member_probabilities, overlap))
     return ProtocolResult(float(total), tuple(branches))
 
 
@@ -524,14 +587,23 @@ def _refactor(rows: np.ndarray, coef: np.ndarray):
 
 
 def relabel_parties(tree, mapping: Mapping[str, str]):
-    """Rename acting parties (e.g. after coarsening); targets unchanged."""
-    if isinstance(tree, Leaf):
-        return tree
-    inst = tree.instrument
-    new_inst = Instrument(
-        mapping.get(inst.party, inst.party), inst.targets, inst.kraus, inst.labels,
-    )
-    return Round(new_inst, tuple(relabel_parties(c, mapping) for c in tree.children))
+    """Rename acting parties (e.g. after coarsening); targets unchanged.
+
+    Rounds that share an instrument share its relabelled copy, which is
+    built and checked once."""
+    renamed: dict[int, Instrument] = {}
+
+    def relabel(node):
+        if isinstance(node, Leaf):
+            return node
+        inst = node.instrument
+        if id(inst) not in renamed:
+            renamed[id(inst)] = Instrument(
+                mapping.get(inst.party, inst.party), inst.targets, inst.kraus, inst.labels,
+            )
+        return Round(renamed[id(inst)], tuple(relabel(c) for c in node.children))
+
+    return relabel(tree)
 
 
 # -- serialization -----------------------------------------------------------

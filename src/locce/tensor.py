@@ -344,6 +344,10 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
     order; ``batch`` has shape (n, prod(dims)). Rows are not normalized.
     A stack of k operators, shape (k, dloc, dloc), is applied in one
     contraction and gives one batch per operator, shape (k, n, prod(dims)).
+    B stacks, shape (B, k, dloc, dloc), apply stack b to the b-th of B
+    equal runs of consecutive rows, all in the same contraction, and give
+    shape (B, k, n / B, prod(dims)). Every row meets each operator in its
+    own (dloc, dloc) @ (dloc, rest) product.
     """
     dims = tuple(dims)
     batch = np.asarray(batch, dtype=complex)
@@ -353,20 +357,24 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
     n = batch.shape[0]
     targets = tuple(int(t) for t in targets)
     dloc = _prod(dims[t] for t in targets)
-    if mat.shape[-2:] != (dloc, dloc) or mat.ndim not in (2, 3):
+    if mat.shape[-2:] != (dloc, dloc) or mat.ndim not in (2, 3, 4):
         raise ValueError(f"operator shape {mat.shape} != target space ({dloc}, {dloc})")
-    ops = mat if mat.ndim == 3 else mat[None]
+    runs = len(mat) if mat.ndim == 4 else 1
+    if not runs or n % runs:
+        raise ValueError(f"{n} rows do not split into {runs} equal runs")
+    ops = mat.reshape((runs, -1, dloc, dloc))
+    k = ops.shape[1]
     arr = batch.reshape((n,) + dims)
     src = [t + 1 for t in targets]
     dst = list(range(1, len(targets) + 1))
     arr = np.moveaxis(arr, src, dst)
     moved_shape = arr.shape
-    arr = arr.reshape(n, dloc, _prod(dims) // dloc)
-    arr = np.matmul(ops[:, None], arr).reshape((len(ops),) + moved_shape)
-    arr = np.moveaxis(arr, [d + 1 for d in dst], [s + 1 for s in src])
-    out = arr.reshape(len(ops), n, _prod(dims))
-    if mat.ndim == 2:
-        out = out[0]
+    arr = arr.reshape(runs, 1, n // runs, dloc, _prod(dims) // dloc)
+    arr = np.matmul(ops[:, :, None], arr).reshape((runs, k, n // runs) + moved_shape[1:])
+    arr = np.moveaxis(arr, [d + 2 for d in dst], [s + 2 for s in src])
+    out = arr.reshape(runs, k, n // runs, _prod(dims))
+    if mat.ndim < 4:
+        out = out[0, 0] if mat.ndim == 2 else out[0]
     return out[..., 0, :] if squeeze else out
 
 

@@ -36,6 +36,7 @@ from locce.oneway import (
     to_matrix_rep,
 )
 from locce.protocols import (
+    PRUNE,
     Instrument,
     JointProblem,
     Leaf,
@@ -146,6 +147,28 @@ def test_member_probabilities_sum_to_one_without_pruning(tree):
     result = run_protocol(PROBLEM, tree, prune=0.0)
     total = sum(br.member_probabilities for br in result.branches)
     assert np.max(np.abs(total - 1.0)) <= ATOL
+
+
+def leaf_paths(node, path=()):
+    """Outcome paths of the leaves of ``node``, depth first."""
+    if isinstance(node, Leaf):
+        return [path]
+    return [p for k, child in enumerate(node.children) for p in leaf_paths(child, path + (k,))]
+
+
+@settings(deadline=None)
+@given(trees)
+def test_branches_come_out_depth_first_and_match_the_unpruned_walk(tree):
+    full = run_protocol(PROBLEM, tree, prune=0.0)
+    paths = [tuple(step.outcome for step in br.steps) for br in full.branches]
+    assert paths == leaf_paths(tree)
+    unpruned = dict(zip(paths, full.branches))
+    pruned = run_protocol(PROBLEM, tree)
+    kept = [tuple(step.outcome for step in br.steps) for br in pruned.branches]
+    assert kept == sorted(kept)
+    for path, branch in zip(kept, pruned.branches):
+        assert branch.steps == unpruned[path].steps
+        assert branch.probability == unpruned[path].probability >= PRUNE
 
 
 @settings(deadline=None)

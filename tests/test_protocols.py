@@ -12,10 +12,12 @@ from locce.tensor import StateVector, bell_vectors
 from locce.families import Ensemble, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, single_qubit_layout
 from locce.fidelity import average_fidelity
 from locce.protocols import (
+    PRUNE,
     Instrument,
     JointProblem,
     Leaf,
     Round,
+    _push_rows,
     attach_resource,
     bell_instrument,
     computational_instrument,
@@ -30,7 +32,7 @@ from locce.protocols import (
     validate_one_way,
     validate_tree,
 )
-from locce.zoo import build_tree, computational_protocol
+from locce.zoo import build_tree, computational_protocol, sequential_bell_protocol
 
 from dense_reference import branch_kraus
 
@@ -287,6 +289,108 @@ def test_state_guess_below_a_collapsed_round_matches_flatten():
     tree = Round(plus_minus_instrument("A2", 2), (inner, Leaf(ens.states[1])))
     run, flat = _run_vs_flat(JointProblem(ens), tree)
     assert run == pytest.approx(flat, abs=1e-12)
+
+
+# -- the level-by-level walk --------------------------------------------------
+
+def _paths(result):
+    return [tuple(step.outcome for step in branch.steps) for branch in result.branches]
+
+
+def _leaf_paths(node, path=()):
+    """Outcome paths of the leaves of ``node``, depth first."""
+    if isinstance(node, Leaf):
+        return [path]
+    return [p for k, child in enumerate(node.children) for p in _leaf_paths(child, path + (k,))]
+
+
+def _mixed_depth_tree(ens):
+    """Leaves at depths 2 and 3 below rounds of every kind: rank-one on a
+    qubit kept in the rows, on a split-off qubit and on a pair that holds
+    one, and a general round; measuring qubit 0 twice gives an outcome no
+    member reaches."""
+    measure = computational_instrument("A1", (0,), (2,))
+    first = Round(plus_minus_instrument("A2", 2), (
+        Leaf(ens.states[2]),
+        Round(measure, (Leaf(0), Leaf(1))),
+    ))
+    second = Round(_weak("A2", 2), (
+        Round(bell_instrument("A1", (0, 1)), _leaves(4, start=4, size=8)),
+        Leaf(ens.states[5]),
+    ))
+    return Round(measure, (first, second))
+
+
+def test_walk_gives_depth_first_branches_on_a_mixed_depth_tree():
+    ens = ghz_basis(3, (2, 1))  # A1 holds qubits 0 and 1
+    problem, tree = JointProblem(ens), _mixed_depth_tree(ens)
+    full = run_protocol(problem, tree, prune=0.0)
+    assert _paths(full) == _leaf_paths(tree)
+    pruned = run_protocol(problem, tree)
+    paths = _paths(pruned)
+    assert paths == sorted(paths)
+    assert (0, 1, 1) not in paths and len(paths) == len(full.branches) - 1
+    kept = [br for br in full.branches if br.probability >= PRUNE]
+    assert [br.steps for br in pruned.branches] == [br.steps for br in kept]
+    for got, want in zip(pruned.branches, kept):
+        assert got.member_probabilities.tobytes() == want.member_probabilities.tobytes()
+        assert got.guess_index == want.guess_index
+    assert [br.guess_index for br in pruned.branches] == [None, 0, 4, 5, 6, 7, None]
+    run, flat = _run_vs_flat(problem, tree)
+    assert run == pytest.approx(flat, abs=1e-12)
+
+
+def test_walk_rebuilds_only_the_rounds_above_changed_leaves():
+    ens = ghz_basis(3, (2, 1))
+    tree = _mixed_depth_tree(ens)
+    seen = []
+
+    def replace_below_outcome_1(node, _probs, steps):
+        seen.append(node)
+        return Leaf(7) if steps[0].outcome == 1 else node
+
+    new = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, PRUNE,
+                     replace_below_outcome_1)
+    assert seen[0] is tree.children[0].children[0]  # handed over depth first
+    assert new.children[0] is tree.children[0]
+    assert new.children[1] is not tree.children[1]
+    assert _leaf_paths(new) == _leaf_paths(tree)
+    assert _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, PRUNE,
+                      lambda node, _p, _s: node) is tree
+
+
+def _instruments(node, found=None):
+    found = {} if found is None else found
+    if isinstance(node, Round):
+        found[id(node.instrument)] = node.instrument
+        for child in node.children:
+            _instruments(child, found)
+    return found
+
+
+def test_json_copy_of_a_shared_chain_gives_bit_identical_branches():
+    problem, tree = sequential_bell_protocol(3, ("A2", "A1", "A3"))
+    copy = tree_from_json(tree_to_json(tree))
+    assert len(_instruments(copy)) > len(_instruments(tree))  # the copy shares none
+    shared, loaded = run_protocol(problem, tree), run_protocol(problem, copy)
+    assert shared.fidelity.hex() == loaded.fidelity.hex()
+    assert len(shared.branches) == len(loaded.branches) == 64
+    for a, b in zip(shared.branches, loaded.branches):
+        assert a.probability.hex() == b.probability.hex()
+        assert a.member_probabilities.tobytes() == b.member_probabilities.tobytes()
+        assert (a.steps, a.survivors, a.guess_index) == (b.steps, b.survivors, b.guess_index)
+
+
+def test_relabelling_keeps_instrument_sharing():
+    problem, tree = sequential_bell_protocol(3)
+    joint = problem.joint
+    grouping = {name: "ALL" for name in joint.layout.names}
+    coarse_tree = relabel_parties(tree, grouping)
+    before, after = _instruments(tree), _instruments(coarse_tree)
+    assert len(after) == len(before) < 64
+    assert {inst.party for inst in after.values()} == {"ALL"}
+    coarse = JointProblem(Ensemble(coarsen(joint.layout, grouping), joint.members))
+    assert run_protocol(coarse, coarse_tree).fidelity == run_protocol(problem, tree).fidelity
 
 
 # -- flattening by round kind -------------------------------------------------

@@ -334,6 +334,20 @@ def test_apply_stack_matches_one_operator_at_a_time():
     assert np.allclose(apply_to_batch(stack, (2, 1), batch[0], dims), out[:, 0])
 
 
+def test_apply_stacks_to_runs_of_rows_matches_each_run_alone():
+    rng = np.random.default_rng(31)
+    dims = (2, 3, 2)
+    batch = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
+    stacks = rng.standard_normal((3, 2, 6, 6)) + 1j * rng.standard_normal((3, 2, 6, 6))
+    out = apply_to_batch(stacks, (2, 1), batch, dims)
+    assert out.shape == (3, 2, 2, 12)
+    for b, stack in enumerate(stacks):
+        alone = apply_to_batch(stack, (2, 1), batch[2 * b:2 * b + 2], dims)
+        assert out[b].tobytes() == alone.tobytes()  # the same products, bit for bit
+    with pytest.raises(ValueError, match="equal runs"):
+        apply_to_batch(stacks, (2, 1), batch[:5], dims)
+
+
 def test_apply_to_an_empty_batch():
     mat = np.eye(2, dtype=complex)
     empty = np.zeros((0, 8), dtype=complex)

@@ -17,7 +17,9 @@ generalized Bell basis, the one case whose corrections are not Paulis,
 the partial lattice teleport of 2 of 3 pairs, teleportation of the
 2-pair lattice basis from B to A, two unknown qubits per party, and its
 teleportation from A to B with the parties' subsystems listed out of
-order, A = (2, 0) and B = (3, 1).
+order, A = (2, 0) and B = (3, 1). Two cases hold trees whose rounds share
+no instrument: the first chain after a JSON round trip, and the (2, 2, 1)
+partitioned GHZ protocol coarsened to one party by ``relabel_parties``.
 Two commits agree bit for bit when their outputs are identical (see the
 README for the diff recipe).
 Uses only the standard library, numpy and ``locce``.
@@ -25,8 +27,14 @@ Uses only the standard library, numpy and ``locce``.
 
 import hashlib
 
-from locce.families import Ensemble, Graph, PartyLayout, lattice_basis
-from locce.protocols import run_protocol, tree_to_json
+from locce.families import Ensemble, Graph, PartyLayout, coarsen, lattice_basis
+from locce.protocols import (
+    JointProblem,
+    relabel_parties,
+    run_protocol,
+    tree_from_json,
+    tree_to_json,
+)
 from locce.zoo import (
     graph_decode_protocol,
     lattice_partial_teleport,
@@ -55,6 +63,14 @@ def cases():
     yield "teleport-lattice2-BA", *teleportation_protocol(lattice_basis(2), "B", "A")
     relabelled = Ensemble(PartyLayout((("A", (2, 0)), ("B", (3, 1)))), lattice_basis(2).members)
     yield "teleport-lattice2-relabelled", *teleportation_protocol(relabelled, "A", "B")
+    problem, tree = sequential_bell_protocol(5, ("A1", "A2", "A3", "A4", "A5"))
+    yield "sequential-bell-5-json", problem, tree_from_json(tree_to_json(tree))
+    problem, tree = partitioned_ghz_protocol(5, (2, 2, 1))
+    joint = problem.joint
+    grouping = {name: "ALL" for name in joint.layout.names}
+    merged = Ensemble(coarsen(joint.layout, grouping), joint.members)
+    yield ("partitioned-ghz-5-221-coarsened", JointProblem(merged),
+           relabel_parties(tree, grouping))
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
