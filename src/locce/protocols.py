@@ -17,15 +17,23 @@ as the POVM element K_b^dagger K_b with guess phi_b. Branches whose total
 weighted probability falls below the pruning threshold are skipped.
 
 The branch walk only needs ||K_b |psi_i>||^2; the overlaps come from the
-original members. It therefore pushes less than the full member rows
-through the tree, and each reduction keeps that norm exact:
+original members, and only the guessed members' columns are formed. It
+therefore pushes less than the full member rows through the tree, and
+each reduction keeps that norm exact:
 
 - an instrument whose Kraus operators are all rank one, K = |u><w| with
   |u| = 1 (every Bell, computational and +/- projector), replaces each
   row by <w|psi> on the remaining subsystems: K|psi> = |u> (x) <w|psi>
   has the same norm, and the split-off |u> is tensored back on only when
   a later instrument acts on one of those subsystems;
-- all Kraus operators of an instrument are applied in one contraction.
+- the walk goes one depth at a time. The rounds entered at a depth are
+  grouped by the shape of their step (targets, outcome count, rank one
+  or not, the axes of their rows and the groups split off them), and
+  each group is applied to its stacked rows in one batched product, all
+  outcomes at once. Every row still meets each operator in the product
+  it would meet alone, so a tree whose rounds share no instrument (one
+  loaded from JSON) gets the same bits as the tree it came from. Leaves
+  are handed on in depth-first order.
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
 reference path of the cross-checks. It carries each Kraus product as
@@ -395,7 +403,7 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
     ``<w|`` for rank-one rounds, the Kraus stacks otherwise. Append the
     entered leaves to ``leaves`` and return the entered rounds below."""
     first = group[0]
-    targets = first.node.instrument.targets
+    targets, n_outcomes = first.node.instrument.targets, first.node.instrument.n_outcomes
     if len(group) == len(first.block) and all(
             entry.block is first.block and entry.index == b for b, entry in enumerate(group)):
         rows = first.block  # every round below one contraction, in order: no copy
@@ -416,7 +424,14 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
     if rank_one:
         factors = [entry.node.instrument._rank_one for entry in group]
         split = np.stack([kets for kets, _ in factors])
-        out = _collapse(np.stack([bras for _, bras in factors]), pos, rows, local)
+        bras = np.stack([bras for _, bras in factors])
+        dloc = bras.shape[2]
+        rest = rows.shape[2] // dloc
+        # <w_k| on the target axes: one (k, dloc) @ (dloc, members * rest) product per round
+        arr = np.moveaxis(rows.reshape((n_entries, members) + local), [p + 2 for p in pos],
+                          range(1, len(pos) + 1))
+        out = (bras @ arr.reshape(n_entries, dloc, members * rest)).reshape(
+            n_entries, n_outcomes, members, rest)
         axes = tuple(a for a in axes if a not in targets)
     else:
         ops = np.stack([entry.node.instrument._stack for entry in group])
@@ -425,7 +440,6 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
     if prune is not None:
         weights = probs @ priors
         survivors = np.count_nonzero(probs > prune, axis=2)
-    n_outcomes = out.shape[1]
     out = out.reshape((-1,) + out.shape[2:])  # row blocks of the rounds below
     below = []
     for b, entry in enumerate(group):
@@ -445,18 +459,6 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
                 below.append(_Entry(child, path, steps, out, b * n_outcomes + k, axes,
                                     held + ((targets, split[b, k]),) if rank_one else held))
     return below
-
-
-def _collapse(bras: np.ndarray, pos, rows: np.ndarray, local) -> np.ndarray:
-    """<bras[b, k]| on the axes ``pos`` of every row of ``rows[b]``, one
-    (k, dloc) @ (dloc, members * rest) product per b: shape (B, k, members,
-    remaining dimension)."""
-    n_entries, members, width = rows.shape
-    dloc = bras.shape[2]
-    arr = np.moveaxis(rows.reshape((n_entries, members) + local), [p + 2 for p in pos],
-                      range(1, len(pos) + 1))
-    out = bras @ arr.reshape(n_entries, dloc, members * (width // dloc))
-    return out.reshape(n_entries, bras.shape[1], members, width // dloc)
 
 
 def _rebuild(node, leaves, depth: int):
