@@ -389,8 +389,11 @@ def run_oneway(params: dict) -> list[Row]:
     except ValueError as exc:
         raise ScenarioError(f"oneway: bad value for field 'lambdas': {exc}") from exc
     rep = to_matrix_rep(bell_basis())
+    # the restarts descend in lockstep, so every one of them is held at once
     if (need := _restart_bytes(rep.d, outcomes)) > MAX_ROW_BYTES:
         _refuse("oneway", "'outcomes'", f"{outcomes} outcomes need {need} B")
+    if (need := restarts * need) > MAX_ROW_BYTES:
+        _refuse("oneway", "'restarts'", f"{restarts} restarts of {outcomes} outcomes need {need} B")
     rows = []
     is_mes = bool(np.max(np.abs(np.asarray(lambdas) - 1.0)) <= 1e-12)
     if is_mes:

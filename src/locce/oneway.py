@@ -12,10 +12,16 @@ positive weights {a_k} with
 The orthogonality residual below is the squared violation of that
 system, scored in d x d space: with Y_k the d x d reshape of phi_k,
 <phi_k|Lambda (x) A|phi_k> = Tr(A G_k^T) for G_k = Y_k^dag Lambda Y_k,
-so no d^2 x d^2 operator is built. :func:`feasibility_search` probes
-the residual with seeded multi-start trust-region Newton descent on the
-exact dense Hessian (:func:`_hessian`, from the same d x d terms). A
-nonzero floor is reported as evidence of infeasibility, never as proof.
+so no d^2 x d^2 operator is built. The evaluators take a stack of
+points, one row per restart.
+
+:func:`feasibility_search` probes the residual with seeded multi-start
+trust-region Newton descent. :func:`minimize` runs every restart at once
+in plain numpy: exact dense Hessians (:func:`_hessian`, from the same
+d x d terms), one batched Steihaug conjugate-gradient subproblem per
+iteration (:func:`_steihaug`), and finished restarts leave the batch.
+Outcomes whose weight vanishes are frozen in place. A nonzero floor is
+reported as evidence of infeasibility, never as proof.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .tensor import TOL, StateVector, _bipartition_matrix, generalized_bell_vectors
 from .families import Ensemble
@@ -140,36 +145,42 @@ def orthogonality_residual(rep: MatrixRep, spectrum: ResourceSpectrum,
         if bad.size:
             raise ValueError(f"{what} {bad[0]} must be positive and finite, got {values[bad[0]]}")
     ys *= (np.sqrt(weights) / norms)[:, None]
-    return _objective(_pack(ys), _pair_products(rep, spectrum), spectrum.lambdas,
-                      len(ys), rep.d)[0]
+    return float(_objective(_pack(ys[None]), _pair_products(rep, spectrum), spectrum.lambdas,
+                            len(ys), rep.d)[0][0])
 
 
 def _pack(ys: np.ndarray) -> np.ndarray:
-    return np.concatenate([ys.real.reshape(-1), ys.imag.reshape(-1)])
+    """(R, K, d^2) complex vectors -> (R, 2 d^2 K) real rows: every real
+    part of a restart, then every imaginary part."""
+    rows = len(ys)
+    return np.concatenate([ys.real.reshape(rows, -1), ys.imag.reshape(rows, -1)], axis=1)
 
 
 def _unpack(theta: np.ndarray, k: int, n: int) -> np.ndarray:
     half = k * n
-    return theta[:half].reshape(k, n) + 1j * theta[half:].reshape(k, n)
+    return theta[:, :half].reshape(-1, k, n) + 1j * theta[:, half:].reshape(-1, k, n)
 
 
 def _terms(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
-    """The d x d terms of the residual at ``theta``: the vectors y_k, the
-    completeness difference sum_k y_k y_k^dag - I, Lambda Y_k, W_k,
-    t_k = ||y_k||^2 and the per-outcome violation sum |s|^2."""
+    """The d x d terms of the residual at each row of ``theta``: the vectors
+    y_k, the completeness difference sum_k y_k y_k^dag - I, Lambda Y_k, W_k,
+    t_k = ||y_k||^2 and the per-outcome violation sum |s|^2, each with a
+    leading restart axis."""
     n = d * d
     ys = _unpack(theta, k, n)
-    diff = ys.T @ ys.conj() - np.eye(n)  # sum_k y_k y_k^dag - I
-    ly = lambdas[:, None] * ys.reshape(k, d, d)  # Lambda Y_k
-    s = (ys.conj().reshape(k, d, d).swapaxes(1, 2) @ ly).reshape(k, n) @ pairs.T
-    w = (s.conj() @ pairs).reshape(k, d, d)  # W_k
-    t = np.einsum("kc,kc->k", ys.conj(), ys).real  # ||y_k||^2
-    s2 = np.einsum("km,km->k", s.conj(), s).real  # per-k condition violation
+    rows = len(ys)
+    diff = ys.swapaxes(1, 2) @ ys.conj() - np.eye(n)  # sum_k y_k y_k^dag - I
+    ly = lambdas[:, None] * ys.reshape(rows, k, d, d)  # Lambda Y_k
+    s = (ys.conj().reshape(rows, k, d, d).swapaxes(2, 3) @ ly).reshape(rows, k, n) @ pairs.T
+    w = (s.conj() @ pairs).reshape(rows, k, d, d)  # W_k
+    t = np.einsum("rkc,rkc->rk", ys.conj(), ys).real  # ||y_k||^2
+    s2 = np.einsum("rkm,rkm->rk", s.conj(), s).real  # per-k condition violation
     return ys, diff, ly, w, t, s2
 
 
 def _objective(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
-    """Residual and gradient over unnormalized vectors y_k = sqrt(a_k) phi_k.
+    """Residuals (R,) and gradients (R, 2 d^2 K) over unnormalized vectors
+    y_k = sqrt(a_k) phi_k, one row of ``theta`` per restart.
 
     ``pairs`` holds the rows of :func:`_pair_products`. With Y_k the d x d
     reshape of y_k and G_k = Y_k^dag Lambda Y_k, the condition values are
@@ -177,18 +188,18 @@ def _objective(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int
     s_ji = conj(s_ij) the derivative of sum |s_ij|^2 along conj(y_k) is
     2 Lambda Y_k W_k^T with W_k = sum_{i != j} conj(s_ij) M_i^dag M_j.
     """
-    n = d * d
     ys, diff, ly, w, t, s2 = _terms(theta, pairs, lambdas, k, d)
-    value = float(np.linalg.norm(diff) ** 2 + np.sum(s2 / t ** 2))
-    grad = 2.0 * (ys @ diff.T)  # (diff @ y_k) per row; diff Hermitian
-    grad += (2.0 * (ly @ w.swapaxes(1, 2))).reshape(k, n) / t[:, None] ** 2
-    grad -= (2.0 * s2 / t ** 3)[:, None] * ys
-    return value, np.concatenate([2 * grad.real.reshape(-1), 2 * grad.imag.reshape(-1)])
+    rows = len(ys)
+    value = np.linalg.norm(diff, axis=(1, 2)) ** 2 + np.sum(s2 / t ** 2, axis=1)
+    grad = 2.0 * (ys @ diff.swapaxes(1, 2))  # (diff @ y_k) per row; diff Hermitian
+    grad += (2.0 * (ly @ w.swapaxes(2, 3))).reshape(rows, k, -1) / t[..., None] ** 2
+    grad -= (2.0 * s2 / t ** 3)[..., None] * ys
+    return value, 2 * _pack(grad)
 
 
 def _hessian(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int):
-    """The exact dense Hessian of :func:`_objective` in the packed real
-    coordinates, (2 d^2 K) x (2 d^2 K).
+    """The exact dense Hessians of :func:`_objective` in the packed real
+    coordinates, (R, 2 d^2 K, 2 d^2 K).
 
     The complex gradient g = df/d conj(y) moves as dg = A dy + B conj(dy)
     with A Hermitian and B symmetric, so H = 2 [[Re(A + B), Im(B - A)],
@@ -206,38 +217,238 @@ def _hessian(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, 
     n, p = d * d, len(pairs)
     big = k * n
     ys, diff, ly, w, t, s2 = _terms(theta, pairs, lambdas, k, d)
+    rows = len(ys)
     # every a_m and b_m in one product, scaled by sqrt(2)/t to carry the 2/t^2
     mats = pairs.reshape(p, d, d)
     right = np.concatenate([mats.transpose(2, 0, 1), mats.conj().transpose(1, 0, 2)], axis=1)
-    scaled = (np.sqrt(2.0) / t)[:, None, None] * ly
-    ab = (scaled.reshape(k * d, d) @ right.reshape(d, 2 * p * d)).reshape(k, d, 2 * p, d)
-    ab = ab.transpose(0, 2, 1, 3).reshape(k, 2 * p, n)
-    a = ab[:, :p]
-    blocks = a.swapaxes(1, 2) @ np.concatenate([a.conj(), ab[:, p:]], axis=2)
-    c = (3.0 * s2 / t ** 4)[:, None] * ys
-    c -= (4.0 / t ** 3)[:, None] * (ly @ w.swapaxes(1, 2)).reshape(k, n)
-    cy = c[:, :, None] * ys.conj()[:, None, :]
-    a_kk = blocks[:, :, :n] + cy + cy.conj().swapaxes(1, 2) + 2.0 * diff
+    scaled = (np.sqrt(2.0) / t)[..., None, None] * ly
+    ab = (scaled.reshape(-1, d) @ right.reshape(d, 2 * p * d)).reshape(rows, k, d, 2 * p, d)
+    ab = ab.transpose(0, 1, 3, 2, 4).reshape(rows, k, 2 * p, n)
+    a = ab[:, :, :p]
+    blocks = a.swapaxes(2, 3) @ np.concatenate([a.conj(), ab[:, :, p:]], axis=3)
+    c = (3.0 * s2 / t ** 4)[..., None] * ys
+    c -= (4.0 / t ** 3)[..., None] * (ly @ w.swapaxes(2, 3)).reshape(rows, k, n)
+    cy = c[..., :, None] * ys.conj()[..., None, :]
+    a_kk = blocks[..., :n] + cy + cy.conj().swapaxes(2, 3) + 2.0 * diff[:, None]
     idx = np.arange(d)
-    a_kk.reshape(k, d, d, d, d)[:, idx, :, idx, :] += (
-        lambdas[:, None, None, None] * ((2.0 / t ** 2)[:, None, None] * w))
-    a_kk[:, np.arange(n), np.arange(n)] -= (2.0 * s2 / t ** 3)[:, None]
-    cy = c[:, :, None] * ys[:, None, :]
-    b_kk = blocks[:, :, n:] + cy + cy.swapaxes(1, 2)
+    a_kk.reshape(rows, k, d, d, d, d)[:, :, idx, :, idx, :] += (
+        lambdas[:, None, None, None, None] * ((2.0 / t ** 2)[..., None, None] * w))
+    a_kk[..., np.arange(n), np.arange(n)] -= (2.0 * s2 / t ** 3)[..., None]
+    cy = c[..., :, None] * ys[..., None, :]
+    b_kk = blocks[..., n:] + cy + cy.swapaxes(2, 3)
 
     outcome = np.arange(k)
-    cross_a = np.kron(2.0 * (ys @ ys.conj().T), np.eye(n)).reshape(k, n, k, n)
-    cross_a[outcome, :, outcome, :] += a_kk
-    cross_b = (2.0 * ys.T)[None, :, :, None] * ys[:, None, None, :]
-    cross_b[outcome, :, outcome, :] += b_kk
-    cross_a, cross_b = cross_a.reshape(big, big), cross_b.reshape(big, big)
-    hess = np.empty((2 * big, 2 * big))
-    np.add(cross_a.real, cross_b.real, out=hess[:big, :big])
-    np.subtract(cross_b.imag, cross_a.imag, out=hess[:big, big:])
-    np.add(cross_a.imag, cross_b.imag, out=hess[big:, :big])
-    np.subtract(cross_a.real, cross_b.real, out=hess[big:, big:])
+    gram = 2.0 * (ys @ ys.conj().swapaxes(1, 2))
+    cross_a = gram[:, :, None, :, None] * np.eye(n)[:, None, :]
+    cross_a[:, outcome, :, outcome, :] += a_kk.swapaxes(0, 1)
+    cross_b = (2.0 * ys.swapaxes(1, 2))[:, None, :, :, None] * ys[:, :, None, None, :]
+    cross_b[:, outcome, :, outcome, :] += b_kk.swapaxes(0, 1)
+    cross_a, cross_b = cross_a.reshape(rows, big, big), cross_b.reshape(rows, big, big)
+    hess = np.empty((rows, 2 * big, 2 * big))
+    np.add(cross_a.real, cross_b.real, out=hess[:, :big, :big])
+    np.subtract(cross_b.imag, cross_a.imag, out=hess[:, :big, big:])
+    np.add(cross_a.imag, cross_b.imag, out=hess[:, big:, :big])
+    np.subtract(cross_a.real, cross_b.real, out=hess[:, big:, big:])
     hess *= 2.0
     return hess
+
+
+def _frozen(theta: np.ndarray, k: int) -> np.ndarray:
+    """The coordinates of every outcome whose weight ||y_k||^2 is below
+    ``_FREEZE_WEIGHT`` of its restart's largest, as a mask shaped like
+    ``theta``."""
+    rows = len(theta)
+    parts = np.square(theta).reshape(rows, 2, k, theta.shape[1] // (2 * k))
+    t = parts.sum(axis=(1, 3))
+    frozen = t < _FREEZE_WEIGHT * t.max(axis=1, keepdims=True)
+    return np.broadcast_to(frozen[:, None, :, None], parts.shape).reshape(theta.shape)
+
+
+def _boundary_steps(z: np.ndarray, p: np.ndarray, radius2: np.ndarray):
+    """Both roots tau_a <= tau_b of ||z + tau p||^2 = radius2, per row, by
+    the cancellation-free quadratic formula, as in scipy's trust-ncg."""
+    a = np.einsum("ij,ij->i", p, p)
+    b = 2.0 * np.einsum("ij,ij->i", z, p)
+    c = np.einsum("ij,ij->i", z, z) - radius2
+    aux = b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b)
+    roots = np.sort(np.stack([-aux / (2.0 * a), -2.0 * c / aux]), axis=0)
+    return roots[0], roots[1]
+
+
+def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.ndarray):
+    """Steihaug's truncated conjugate gradients on the trust-region model
+    g.p + p.H p / 2, ||p|| <= radius, for every row at once (Nocedal and
+    Wright, Numerical Optimization, Alg. 7.2; Steihaug, SIAM J. Numer.
+    Anal. 20, 626 (1983)), with scipy trust-ncg's stopping tolerance
+    min(1/2, sqrt(||g||)) ||g|| on the residual.
+
+    A row leaves the lockstep on negative curvature (the boundary point
+    along p with the lower model value), on a step across the boundary
+    (the boundary point along p), on a small residual, or after as many
+    steps as the dimension. Returns the steps and whether each lies on
+    the boundary. ``hess`` is multiplied whole while at least half its
+    rows still iterate, and compacted below that.
+    """
+    rows, size = grad.shape
+    steps = np.empty_like(grad)
+    on_boundary = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)  # the rows still iterating
+    slot = live  # each live row's row in ``h``
+    h = hess
+    tol2 = np.square(np.minimum(0.5, np.sqrt(gnorm)) * gnorm)
+    radius2 = np.square(radius)
+    z = np.zeros_like(grad)
+    r = grad
+    p = -grad
+    rr = np.square(gnorm)
+    for _ in range(size):
+        if len(h) == len(live):
+            hp = (h @ p[:, :, None])[:, :, 0]
+        else:
+            moves = np.zeros((len(h), size))
+            moves[slot] = p
+            hp = (h @ moves[:, :, None])[slot, :, 0]
+        curvature = np.einsum("ij,ij->i", p, hp)
+        alpha = (rr / curvature)[:, None]
+        z_next = z + alpha * p
+        r_next = r + alpha * hp
+        rr_next = np.einsum("ij,ij->i", r_next, r_next)
+        negative = ~(curvature > 0)
+        outside = np.einsum("ij,ij->i", z_next, z_next) >= radius2
+        small = rr_next < tol2
+        done = negative | outside | small
+        if done.any():
+            outside &= ~negative
+            small &= ~(negative | outside)
+            if negative.any():
+                sel = np.flatnonzero(negative)
+                ta, tb = _boundary_steps(z[sel], p[sel], radius2[sel])
+                za, zb = z[sel] + ta[:, None] * p[sel], z[sel] + tb[:, None] * p[sel]
+                ha, hb = (h[slot[sel]] @ np.stack([za, zb], axis=2)).transpose(2, 0, 1)
+                g = grad[live[sel]]
+                model_a = np.einsum("ij,ij->i", g, za) + 0.5 * np.einsum("ij,ij->i", za, ha)
+                model_b = np.einsum("ij,ij->i", g, zb) + 0.5 * np.einsum("ij,ij->i", zb, hb)
+                steps[live[sel]] = np.where((model_a < model_b)[:, None], za, zb)
+            if outside.any():
+                sel = np.flatnonzero(outside)
+                tb = _boundary_steps(z[sel], p[sel], radius2[sel])[1]
+                steps[live[sel]] = z[sel] + tb[:, None] * p[sel]
+            on_boundary[live[negative | outside]] = True
+            steps[live[small]] = z_next[small]
+            going = ~done
+            live, slot = live[going], slot[going]
+            if not live.size:
+                return steps, on_boundary
+            z, r_next, p, rr, rr_next, tol2, radius2 = (
+                v[going] for v in (z_next, r_next, p, rr, rr_next, tol2, radius2))
+            if 2 * len(live) <= len(h):
+                h, slot = h[slot], np.arange(len(live))
+        else:
+            z = z_next
+        p = -r_next + (rr_next / rr)[:, None] * p
+        r, rr = r_next, rr_next
+    steps[live] = z
+    return steps, on_boundary
+
+
+@dataclass(frozen=True)
+class TrustRegionResult:
+    """How :func:`minimize` left each restart, one entry per row of its
+    start; ``nit``, ``nfev`` and ``status`` summarize the batch."""
+
+    x: np.ndarray  # (R, 2 d^2 K) final points
+    fun: np.ndarray  # residual at x
+    grad_norm: np.ndarray  # gradient 2-norm at x over the unfrozen coordinates
+    nits: np.ndarray  # trust-region iterations
+    nfevs: np.ndarray  # residual-and-gradient evaluations
+    statuses: np.ndarray  # 0 gradient below gtol, 1 iteration cap, 2 no predicted decrease
+
+    @property
+    def nit(self) -> int:
+        return int(self.nits.sum())
+
+    @property
+    def nfev(self) -> int:
+        return int(self.nfevs.sum())
+
+    @property
+    def status(self) -> int:
+        return int(self.statuses.max())
+
+
+def minimize(theta0: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int,
+             maxiter: int, gtol: float, initial_trust_radius: float,
+             max_trust_radius: float, eta: float) -> TrustRegionResult:
+    """Trust-region Newton descent of :func:`_objective` from every row of
+    ``theta0`` at once, on the exact Hessians of :func:`_hessian`.
+
+    Each restart follows scipy trust-ncg's rules on its own: the radius
+    shrinks 4x when the actual over predicted decrease rho is below 1/4
+    (or not a number), doubles up to ``max_trust_radius`` when rho > 3/4
+    and the step reached the boundary, and the step is taken when
+    rho > ``eta``. A restart stops with status 0 once its gradient 2-norm
+    is below ``gtol``, 1 after ``maxiter`` iterations, and 2 when the
+    model predicts no decrease (NaN included). Stopped restarts leave the
+    batch; the subproblems of the rest are solved together by
+    :func:`_steihaug`, on Hessians made afresh each iteration.
+
+    Outcomes below ``_FREEZE_WEIGHT`` of their restart's largest weight
+    are held still (:func:`_frozen`): their gradient entries are zeroed
+    and their Hessian rows and columns made those of the identity, so the
+    step leaves them where they are and the gradient norm counts only the
+    other outcomes.
+    """
+    x = np.array(theta0, dtype=float)
+    rows = len(x)
+    args = (pairs, lambdas, k, d)
+    fun, grad = _objective(x, *args)
+    grad[_frozen(x, k)] = 0.0
+    gnorm = np.linalg.norm(grad, axis=1)
+    radius = np.full(rows, float(initial_trust_radius))
+    nits = np.zeros(rows, dtype=int)
+    nfevs = np.ones(rows, dtype=int)
+    statuses = np.zeros(rows, dtype=int)
+    live = np.flatnonzero(~(gnorm < gtol))
+    while live.size:
+        here = x[live]
+        hess = _hessian(here, *args)
+        frozen = _frozen(here, k)
+        if frozen.any():
+            hess[frozen] = 0.0
+            hess.swapaxes(1, 2)[frozen] = 0.0
+            row, col = np.nonzero(frozen)
+            hess[row, col, col] = 1.0
+        g = grad[live]
+        steps, on_boundary = _steihaug(g, hess, gnorm[live], radius[live])
+        curvature = np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0])
+        del hess
+        predicted = -(np.einsum("ij,ij->i", g, steps) + 0.5 * curvature)
+        stuck = ~(predicted > 0)
+        statuses[live[stuck]] = 2
+        go = ~stuck
+        live, here, steps, on_boundary, predicted = (
+            v[go] for v in (live, here, steps, on_boundary, predicted))
+        if not live.size:
+            break
+        trial = here + steps
+        trial_fun, trial_grad = _objective(trial, *args)
+        nfevs[live] += 1
+        rho = (fun[live] - trial_fun) / predicted
+        grown = np.where((rho > 0.75) & on_boundary,
+                         np.minimum(2.0 * radius[live], max_trust_radius), radius[live])
+        radius[live] = np.where(rho >= 0.25, grown, 0.25 * radius[live])
+        taken = rho > eta
+        moved = live[taken]
+        trial_grad = trial_grad[taken]
+        trial_grad[_frozen(trial[taken], k)] = 0.0
+        x[moved], fun[moved], grad[moved] = trial[taken], trial_fun[taken], trial_grad
+        gnorm[moved] = np.linalg.norm(trial_grad, axis=1)
+        nits[live] += 1
+        converged = gnorm[live] < gtol
+        capped = ~converged & (nits[live] >= maxiter)
+        statuses[live[capped]] = 1
+        live = live[~(converged | capped)]
+    return TrustRegionResult(x, fun, gnorm, nits, nfevs, statuses)
 
 
 class RestartRecord(NamedTuple):
@@ -246,7 +457,7 @@ class RestartRecord(NamedTuple):
     residual: float
     nit: int
     nfev: int
-    status: int  # 0 gradient below gtol, 1 iteration cap, 2 no predicted decrease, 3 linalg error
+    status: int  # 0 gradient below gtol, 1 iteration cap, 2 no predicted decrease
     grad_norm: float
 
 
@@ -272,19 +483,27 @@ class FeasibilityResult:
                 "records": [r._asdict() for r in self.records]}
 
 
-# The trust-region options are gate parameters: criterion 10 reads its floors
-# at them. They are scipy's defaults, spelled out so that the search does not
-# move with scipy: stop once the gradient 2-norm is below gtol; inexact
-# Krylov subproblems.
+# The trust region's constants are gate parameters: criterion 10 reads its
+# floors at them. Stop once the gradient 2-norm is below gtol; start at radius
+# 1, never above 1000; take a step when rho > eta.
 _TRUST_REGION = {"gtol": 1e-4, "initial_trust_radius": 1.0, "max_trust_radius": 1000.0,
-                 "eta": 0.15, "inexact": True}
+                 "eta": 0.15}
+# An outcome below this share of its restart's largest weight is frozen (see
+# minimize). Its Hessian block grows as 1/t_k against the O(1) rest, so steps
+# lose digits as it vanishes. On criterion 10's K=8 search (50 restarts, seed
+# 0) 1e-6 ends 3.7e-8 above the K=4 floor; 1e-10 and below leave 10 to 17
+# restarts at status 2 and underflow on the way; 1e-8, about sqrt(machine
+# epsilon), ends 4.2e-10 above the floor with every restart at status 0.
+_FREEZE_WEIGHT = 1e-8
 
 
 def _restart_bytes(d: int, outcomes: int) -> int:
-    """The arrays :func:`_hessian` holds at once, to leading order in K: the
-    complex N x N blocks A and B (16 B an entry each) and the real 2N x 2N
-    Hessian (8 B an entry), N = d^2 K, so 64 N^2 B. The per-outcome stacks
-    beside them grow only linearly in K."""
+    """What one restart of a search holds at once, to leading order in K:
+    while :func:`_hessian` runs, the complex N x N blocks A and B (16 B an
+    entry each) and the real 2N x 2N Hessian (8 B an entry), N = d^2 K, so
+    64 N^2 B. :func:`minimize` keeps no Hessian between iterations, and the
+    per-outcome stacks beside them grow only linearly in K. A search runs
+    all its restarts at once, so it needs ``restarts`` times this."""
     return 64 * (d * d * outcomes) ** 2
 
 
@@ -294,19 +513,21 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
     """Minimize the orthogonality residual by seeded multi-start
     trust-region Newton descent.
 
-    Each restart runs scipy's ``trust-krylov`` on the value and gradient
-    of :func:`_objective` and the exact dense Hessian of :func:`_hessian`,
-    for at most ``maxiter`` outer iterations, with the options in
-    ``_TRUST_REGION``. Exact second-order steps matter here: with more
-    outcomes than d^2 the landscape is flat along the splitting of an
-    outcome, where first-order descent crawls.
+    Restart r draws its start from ``default_rng(seed + r)``. All restarts
+    then descend together in one :func:`minimize` call, for at most
+    ``maxiter`` iterations each, with the constants in ``_TRUST_REGION``:
+    exact Hessians, Steihaug's truncated conjugate gradients for the
+    steps. Second-order steps matter here: with more outcomes than d^2 the
+    landscape is flat along the splitting of an outcome, where first-order
+    descent crawls. Outcomes that shrink below ``_FREEZE_WEIGHT`` of their
+    restart's largest weight are frozen where they are, which keeps the
+    condition term's 1/t_k^2 from blowing up as they vanish.
 
-    Deterministic for a fixed seed: restart r draws its start from
-    ``default_rng(seed + r)`` and the best (lowest residual, then lowest
-    restart index) configuration is returned, with how every restart
-    ended in ``records``. A small best residual is a feasibility
-    certificate up to that tolerance; a stubbornly large one is evidence
-    against feasibility, nothing stronger.
+    Deterministic for a fixed seed: the best (lowest residual, then lowest
+    restart index) configuration is returned, with how every restart ended
+    in ``records``. A small best residual is a feasibility certificate up
+    to that tolerance; a stubbornly large one is evidence against
+    feasibility, nothing stronger.
     """
     n = rep.d ** 2
     k = int(outcomes)
@@ -316,30 +537,25 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
         raise ValueError("need at least one restart")
     pairs = _pair_products(rep, spectrum)
     start = time.perf_counter()
-    best = None
-    records = []
+    scale = np.sqrt(n / (2.0 * k * n))
+    y0 = np.empty((restarts, k, n), dtype=complex)
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        scale = np.sqrt(n / (2.0 * k * n))
-        y0 = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
-        res = minimize(
-            _objective, _pack(y0), args=(pairs, spectrum.lambdas, k, rep.d),
-            method="trust-krylov", jac=True, hess=_hessian,
-            options={"maxiter": maxiter, **_TRUST_REGION},
-        )
-        records.append(RestartRecord(float(res.fun), int(res.nit), int(res.nfev),
-                                     int(res.status), float(np.linalg.norm(res.jac))))
-        if best is None or res.fun < best[0]:  # ties keep the earliest restart
-            best = (float(res.fun), r, res.x)
-    value, restart_idx, theta = best
-    ys = _unpack(theta, k, n)
+        y0[r] = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    res = minimize(_pack(y0), pairs, spectrum.lambdas, k, rep.d, maxiter=maxiter,
+                   **_TRUST_REGION)
+    records = tuple(RestartRecord(float(f), int(i), int(e), int(s), float(g)) for f, i, e, s, g
+                    in zip(res.fun, res.nits, res.nfevs, res.statuses, res.grad_norm))
+    # ties keep the earliest restart, and a NaN residual is never the best
+    best = int(np.argmin(np.where(np.isnan(res.fun), np.inf, res.fun)))
+    ys = _unpack(res.x[best:best + 1], k, n)[0]
     norms = np.linalg.norm(ys, axis=1)
     return FeasibilityResult(
         lambdas=tuple(float(x) for x in spectrum.lambdas), outcomes=k,
-        restarts=int(restarts), seed=int(seed), best_residual=value,
-        best_restart=restart_idx, phis=tuple(ys / norms[:, None]),
+        restarts=int(restarts), seed=int(seed), best_residual=float(res.fun[best]),
+        best_restart=best, phis=tuple(ys / norms[:, None]),
         weights=tuple(float(x) for x in norms ** 2), wall_time_s=time.perf_counter() - start,
-        records=tuple(records))
+        records=records)
 
 
 @dataclass(frozen=True)

@@ -615,7 +615,11 @@ def _complex_to_json(arr: np.ndarray):
 
 
 def _complex_from_json(obj) -> np.ndarray:
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    # set the parts rather than add them: re + 1j * im turns -0.0 into +0.0
+    re = np.asarray(obj["re"], dtype=float)
+    arr = np.empty(re.shape, dtype=complex)
+    arr.real, arr.imag = re, np.asarray(obj["im"], dtype=float)
+    return arr
 
 
 def tree_to_dict(tree) -> dict:

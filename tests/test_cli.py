@@ -246,6 +246,23 @@ def test_oneway_outcomes_guard_boundary(capsys, monkeypatch):
     assert "search-K32-R1" in out
 
 
+def test_oneway_restarts_guard_boundary(capsys, monkeypatch):
+    # a search holds every restart at once: 16384 B each at d = 2, K = 4,
+    # so 64 restarts fill 1 MiB exactly
+    monkeypatch.setattr(cli, "MAX_ROW_BYTES", 1 << 20)
+    searched = []
+    monkeypatch.setattr(cli, "feasibility_search", lambda rep, spectrum, outcomes, restarts, *a: (
+        searched.append(restarts) or SimpleNamespace(best_residual=1.0)))
+    argv = ("oneway", "--lambdas", "1.6,0.4", "--outcomes", "4", "--restarts")
+    code, out, err = run_cli(capsys, *argv, "65")
+    assert code == 2 and out == "" and searched == []
+    assert "field 'restarts': 65 restarts of 4 outcomes need 1064960 B" in err
+    assert "above the limit of 1048576 B" in err
+    code, out, _ = run_cli(capsys, *argv, "64")
+    assert code == 0 and searched == [64]
+    assert "search-K4-R64" in out
+
+
 def test_size_guard_default_is_one_gib(capsys, monkeypatch):
     assert cli.MAX_ROW_BYTES == 1 << 30
     monkeypatch.setattr(cli, "graph_decode_protocol", lambda *a: pytest.fail("built"))

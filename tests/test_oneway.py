@@ -1,9 +1,15 @@
 """Matrix correspondence and the one-way orthogonality probe."""
 
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import locce
 
 from locce.tensor import StateVector, generalized_bell_vectors, maximally_entangled
 from locce.families import Ensemble, PartyLayout, bell_basis, lattice_basis, parametric_basis
@@ -16,7 +22,7 @@ from locce.oneway import (
     teleportation_certificate,
     to_matrix_rep,
 )
-from locce.oneway import _objective, _pair_products
+from locce.oneway import _TRUST_REGION, _frozen, _objective, _pack, _pair_products, minimize
 
 S2 = 1 / math.sqrt(2)
 
@@ -195,16 +201,16 @@ def test_objective_gradient_finite_difference():
     for rep, lambdas, k, scale in cases:
         spectrum = ResourceSpectrum(lambdas)
         args = (_pair_products(rep, spectrum), spectrum.lambdas, k, rep.d)
-        theta = scale * rng.standard_normal(2 * k * rep.d ** 2)
+        theta = scale * rng.standard_normal((1, 2 * k * rep.d ** 2))
         _, grad = _objective(theta, *args)
         eps = 1e-6
         for i in rng.choice(theta.size, size=12, replace=False):
             up = theta.copy()
-            up[i] += eps
+            up[0, i] += eps
             down = theta.copy()
-            down[i] -= eps
-            num = (_objective(up, *args)[0] - _objective(down, *args)[0]) / (2 * eps)
-            assert abs(num - grad[i]) < 1e-6
+            down[0, i] -= eps
+            num = (_objective(up, *args)[0] - _objective(down, *args)[0])[0] / (2 * eps)
+            assert abs(num - grad[0, i]) < 1e-6
 
 
 def test_search_finds_mes_solution():
@@ -270,6 +276,62 @@ def test_search_records_every_restart_and_k8_meets_the_k4_floor():
     assert k4.best_residual <= 0.953780669789
     assert k8.best_residual <= 0.953781676923
     assert abs(k8.best_residual - k4.best_residual) <= 1e-8
+
+
+def test_a_vanishing_outcome_stays_frozen():
+    # one of five outcomes starts at 1e-12 of the largest weight: the step
+    # never moves it, and no 0/0 or overflow arises on the way
+    rep = to_matrix_rep(bell_basis())
+    spectrum = ResourceSpectrum([1.6, 0.4])
+    rng = np.random.default_rng(7)
+    ys = (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))) / np.sqrt(8)
+    weights = np.linalg.norm(ys, axis=1) ** 2
+    ys[4] *= np.sqrt(1e-12 * weights[:4].max() / weights[4])
+    theta0 = _pack(ys[None])
+    frozen = _frozen(theta0, 5)
+    assert frozen.sum() == 8 and frozen[0].reshape(2, 5, 4)[:, 4].all()
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = minimize(theta0, _pair_products(rep, spectrum), spectrum.lambdas, 5, rep.d,
+                       maxiter=1500, **_TRUST_REGION)
+    assert np.array_equal(res.x[frozen], theta0[frozen])
+    assert np.all(np.isfinite(res.x))
+    assert np.isfinite(res.fun[0]) and np.isfinite(res.grad_norm[0])
+    assert res.statuses[0] in (0, 1, 2) and res.nits[0] > 0
+
+
+def test_minimize_reports_each_restart_and_sums_the_batch():
+    rep = to_matrix_rep(bell_basis())
+    result = feasibility_search(rep, ResourceSpectrum([1.6, 0.4]), outcomes=4,
+                               restarts=3, seed=4)
+    spectrum = ResourceSpectrum([1.6, 0.4])
+    rng = [np.random.default_rng(4 + r) for r in range(3)]
+    y0 = np.stack([np.sqrt(1 / 8) * (g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)))
+                   for g in rng])
+    res = minimize(_pack(y0), _pair_products(rep, spectrum), spectrum.lambdas, 4, rep.d,
+                   maxiter=1500, **_TRUST_REGION)
+    assert [r.residual for r in result.records] == res.fun.tolist()
+    assert [r.nit for r in result.records] == res.nits.tolist()
+    assert res.nit == sum(r.nit for r in result.records) and isinstance(res.nit, int)
+    assert res.nfev == sum(r.nfev for r in result.records) and isinstance(res.nfev, int)
+    assert res.status == max(r.status for r in result.records) and isinstance(res.status, int)
+
+
+def test_import_and_search_load_no_scipy():
+    code = (
+        "import sys\n"
+        "import locce\n"
+        "from locce.families import bell_basis\n"
+        "from locce.oneway import ResourceSpectrum, feasibility_search, to_matrix_rep\n"
+        "res = feasibility_search(to_matrix_rep(bell_basis()), ResourceSpectrum([1.0, 1.0]), 4, 1, 0)\n"
+        "assert res.best_residual < 1e-6, res.best_residual\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(locce.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # -- R-matrix structure -------------------------------------------------------

@@ -295,11 +295,11 @@ def test_objective_value_and_gradient_match_the_kron_stack(kind, seed):
             want += abs(s) ** 2 / t ** 2
             dconj[k] += ((np.conj(s) * op + s * op.conj().T) @ y / t ** 2
                          - 2 * abs(s) ** 2 / t ** 3 * y)
-    value, grad = _objective(_pack(ys), _pair_products(rep, spectrum), spectrum.lambdas,
+    value, grad = _objective(_pack(ys[None]), _pair_products(rep, spectrum), spectrum.lambdas,
                              len(ys), rep.d)
-    assert abs(value - want) <= 1e-12 * want
-    want_grad = 2 * _pack(dconj)
-    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+    assert abs(value[0] - want) <= 1e-12 * want
+    want_grad = 2 * _pack(dconj[None])[0]
+    assert np.max(np.abs(grad[0] - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
 
 
 def real_form(op: np.ndarray) -> np.ndarray:
@@ -324,7 +324,7 @@ def kron_hessian(ops, ys: np.ndarray) -> np.ndarray:
     ||sum_k y_k y_k^dag - I||^2 over the packed (Re, Im) coordinates."""
     k, n = ys.shape
     big = k * n
-    theta = _pack(ys)
+    theta = _pack(ys[None])[0]
     slots = [np.r_[j * n:(j + 1) * n, big + j * n:big + (j + 1) * n] for j in range(k)]
     forms, offsets = [], []
     for a in range(n):
@@ -347,25 +347,55 @@ def kron_hessian(ops, ys: np.ndarray) -> np.ndarray:
     return hess
 
 
+def random_stack(kind: str, seed: int):
+    """A random problem and a stack of 1 to 3 random points for it."""
+    rep, spectrum, ops, ys = random_problem(kind, seed)
+    rng = np.random.default_rng(seed + 1)
+    shape = (int(rng.integers(0, 3)),) + ys.shape
+    more = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rep, spectrum, ops, np.concatenate([ys[None], more])
+
+
 @settings(deadline=None)
 @given(rep_kinds, st.integers(0, 2 ** 32 - 1))
 def test_hessian_matches_the_kron_stack_and_is_symmetric(kind, seed):
-    rep, spectrum, ops, ys = random_problem(kind, seed)
-    got = _hessian(_pack(ys), _pair_products(rep, spectrum), spectrum.lambdas, len(ys), rep.d)
-    want = kron_hessian(ops, ys)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    assert np.max(np.abs(got - got.T)) <= 1e-14 * scale
+    rep, spectrum, ops, stack = random_stack(kind, seed)
+    hessians = _hessian(_pack(stack), _pair_products(rep, spectrum), spectrum.lambdas,
+                        stack.shape[1], rep.d)
+    assert hessians.shape[0] == len(stack)
+    for got, ys in zip(hessians, stack):
+        want = kron_hessian(ops, ys)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert np.max(np.abs(got - got.T)) <= 1e-14 * scale
 
 
 @settings(deadline=None)
 @given(rep_kinds, st.integers(0, 2 ** 32 - 1))
 def test_hessian_matches_central_differences_of_the_gradient(kind, seed):
-    rep, spectrum, _, ys = random_problem(kind, seed)
-    args = (_pair_products(rep, spectrum), spectrum.lambdas, len(ys), rep.d)
-    theta, eps = _pack(ys), 1e-5
+    rep, spectrum, _, stack = random_stack(kind, seed)
+    args = (_pair_products(rep, spectrum), spectrum.lambdas, stack.shape[1], rep.d)
+    theta, eps = _pack(stack), 1e-5
     got = _hessian(theta, *args)
-    for i, step in enumerate(eps * np.eye(theta.size)):
+    # every coordinate of every point of the stack moves at once
+    for i, step in enumerate(eps * np.eye(theta.shape[1])):
         up, down = _objective(theta + step, *args)[1], _objective(theta - step, *args)[1]
         column = (up - down) / (2 * eps)
-        assert np.max(np.abs(got[:, i] - column)) <= 1e-8 * np.max(np.abs(got))
+        scale = np.max(np.abs(got), axis=(1, 2))
+        assert np.all(np.max(np.abs(got[:, :, i] - column), axis=1) <= 1e-8 * scale)
+
+
+@settings(deadline=None)
+@given(rep_kinds, st.integers(0, 2 ** 32 - 1))
+def test_a_stack_gives_each_row_what_a_stack_of_one_gives(kind, seed):
+    rep, spectrum, _, stack = random_stack(kind, seed)
+    args = (_pair_products(rep, spectrum), spectrum.lambdas, stack.shape[1], rep.d)
+    theta = _pack(stack)
+    values, grads = _objective(theta, *args)
+    hessians = _hessian(theta, *args)
+    for row, value, grad, hess in zip(theta, values, grads, hessians):
+        one_value, one_grad = _objective(row[None], *args)
+        one_hess = _hessian(row[None], *args)
+        assert abs(value - one_value[0]) <= 1e-12 * abs(one_value[0])
+        assert np.max(np.abs(grad - one_grad[0])) <= 1e-12 * np.max(np.abs(one_grad))
+        assert np.max(np.abs(hess - one_hess[0])) <= 1e-12 * np.max(np.abs(one_hess))

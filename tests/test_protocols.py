@@ -32,7 +32,7 @@ from locce.protocols import (
     validate_one_way,
     validate_tree,
 )
-from locce.zoo import build_tree, computational_protocol, sequential_bell_protocol
+from locce.zoo import build_tree, computational_protocol, sequential_bell_protocol, standard_zoo
 
 from dense_reference import branch_kraus
 
@@ -486,6 +486,19 @@ def test_tree_json_round_trip():
     assert run_protocol(problem, back).fidelity == pytest.approx(
         run_protocol(problem, tree).fidelity, abs=1e-15)
     assert tree_to_json(back) == text
+
+
+@pytest.mark.parametrize("name, tree", [
+    *(pytest.param(entry.name, entry.tree, id=entry.name) for entry in standard_zoo()),
+    pytest.param("sequential-bell-5", sequential_bell_protocol(5)[1], id="sequential-bell-5"),
+])
+def test_tree_json_text_is_a_fixed_point(name, tree):
+    # text -> tree -> text keeps every -0.0 imaginary part; the texts run to
+    # megabytes, so report where they part rather than diff them
+    text = tree_to_json(tree)
+    back = tree_to_json(tree_from_json(text))
+    first = next((i for i, (a, b) in enumerate(zip(text, back)) if a != b), None)
+    assert first is None and len(back) == len(text), (name, first)
 
 
 def test_tree_json_structure():
