@@ -253,6 +253,20 @@ def _hessian(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, 
     return hess
 
 
+# The trust region's constants are gate parameters: criterion 10 reads its
+# floors at them. Stop once the gradient 2-norm is below gtol; start at radius
+# 1, never above 1000; take a step when rho > eta.
+_TRUST_REGION = {"gtol": 1e-4, "initial_trust_radius": 1.0, "max_trust_radius": 1000.0,
+                 "eta": 0.15}
+# An outcome below this share of its restart's largest weight is frozen (see
+# minimize). Its Hessian block grows as 1/t_k against the O(1) rest, so steps
+# lose digits as it vanishes. On criterion 10's K=8 search (50 restarts, seed
+# 0) 1e-6 ends 3.7e-8 above the K=4 floor; 1e-10 and below leave 10 to 17
+# restarts at status 2 and underflow on the way; 1e-8, about sqrt(machine
+# epsilon), ends 4.2e-10 above the floor with every restart at status 0.
+_FREEZE_WEIGHT = 1e-8
+
+
 def _frozen(theta: np.ndarray, k: int) -> np.ndarray:
     """The coordinates of every outcome whose weight ||y_k||^2 is below
     ``_FREEZE_WEIGHT`` of its restart's largest, as a mask shaped like
@@ -377,17 +391,18 @@ class TrustRegionResult:
 
 
 def minimize(theta0: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int, d: int,
-             maxiter: int, gtol: float, initial_trust_radius: float,
-             max_trust_radius: float, eta: float) -> TrustRegionResult:
+             maxiter: int) -> TrustRegionResult:
     """Trust-region Newton descent of :func:`_objective` from every row of
     ``theta0`` at once, on the exact Hessians of :func:`_hessian`.
 
-    Each restart follows scipy trust-ncg's rules on its own: the radius
-    shrinks 4x when the actual over predicted decrease rho is below 1/4
-    (or not a number), doubles up to ``max_trust_radius`` when rho > 3/4
-    and the step reached the boundary, and the step is taken when
-    rho > ``eta``. A restart stops with status 0 once its gradient 2-norm
-    is below ``gtol``, 1 after ``maxiter`` iterations, and 2 when the
+    Each restart follows scipy trust-ncg's rules on its own, with the
+    constants in ``_TRUST_REGION``: the radius starts at
+    ``initial_trust_radius``, shrinks 4x when the actual over predicted
+    decrease rho is below 1/4 (or not a number), doubles up to
+    ``max_trust_radius`` when rho > 3/4 and the step reached the boundary,
+    and the step is taken when rho > ``eta``. A restart stops with status
+    0 once its gradient 2-norm is below ``gtol``, 1 after ``maxiter``
+    iterations, and 2 when the
     model predicts no decrease (NaN included). Stopped restarts leave the
     batch; the subproblems of the rest are solved together by
     :func:`_steihaug`, on Hessians made afresh each iteration.
@@ -398,13 +413,14 @@ def minimize(theta0: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int,
     step leaves them where they are and the gradient norm counts only the
     other outcomes.
     """
+    gtol, eta = _TRUST_REGION["gtol"], _TRUST_REGION["eta"]
     x = np.array(theta0, dtype=float)
     rows = len(x)
     args = (pairs, lambdas, k, d)
     fun, grad = _objective(x, *args)
     grad[_frozen(x, k)] = 0.0
     gnorm = np.linalg.norm(grad, axis=1)
-    radius = np.full(rows, float(initial_trust_radius))
+    radius = np.full(rows, _TRUST_REGION["initial_trust_radius"])
     nits = np.zeros(rows, dtype=int)
     nfevs = np.ones(rows, dtype=int)
     statuses = np.zeros(rows, dtype=int)
@@ -435,7 +451,8 @@ def minimize(theta0: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int,
         nfevs[live] += 1
         rho = (fun[live] - trial_fun) / predicted
         grown = np.where((rho > 0.75) & on_boundary,
-                         np.minimum(2.0 * radius[live], max_trust_radius), radius[live])
+                         np.minimum(2.0 * radius[live], _TRUST_REGION["max_trust_radius"]),
+                         radius[live])
         radius[live] = np.where(rho >= 0.25, grown, 0.25 * radius[live])
         taken = rho > eta
         moved = live[taken]
@@ -483,20 +500,6 @@ class FeasibilityResult:
                 "records": [r._asdict() for r in self.records]}
 
 
-# The trust region's constants are gate parameters: criterion 10 reads its
-# floors at them. Stop once the gradient 2-norm is below gtol; start at radius
-# 1, never above 1000; take a step when rho > eta.
-_TRUST_REGION = {"gtol": 1e-4, "initial_trust_radius": 1.0, "max_trust_radius": 1000.0,
-                 "eta": 0.15}
-# An outcome below this share of its restart's largest weight is frozen (see
-# minimize). Its Hessian block grows as 1/t_k against the O(1) rest, so steps
-# lose digits as it vanishes. On criterion 10's K=8 search (50 restarts, seed
-# 0) 1e-6 ends 3.7e-8 above the K=4 floor; 1e-10 and below leave 10 to 17
-# restarts at status 2 and underflow on the way; 1e-8, about sqrt(machine
-# epsilon), ends 4.2e-10 above the floor with every restart at status 0.
-_FREEZE_WEIGHT = 1e-8
-
-
 def _restart_bytes(d: int, outcomes: int) -> int:
     """What one restart of a search holds at once, to leading order in K:
     while :func:`_hessian` runs, the complex N x N blocks A and B (16 B an
@@ -542,8 +545,7 @@ def feasibility_search(rep: MatrixRep, spectrum: ResourceSpectrum,
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         y0[r] = scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
-    res = minimize(_pack(y0), pairs, spectrum.lambdas, k, rep.d, maxiter=maxiter,
-                   **_TRUST_REGION)
+    res = minimize(_pack(y0), pairs, spectrum.lambdas, k, rep.d, maxiter)
     records = tuple(RestartRecord(float(f), int(i), int(e), int(s), float(g)) for f, i, e, s, g
                     in zip(res.fun, res.nits, res.nfevs, res.statuses, res.grad_norm))
     # ties keep the earliest restart, and a NaN residual is never the best
