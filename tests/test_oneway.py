@@ -1,6 +1,7 @@
 """Matrix correspondence and the one-way orthogonality probe."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -324,7 +325,7 @@ def test_import_and_search_load_no_scipy():
         "assert not loaded, loaded\n"
     )
     src = str(Path(locce.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
