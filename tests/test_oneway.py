@@ -23,7 +23,7 @@ from locce.oneway import (
     teleportation_certificate,
     to_matrix_rep,
 )
-from locce.oneway import _frozen, _objective, _pack, _pair_products, minimize
+from locce.oneway import _frozen, _objective, _pack, _pair_products, _steihaug, minimize
 
 S2 = 1 / math.sqrt(2)
 
@@ -298,6 +298,37 @@ def test_a_vanishing_outcome_stays_frozen():
     assert np.all(np.isfinite(res.x))
     assert np.isfinite(res.fun[0]) and np.isfinite(res.grad_norm[0])
     assert res.statuses[0] in (0, 1, 2) and res.nits[0] > 0
+
+
+def test_steihaug_steps_stay_inside_and_beat_the_cauchy_point():
+    # rows 0-2 convex, 3-5 indefinite; radii from tight to loose
+    rng = np.random.default_rng(11)
+    rows, size = 6, 10
+    a = rng.standard_normal((rows, size, size))
+    hess = a @ a.swapaxes(1, 2) + 0.1 * np.eye(size)
+    hess[3:] -= 8.0 * np.eye(size)
+    grad = rng.standard_normal((rows, size))
+    gnorm = np.linalg.norm(grad, axis=1)
+    radius = np.array([100.0, 0.1, 1.0, 100.0, 0.1, 1.0])
+    steps, on_boundary = _steihaug(grad, hess, gnorm, radius)
+    for i in range(rows):  # each row's subproblem is solved on its own
+        one, hit = _steihaug(grad[i:i + 1], hess[i:i + 1], gnorm[i:i + 1], radius[i:i + 1])
+        assert np.allclose(one[0], steps[i], rtol=1e-12, atol=0) and hit[0] == on_boundary[i]
+    norms = np.linalg.norm(steps, axis=1)
+    assert np.all(norms <= radius * (1 + 1e-12))
+    assert np.array_equal(on_boundary, np.isclose(norms, radius, rtol=1e-12))
+
+    def model(p):
+        return np.einsum("ij,ij->i", grad, p) + 0.5 * np.einsum("ri,rij,rj->r", p, hess, p)
+
+    curvature = np.einsum("ri,rij,rj->r", grad, hess, grad)
+    tau = np.where(curvature > 0, np.minimum(1.0, gnorm ** 3 / (radius * curvature)), 1.0)
+    cauchy = -(tau * radius / gnorm)[:, None] * grad
+    assert np.all(model(steps) <= model(cauchy) + 1e-12 * np.abs(model(cauchy)))
+    # the loose convex row stops inside, on trust-ncg's residual tolerance
+    assert not on_boundary[0]
+    residual = np.linalg.norm(hess[0] @ steps[0] + grad[0])
+    assert residual < min(0.5, np.sqrt(gnorm[0])) * gnorm[0]
 
 
 def test_minimize_sums_the_batch_into_plain_ints():
