@@ -428,6 +428,11 @@ def run_bounds(params: dict) -> list[Row]:
     n = _field(params, "n", _int, "bounds", 3 if ghz else 2, minimum=2 if ghz else 1)
     qubits = n if ghz else 2 * n
     _check_size("bounds", "'n'", qubits, qubits)  # a complete basis of 2^qubits members
+    # separable_bound lays the member rows out again for each bipartition
+    cuts = 2 ** (n - 1) - 1 if ghz else 1
+    if (need := cuts << (2 * qubits + 4)) > MAX_ROW_BYTES:
+        _refuse("bounds", "'n'", f"{cuts} cuts of 2^{qubits} members of joint dimension "
+                                 f"2^{qubits} need {need} B")
     label = _field(params, "scenario", str, "bounds", f"bounds-{family}-{n}")
     t0 = time.perf_counter()
     ens = ghz_basis(n, (1,) * n) if ghz else lattice_basis(n)

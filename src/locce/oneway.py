@@ -300,15 +300,13 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
     along p with the lower model value), on a step across the boundary
     (the boundary point along p), on a small residual, or after as many
     steps as the dimension. Returns the steps and whether each lies on
-    the boundary. ``hess`` is multiplied whole while at least half its
-    rows still iterate, and compacted below that.
+    the boundary. A finished row leaves the Hessians with the rest of its
+    iteration state, so every product is over the live rows only.
     """
     rows, size = grad.shape
     steps = np.empty_like(grad)
     on_boundary = np.zeros(rows, dtype=bool)
     live = np.arange(rows)  # the rows still iterating
-    slot = live  # each live row's row in ``h``
-    h = hess
     tol2 = np.square(np.minimum(0.5, np.sqrt(gnorm)) * gnorm)
     radius2 = np.square(radius)
     z = np.zeros_like(grad)
@@ -316,12 +314,7 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
     p = -grad
     rr = np.square(gnorm)
     for _ in range(size):
-        if len(h) == len(live):
-            hp = (h @ p[:, :, None])[:, :, 0]
-        else:
-            moves = np.zeros((len(h), size))
-            moves[slot] = p
-            hp = (h @ moves[:, :, None])[slot, :, 0]
+        hp = (hess @ p[:, :, None])[:, :, 0]
         curvature = np.einsum("ij,ij->i", p, hp)
         alpha = (rr / curvature)[:, None]
         z_next = z + alpha * p
@@ -338,7 +331,7 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
                 sel = np.flatnonzero(negative)
                 ta, tb = _boundary_steps(z[sel], p[sel], radius2[sel])
                 za, zb = z[sel] + ta[:, None] * p[sel], z[sel] + tb[:, None] * p[sel]
-                ha, hb = (h[slot[sel]] @ np.stack([za, zb], axis=2)).transpose(2, 0, 1)
+                ha, hb = (hess[sel] @ np.stack([za, zb], axis=2)).transpose(2, 0, 1)
                 g = grad[live[sel]]
                 model_a = np.einsum("ij,ij->i", g, za) + 0.5 * np.einsum("ij,ij->i", za, ha)
                 model_b = np.einsum("ij,ij->i", g, zb) + 0.5 * np.einsum("ij,ij->i", zb, hb)
@@ -350,13 +343,11 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
             on_boundary[live[negative | outside]] = True
             steps[live[small]] = z_next[small]
             going = ~done
-            live, slot = live[going], slot[going]
+            live = live[going]
             if not live.size:
                 return steps, on_boundary
-            z, r_next, p, rr, rr_next, tol2, radius2 = (
-                v[going] for v in (z_next, r_next, p, rr, rr_next, tol2, radius2))
-            if 2 * len(live) <= len(h):
-                h, slot = h[slot], np.arange(len(live))
+            hess, z, r_next, p, rr, rr_next, tol2, radius2 = (
+                v[going] for v in (hess, z_next, r_next, p, rr, rr_next, tol2, radius2))
         else:
             z = z_next
         p = -r_next + (rr_next / rr)[:, None] * p

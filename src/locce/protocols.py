@@ -32,8 +32,10 @@ each reduction keeps that norm exact:
   each group is applied to its stacked rows in one batched product, all
   outcomes at once. Every row still meets each operator in the product
   it would meet alone, so a tree whose rounds share no instrument (one
-  loaded from JSON) gets the same bits as the tree it came from. Leaves
-  are handed on in depth-first order.
+  loaded from JSON) gets the same bits as the tree it came from. The
+  walk returns the leaves it reached, with their rows' squared norms,
+  in depth-first order: :func:`run_protocol` scores them and
+  :func:`locce.zoo.build_tree` decodes its guesses from them.
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
 reference path of the cross-checks. It carries each Kraus product as
@@ -53,7 +55,6 @@ resource subsystems in front of its unknown-state subsystems.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -358,23 +359,22 @@ class _Entry(NamedTuple):
     held: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
 
-def _push_rows(tree, states, dims, priors, prune, leaf):
+def _push_rows(tree, states, dims, priors, prune):
     """Push the member rows ``states`` through ``tree`` one depth at a
-    time, replacing each leaf by ``leaf(node, probs, steps)`` with
-    ``probs`` the squared norm of every member's row there; return the new
-    tree, or ``tree`` itself if no leaf changed.
+    time and return its leaves as ``(leaf, probs, steps)`` in depth-first
+    order, with ``probs`` the squared norm of every member's row there.
 
     The rounds entered at one depth are grouped by the shape of their
     step (targets, outcome count, rank one or not, row axes and held
     groups), never by instrument, and each group is contracted at once
     (:func:`_contract`). Leaves are collected with their outcome paths and
-    handed to ``leaf`` in depth-first order. Outcomes whose weighted
-    probability is below ``prune`` are not entered, and each entered one
-    adds a StepRecord shared by the branches below; ``prune=None`` enters
-    every outcome and records no steps.
+    sorted by them. Outcomes whose weighted probability is below
+    ``prune`` are not entered, and each entered one adds a StepRecord
+    shared by the branches below; ``prune=None`` enters every outcome and
+    records no steps.
     """
     if isinstance(tree, Leaf):
-        return leaf(tree, _probabilities(states), ())
+        return [(tree, _probabilities(states), ())]
     dims = tuple(dims)
     frontier = [_Entry(tree, (), (), states[None], 0, tuple(range(len(dims))), ())]
     leaves: list = []  # (path, leaf node, probs, steps)
@@ -389,12 +389,7 @@ def _push_rows(tree, states, dims, priors, prune, leaf):
         for group in groups.values():
             frontier += _contract(group, dims, priors, prune, leaves)
     leaves.sort(key=lambda item: item[0])
-    changed = []
-    for path, node, probs, steps in leaves:
-        new = leaf(node, probs, steps)
-        if new is not node:
-            changed.append((path, new))
-    return _rebuild(tree, changed, 0) if changed else tree
+    return [item[1:] for item in leaves]
 
 
 def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
@@ -461,50 +456,31 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
     return below
 
 
-def _rebuild(node, leaves, depth: int):
-    """``node`` with the leaves below it replaced: ``leaves`` holds the
-    sorted ``(path, new leaf)`` pairs whose paths pass through ``node``,
-    which sits at ``depth``. Subtrees that hold none are kept as they are."""
-    if isinstance(node, Leaf):
-        return leaves[0][1]
-    children = list(node.children)
-    for k, below in itertools.groupby(leaves, key=lambda item: item[0][depth]):
-        children[k] = _rebuild(children[k], list(below), depth + 1)
-    return Round(node.instrument, tuple(children))
-
-
 def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolResult:
     """Exact fidelity of one protocol by full branch enumeration."""
     ens = problem.joint
     validate_tree(tree, ens)
     states = ens.amplitude_matrix()
     priors = ens.priors
-    branches: list[BranchRecord] = []
-    guesses: list = []
-
-    def record(leaf, probs, steps):
-        guesses.append(leaf.guess)
-        branches.append(BranchRecord(
-            steps=steps,
-            probability=float(np.dot(priors, probs)),
-            member_probabilities=probs,
-            survivors=tuple(int(i) for i in np.flatnonzero(probs > prune)),
-            guess_index=leaf.guess if isinstance(leaf.guess, int) else None,
-        ))
-        return leaf
-
-    _push_rows(tree, states, ens.dims, priors, prune, record)
-    members = sorted({g for g in guesses if isinstance(g, int)})
+    leaves = _push_rows(tree, states, ens.dims, priors, prune)
+    branches = tuple(BranchRecord(
+        steps=steps,
+        probability=float(np.dot(priors, probs)),
+        member_probabilities=probs,
+        survivors=tuple(int(i) for i in np.flatnonzero(probs > prune)),
+        guess_index=leaf.guess if isinstance(leaf.guess, int) else None,
+    ) for leaf, probs, steps in leaves)
+    members = sorted({branch.guess_index for branch in branches} - {None})
     # |<psi_i|psi_g>|^2 for the guessed members g only, in one product
     overlaps = dict(zip(members, (np.abs(states.conj() @ states[members].T) ** 2).T))
     total = 0.0
-    for branch, guess in zip(branches, guesses):
-        if isinstance(guess, int):
-            overlap = overlaps[guess]
+    for leaf, probs, _ in leaves:
+        if isinstance(leaf.guess, int):
+            overlap = overlaps[leaf.guess]
         else:
-            overlap = np.abs(states.conj() @ guess.amps) ** 2
-        total += float(np.dot(priors * branch.member_probabilities, overlap))
-    return ProtocolResult(float(total), tuple(branches))
+            overlap = np.abs(states.conj() @ leaf.guess.amps) ** 2
+        total += float(np.dot(priors * probs, overlap))
+    return ProtocolResult(float(total), branches)
 
 
 def validate_one_way(tree, order: Sequence[str]) -> bool:

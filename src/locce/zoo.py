@@ -4,11 +4,11 @@ Each builder returns a ``(JointProblem, tree)`` pair ready for
 :func:`locce.protocols.run_protocol`. Builders take every round's target
 subsystems from ``problem.joint.layout``, where
 :func:`locce.protocols.attach_resource` places each party's resource
-subsystems before its unknown ones. Leaf guesses are decoded by the
-same exact branch walk that scores a tree: each leaf guesses the member
-with the largest weighted branch probability (ties to the lowest
-index), so perfect protocols end with the unique surviving member and
-lossy ones with the best available guess.
+subsystems before its unknown ones. Leaf guesses are decoded from the
+leaves that the exact branch walk scoring a tree returns: each leaf
+guesses the member with the largest weighted branch probability (ties
+to the lowest index), so perfect protocols end with the unique
+surviving member and lossy ones with the best available guess.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,27 +86,28 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
 
     ``script`` entries are instruments, or callables receiving the
     outcome indices accumulated so far (for outcome-conditioned rounds
-    such as correction unitaries). Each leaf guesses the member with the
-    largest weighted branch probability, ties to the lowest index.
+    such as correction unitaries). The script is grown once with
+    placeholder leaves and walked; each leaf then guesses the member with
+    the largest weighted branch probability, ties to the lowest index,
+    and the script is grown again with those guesses.
     """
     ens = problem.joint
     priors = ens.priors
-
-    def best_member(_leaf, probs, _steps):
-        return Leaf(int(np.argmax(priors * probs)))
-
-    return _push_rows(_grow(script, ()), ens.amplitude_matrix(), ens.dims, priors,
-                      None, best_member)
+    leaves = _push_rows(_grow(script, itertools.repeat(0)), ens.amplitude_matrix(), ens.dims,
+                        priors, None)
+    return _grow(script, (int(np.argmax(priors * probs)) for _, probs, _ in leaves))
 
 
-def _grow(script: Sequence[ScriptStep], outcomes: tuple[int, ...]):
-    """The tree shape of ``script`` after ``outcomes``, with undecoded leaves."""
+def _grow(script: Sequence[ScriptStep], guesses: Iterator[int], outcomes: tuple[int, ...] = ()):
+    """The tree of ``script`` after ``outcomes``, its leaves taking their
+    guesses from the iterator ``guesses`` in depth-first order."""
     if len(outcomes) == len(script):
-        return Leaf(0)
+        return Leaf(next(guesses))
     inst = script[len(outcomes)]
     if not isinstance(inst, Instrument):
         inst = inst(outcomes)
-    return Round(inst, tuple(_grow(script, outcomes + (k,)) for k in range(inst.n_outcomes)))
+    return Round(inst, tuple(_grow(script, guesses, outcomes + (k,))
+                             for k in range(inst.n_outcomes)))
 
 
 def _undo(party: str, target: int, pos: int, corrections=BELL_CORRECTIONS) -> ScriptStep:

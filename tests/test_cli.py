@@ -205,6 +205,7 @@ def test_bad_timing_and_seed_env_name_the_field(tmp_path, capsys, monkeypatch):
     (("lattice", "--n", "3", "--m", "3"), "'n' (with 'm')"),
     (("bounds", "--family", "ghz", "--n", "16"), "'n'"),
     (("bounds", "--family", "lattice", "--n", "8"), "'n'"),
+    (("bounds", "--family", "ghz", "--n", "6"), "'n'"),  # 31 cuts x 64 KiB of member rows
 ])
 def test_size_guard_refuses_before_building(capsys, monkeypatch, argv, field):
     # a 1 MiB limit keeps this test small even if the guard is broken

@@ -340,23 +340,41 @@ def test_walk_gives_depth_first_branches_on_a_mixed_depth_tree():
     assert run == pytest.approx(flat, abs=1e-12)
 
 
-def test_walk_rebuilds_only_the_rounds_above_changed_leaves():
+def _at(node, path):
+    for k in path:
+        node = node.children[k]
+    return node
+
+
+def test_walk_returns_the_reached_leaves_depth_first():
     ens = ghz_basis(3, (2, 1))
     tree = _mixed_depth_tree(ens)
-    seen = []
+    paths = _leaf_paths(tree)
+    for prune, reached in ((0.0, paths), (PRUNE, [p for p in paths if p != (0, 1, 1)])):
+        leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, prune)
+        assert [tuple(s.outcome for s in steps) for _, _, steps in leaves] == reached
+        assert all(leaf is _at(tree, path) for (leaf, _, _), path in zip(leaves, reached))
+        for (_, probs, steps), path in zip(leaves, reached):
+            assert probs.shape == (ens.size,) and len(steps) == len(path)
 
-    def replace_below_outcome_1(node, _probs, steps):
-        seen.append(node)
-        return Leaf(7) if steps[0].outcome == 1 else node
 
-    new = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, PRUNE,
-                     replace_below_outcome_1)
-    assert seen[0] is tree.children[0].children[0]  # handed over depth first
-    assert new.children[0] is tree.children[0]
-    assert new.children[1] is not tree.children[1]
-    assert _leaf_paths(new) == _leaf_paths(tree)
-    assert _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, PRUNE,
-                      lambda node, _p, _s: node) is tree
+def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
+    base = ghz_basis(3, (2, 1))
+    priors = np.array([3, 3, 1, 1, 3, 3, 1, 1]) / 16
+    ens = Ensemble(base.layout, tuple(zip(priors, base.states)))
+    script = [computational_instrument("A1", (0,), (2,)), _weak("A2", 2),
+              bell_instrument("A1", (0, 1))]
+    tree = build_tree(JointProblem(ens), script)
+    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, None)
+    assert len(leaves) == 2 * 2 * 4
+    ties = moved = 0
+    for (leaf, probs, _), path in zip(leaves, _leaf_paths(tree)):
+        weighted = priors * probs
+        best = np.flatnonzero(weighted == weighted.max())
+        assert leaf is _at(tree, path) and leaf.guess == best[0]
+        ties += len(best) > 1
+        moved += leaf.guess != np.argmax(probs)
+    assert ties == 16 and moved == 8  # every leaf ties, and the priors move half the guesses
 
 
 def _instruments(node, found=None):

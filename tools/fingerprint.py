@@ -1,8 +1,9 @@
-"""Print a bit-exact fingerprint of the protocol builders and the branch walk.
+"""Print a bit-exact fingerprint of the protocol builders, the branch walk
+and the one-way trust region.
 
     PYTHONPATH=src python tools/fingerprint.py
 
-One line per case: its name, then three values.
+One line per protocol case: its name, then three values.
 
 - ``tree``: sha256 of ``tree_to_json`` plus every branch's steps,
   survivors and guess index;
@@ -20,6 +21,16 @@ teleportation from A to B with the parties' subsystems listed out of
 order, A = (2, 0) and B = (3, 1). Two cases hold trees whose rounds share
 no instrument: the first chain after a JSON round trip, and the (2, 2, 1)
 partitioned GHZ protocol coarsened to one party by ``relabel_parties``.
+
+Then one line per one-way search, ``feasibility_search`` on the Bell
+basis at seed 0: spectra (1, 1) and (1.6, 0.4) with K = 4 and (1.6, 0.4)
+with K = 8, 12 restarts each, and (1.6, 0.4) with K = 8 and 50 restarts.
+Each line holds two values.
+
+- ``records``: sha256 of every ``RestartRecord`` (``residual`` and
+  ``grad_norm`` as ``float.hex``, ``nit``, ``nfev``, ``status``);
+- ``phis``: sha256 of the bytes of the best restart's ``phis``.
+
 Two commits agree bit for bit when their outputs are identical (see the
 README for the diff recipe).
 Uses only the standard library, numpy and ``locce``.
@@ -27,7 +38,8 @@ Uses only the standard library, numpy and ``locce``.
 
 import hashlib
 
-from locce.families import Ensemble, Graph, PartyLayout, coarsen, lattice_basis
+from locce.families import Ensemble, Graph, PartyLayout, bell_basis, coarsen, lattice_basis
+from locce.oneway import ResourceSpectrum, feasibility_search, to_matrix_rep
 from locce.protocols import (
     JointProblem,
     relabel_parties,
@@ -86,10 +98,30 @@ def fingerprint(problem, tree) -> tuple[str, str, str]:
     return shape.hexdigest(), probs.hexdigest(), result.fidelity.hex()
 
 
+def oneway_searches():
+    for lambdas, outcomes, restarts in (((1.0, 1.0), 4, 12), ((1.6, 0.4), 4, 12),
+                                        ((1.6, 0.4), 8, 12), ((1.6, 0.4), 8, 50)):
+        yield (f"oneway-{lambdas[0]},{lambdas[1]}-K{outcomes}-R{restarts}",
+               ResourceSpectrum(lambdas), outcomes, restarts)
+
+
+def oneway_fingerprint(spectrum, outcomes, restarts) -> tuple[str, str]:
+    result = feasibility_search(to_matrix_rep(bell_basis()), spectrum, outcomes, restarts, 0)
+    records = hashlib.sha256()
+    for r in result.records:
+        records.update(repr((r.residual.hex(), r.nit, r.nfev, r.status,
+                             r.grad_norm.hex())).encode())
+    phis = hashlib.sha256(b"".join(phi.tobytes() for phi in result.phis))
+    return records.hexdigest(), phis.hexdigest()
+
+
 def main() -> None:
     for name, problem, tree in cases():
         shape, probs, fidelity = fingerprint(problem, tree)
         print(f"{name} tree={shape} probs={probs} F={fidelity}")
+    for name, *search in oneway_searches():
+        records, phis = oneway_fingerprint(*search)
+        print(f"{name} records={records} phis={phis}")
 
 
 if __name__ == "__main__":
