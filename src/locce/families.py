@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -128,11 +129,15 @@ class Ensemble:
     def size(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def priors(self) -> np.ndarray:
-        return np.array([p for p, _ in self.members])
+        """The member priors, built once per ensemble and read-only, since
+        every caller shares the one array."""
+        priors = np.array([p for p, _ in self.members])
+        priors.flags.writeable = False
+        return priors
 
-    @property
+    @cached_property
     def states(self) -> tuple[StateVector, ...]:
         return tuple(s for _, s in self.members)
 

@@ -278,6 +278,21 @@ def _frozen(theta: np.ndarray, k: int) -> np.ndarray:
     return np.broadcast_to(frozen[:, None, :, None], parts.shape).reshape(theta.shape)
 
 
+def _model_hessian(theta: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int,
+                   d: int) -> np.ndarray:
+    """The Hessians of :func:`_hessian` at ``theta``, with the rows and
+    columns of every frozen coordinate (:func:`_frozen`) made those of the
+    identity."""
+    hess = _hessian(theta, pairs, lambdas, k, d)
+    frozen = _frozen(theta, k)
+    if frozen.any():
+        hess[frozen] = 0.0
+        hess.swapaxes(1, 2)[frozen] = 0.0
+        row, col = np.nonzero(frozen)
+        hess[row, col, col] = 1.0
+    return hess
+
+
 def _boundary_steps(z: np.ndarray, p: np.ndarray, radius2: np.ndarray):
     """Both roots tau_a <= tau_b of ||z + tau p||^2 = radius2, per row, by
     the cancellation-free quadratic formula, as in scipy's trust-ncg."""
@@ -299,12 +314,15 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
     A row leaves the lockstep on negative curvature (the boundary point
     along p with the lower model value), on a step across the boundary
     (the boundary point along p), on a small residual, or after as many
-    steps as the dimension. Returns the steps and whether each lies on
-    the boundary. A finished row leaves the Hessians with the rest of its
-    iteration state, so every product is over the live rows only.
+    steps as the dimension. Returns the steps, whether each lies on the
+    boundary, and each step's curvature s.H s, taken from the row's
+    Hessian as it finishes. A finished row leaves the Hessians with the
+    rest of its iteration state, so every product is over the live rows
+    only, and no caller needs to keep the full stack.
     """
     rows, size = grad.shape
     steps = np.empty_like(grad)
+    step_curvature = np.empty(rows)
     on_boundary = np.zeros(rows, dtype=bool)
     live = np.arange(rows)  # the rows still iterating
     tol2 = np.square(np.minimum(0.5, np.sqrt(gnorm)) * gnorm)
@@ -342,10 +360,12 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
                 steps[live[sel]] = z[sel] + tb[:, None] * p[sel]
             on_boundary[live[negative | outside]] = True
             steps[live[small]] = z_next[small]
+            ended = live[done]
+            step_curvature[ended] = _curvature(steps[ended], hess[done])
             going = ~done
             live = live[going]
             if not live.size:
-                return steps, on_boundary
+                return steps, on_boundary, step_curvature
             hess, z, r_next, p, rr, rr_next, tol2, radius2 = (
                 v[going] for v in (hess, z_next, r_next, p, rr, rr_next, tol2, radius2))
         else:
@@ -353,7 +373,13 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
         p = -r_next + (rr_next / rr)[:, None] * p
         r, rr = r_next, rr_next
     steps[live] = z
-    return steps, on_boundary
+    step_curvature[live] = _curvature(z, hess)
+    return steps, on_boundary, step_curvature
+
+
+def _curvature(steps: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """s.H s for every row's step s and Hessian H."""
+    return np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0])
 
 
 @dataclass(frozen=True)
@@ -418,17 +444,10 @@ def minimize(theta0: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int,
     live = np.flatnonzero(~(gnorm < gtol))
     while live.size:
         here = x[live]
-        hess = _hessian(here, *args)
-        frozen = _frozen(here, k)
-        if frozen.any():
-            hess[frozen] = 0.0
-            hess.swapaxes(1, 2)[frozen] = 0.0
-            row, col = np.nonzero(frozen)
-            hess[row, col, col] = 1.0
         g = grad[live]
-        steps, on_boundary = _steihaug(g, hess, gnorm[live], radius[live])
-        curvature = np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0])
-        del hess
+        # the Hessian stack is passed on unnamed: only _steihaug's compacted copies remain
+        steps, on_boundary, curvature = _steihaug(g, _model_hessian(here, *args), gnorm[live],
+                                                  radius[live])
         predicted = -(np.einsum("ij,ij->i", g, steps) + 0.5 * curvature)
         stuck = ~(predicted > 0)
         statuses[live[stuck]] = 2

@@ -262,8 +262,12 @@ def attach_resource(ens: Ensemble, resource: StateVector,
 
 
 def validate_tree(tree, ens: Ensemble) -> None:
-    """Check party names, target locality and guess ranges against ``ens``."""
+    """Check party names, target locality and guess ranges against ``ens``.
+
+    Every round and leaf is visited; each distinct instrument (by
+    identity) is checked once per call, at its first round."""
     dims = ens.dims
+    checked: set[int] = set()  # ids of instruments checked; the tree keeps them alive
 
     def visit(node):
         if isinstance(node, Leaf):
@@ -274,18 +278,20 @@ def validate_tree(tree, ens: Ensemble) -> None:
                 raise ValueError("leaf guess dims do not match the ensemble")
             return
         inst = node.instrument
-        party_idx = ens.layout.indices(inst.party)  # raises for unknown party
-        if not set(inst.targets) <= set(party_idx):
-            raise ValueError(
-                f"instrument for {inst.party!r} targets {inst.targets} outside "
-                f"that party's subsystems {party_idx}"
-            )
-        dloc = int(np.prod([dims[t] for t in inst.targets]))
-        if inst.kraus[0].shape != (dloc, dloc):
-            raise ValueError(
-                f"instrument for {inst.party!r} has operator shape "
-                f"{inst.kraus[0].shape}, expected ({dloc},{dloc})"
-            )
+        if id(inst) not in checked:
+            party_idx = ens.layout.indices(inst.party)  # raises for unknown party
+            if not set(inst.targets) <= set(party_idx):
+                raise ValueError(
+                    f"instrument for {inst.party!r} targets {inst.targets} outside "
+                    f"that party's subsystems {party_idx}"
+                )
+            dloc = int(np.prod([dims[t] for t in inst.targets]))
+            if inst.kraus[0].shape != (dloc, dloc):
+                raise ValueError(
+                    f"instrument for {inst.party!r} has operator shape "
+                    f"{inst.kraus[0].shape}, expected ({dloc},{dloc})"
+                )
+            checked.add(id(inst))
         for child in node.children:
             visit(child)
 
@@ -433,8 +439,8 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
         out = apply_to_batch(ops, pos, rows.reshape(n_entries * members, -1), local)
     probs = _probabilities(out)
     if prune is not None:
-        weights = probs @ priors
-        survivors = np.count_nonzero(probs > prune, axis=2)
+        weights = (probs @ priors).tolist()
+        survivors = np.count_nonzero(probs > prune, axis=2).tolist()
     out = out.reshape((-1,) + out.shape[2:])  # row blocks of the rounds below
     below = []
     for b, entry in enumerate(group):
@@ -443,10 +449,10 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
         for k, child in enumerate(entry.node.children):
             steps = entry.steps
             if prune is not None:
-                if weights[b, k] < prune:
+                if weights[b][k] < prune:
                     continue
                 steps += (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
-                                     int(survivors[b, k])),)
+                                     survivors[b][k]),)
             path = entry.path + (k,)
             if isinstance(child, Leaf):
                 leaves.append((path, child, probs[b, k], steps))
@@ -457,30 +463,50 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
 
 
 def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolResult:
-    """Exact fidelity of one protocol by full branch enumeration."""
+    """Exact fidelity of one protocol by full branch enumeration.
+
+    A branch's probability is priors . member probabilities and its
+    survivors are the members above ``prune``; both are computed for all
+    branches at once, over the leaves' probability rows. Each record
+    keeps the walk's own row as its ``member_probabilities``."""
     ens = problem.joint
     validate_tree(tree, ens)
     states = ens.amplitude_matrix()
     priors = ens.priors
     leaves = _push_rows(tree, states, ens.dims, priors, prune)
-    branches = tuple(BranchRecord(
-        steps=steps,
-        probability=float(np.dot(priors, probs)),
-        member_probabilities=probs,
-        survivors=tuple(int(i) for i in np.flatnonzero(probs > prune)),
-        guess_index=leaf.guess if isinstance(leaf.guess, int) else None,
-    ) for leaf, probs, steps in leaves)
-    members = sorted({branch.guess_index for branch in branches} - {None})
+    rows = np.array([probs for _, probs, _ in leaves]).reshape(len(leaves), ens.size)
+    # a batch of (1, members) @ (members,) products: each one is np.dot(priors, row)
+    probabilities = (rows[:, None, :] @ priors)[:, 0].tolist()
+    above = rows > prune
+    counts = np.count_nonzero(above, axis=1).tolist()
+    columns = np.nonzero(above)[1].tolist()
+    guesses = [leaf.guess if isinstance(leaf.guess, int) else None for leaf, _, _ in leaves]
+    branches, start = [], 0
+    for (_, probs, steps), probability, count, guess in zip(
+            leaves, probabilities, counts, guesses):
+        branches.append(BranchRecord(
+            steps=steps, probability=probability, member_probabilities=probs,
+            survivors=tuple(columns[start:start + count]), guess_index=guess))
+        start += count
+    by_guess: dict = {}
+    for i, guess in enumerate(guesses):
+        by_guess.setdefault(guess, []).append(i)
+    explicit = by_guess.pop(None, [])
+    members = sorted(by_guess)
     # |<psi_i|psi_g>|^2 for the guessed members g only, in one product
     overlaps = dict(zip(members, (np.abs(states.conj() @ states[members].T) ** 2).T))
+    weighted = rows * priors
+    terms = np.empty(len(leaves))
+    for member, at in by_guess.items():
+        # each (1, members) @ (members, 1) product is np.dot(priors * probs, overlap); the
+        # overlap column is read in place, since BLAS sums a contiguous copy in another order
+        terms[at] = (weighted[at][:, None, :] @ overlaps[member][:, None])[:, 0, 0]
+    for i in explicit:
+        terms[i] = np.dot(weighted[i], np.abs(states.conj() @ leaves[i][0].guess.amps) ** 2)
     total = 0.0
-    for leaf, probs, _ in leaves:
-        if isinstance(leaf.guess, int):
-            overlap = overlaps[leaf.guess]
-        else:
-            overlap = np.abs(states.conj() @ leaf.guess.amps) ** 2
-        total += float(np.dot(priors * probs, overlap))
-    return ProtocolResult(float(total), branches)
+    for term in terms.tolist():  # summed in branch order
+        total += term
+    return ProtocolResult(total, tuple(branches))
 
 
 def validate_one_way(tree, order: Sequence[str]) -> bool:

@@ -87,15 +87,17 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     ``script`` entries are instruments, or callables receiving the
     outcome indices accumulated so far (for outcome-conditioned rounds
     such as correction unitaries). The script is grown once with
-    placeholder leaves and walked; each leaf then guesses the member with
-    the largest weighted branch probability, ties to the lowest index,
-    and the script is grown again with those guesses.
+    placeholder leaves and walked; every leaf's guess, the member with
+    the largest weighted branch probability (ties to the lowest index),
+    then comes from one argmax over the leaves' probability rows, and the
+    script is grown again with those guesses.
     """
     ens = problem.joint
     priors = ens.priors
     leaves = _push_rows(_grow(script, itertools.repeat(0)), ens.amplitude_matrix(), ens.dims,
                         priors, None)
-    return _grow(script, (int(np.argmax(priors * probs)) for _, probs, _ in leaves))
+    rows = np.array([probs for _, probs, _ in leaves])
+    return _grow(script, iter(np.argmax(priors * rows, axis=1).tolist()))
 
 
 def _grow(script: Sequence[ScriptStep], guesses: Iterator[int], outcomes: tuple[int, ...] = ()):

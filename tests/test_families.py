@@ -48,6 +48,16 @@ def test_bell_basis_members():
     assert np.allclose(ens.priors, 0.25)
 
 
+def test_priors_and_states_are_built_once_and_priors_are_read_only():
+    ens = bell_basis()
+    assert ens.priors is ens.priors and ens.states is ens.states
+    with pytest.raises(ValueError, match="read-only"):
+        ens.priors[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ens.priors *= 2
+    assert np.array_equal(ens.priors, [0.25] * 4)
+
+
 def test_bell_basis_entropies():
     ens = bell_basis()
     for st in ens.states:

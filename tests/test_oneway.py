@@ -310,9 +310,12 @@ def test_steihaug_steps_stay_inside_and_beat_the_cauchy_point():
     grad = rng.standard_normal((rows, size))
     gnorm = np.linalg.norm(grad, axis=1)
     radius = np.array([100.0, 0.1, 1.0, 100.0, 0.1, 1.0])
-    steps, on_boundary = _steihaug(grad, hess, gnorm, radius)
+    steps, on_boundary, step_curvature = _steihaug(grad, hess, gnorm, radius)
+    # each step's curvature is s.H s as the whole stack gives it, bit for bit
+    assert np.array_equal(step_curvature,
+                          np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0]))
     for i in range(rows):  # each row's subproblem is solved on its own
-        one, hit = _steihaug(grad[i:i + 1], hess[i:i + 1], gnorm[i:i + 1], radius[i:i + 1])
+        one, hit, _ = _steihaug(grad[i:i + 1], hess[i:i + 1], gnorm[i:i + 1], radius[i:i + 1])
         assert np.allclose(one[0], steps[i], rtol=1e-12, atol=0) and hit[0] == on_boundary[i]
     norms = np.linalg.norm(steps, axis=1)
     assert np.all(norms <= radius * (1 + 1e-12))

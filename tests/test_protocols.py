@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from locce.tensor import StateVector, bell_vectors
-from locce.families import Ensemble, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, single_qubit_layout
+from locce.families import (
+    Ensemble, Graph, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, single_qubit_layout,
+)
 from locce.fidelity import average_fidelity
 from locce.protocols import (
     PRUNE,
@@ -32,7 +34,14 @@ from locce.protocols import (
     validate_one_way,
     validate_tree,
 )
-from locce.zoo import build_tree, computational_protocol, sequential_bell_protocol, standard_zoo
+from locce.zoo import (
+    build_tree,
+    computational_protocol,
+    graph_decode_protocol,
+    partitioned_ghz_protocol,
+    sequential_bell_protocol,
+    standard_zoo,
+)
 
 from dense_reference import branch_kraus
 
@@ -359,9 +368,8 @@ def test_walk_returns_the_reached_leaves_depth_first():
 
 
 def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
-    base = ghz_basis(3, (2, 1))
-    priors = np.array([3, 3, 1, 1, 3, 3, 1, 1]) / 16
-    ens = Ensemble(base.layout, tuple(zip(priors, base.states)))
+    ens = _uneven_ghz3()
+    priors = ens.priors
     script = [computational_instrument("A1", (0,), (2,)), _weak("A2", 2),
               bell_instrument("A1", (0, 1))]
     tree = build_tree(JointProblem(ens), script)
@@ -375,6 +383,85 @@ def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
         ties += len(best) > 1
         moved += leaf.guess != np.argmax(probs)
     assert ties == 16 and moved == 8  # every leaf ties, and the priors move half the guesses
+
+
+def _record_cases():
+    for entry in standard_zoo():
+        yield entry.name, entry.problem, entry.tree
+    yield "sequential-bell-5", *sequential_bell_protocol(5)
+    yield "partitioned-ghz-5-221", *partitioned_ghz_protocol(5, (2, 2, 1))
+    yield "graph-cycle5", *graph_decode_protocol(Graph.cycle(5))
+    # uneven priors that move 4 of the 8 guesses; on 4 branches a (branches, members)
+    # @ (members,) product differs from np.dot in the last bit
+    problem = JointProblem(_uneven_ghz3())
+    yield "ghz3-21-uneven-weak", problem, build_tree(problem, [
+        computational_instrument("A1", (0,), (2,)), _weak("A2", 2), plus_minus_instrument("A2", 2)])
+
+
+def _uneven_ghz3():
+    base = ghz_basis(3, (2, 1))
+    priors = np.array([3, 3, 1, 1, 3, 3, 1, 1]) / 16
+    return Ensemble(base.layout, tuple(zip(priors, base.states)))
+
+
+def test_branch_records_and_guesses_match_their_per_leaf_definitions():
+    for name, problem, tree in _record_cases():
+        ens = problem.joint
+        result = run_protocol(problem, tree)
+        assert result.branches, name
+        for branch in result.branches:
+            probs = branch.member_probabilities
+            assert branch.probability.hex() == float(np.dot(ens.priors, probs)).hex(), name
+            assert branch.survivors == tuple(np.flatnonzero(probs > PRUNE)), name
+            assert all(type(i) is int for i in branch.survivors), name
+        leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, None)
+        assert [leaf.guess for leaf, _, _ in leaves] == [
+            int(np.argmax(ens.priors * probs)) for _, probs, _ in leaves], name
+
+
+def test_fidelity_is_the_branch_ordered_sum_of_per_leaf_terms():
+    # 12 random, non-orthogonal members: the overlaps are not 0 or 1, so a dot
+    # product that read the overlap column at another stride could round differently
+    rng = np.random.default_rng(5)
+    states = [StateVector.normalized((2, 2, 2), rng.standard_normal(8) + 1j * rng.standard_normal(8))
+              for _ in range(12)]
+    ens = Ensemble(single_qubit_layout(3), tuple(zip(rng.dirichlet(np.ones(12)), states)))
+    problem, tree = computational_protocol(ens)
+    result = run_protocol(problem, tree)
+    amps = ens.amplitude_matrix()
+    members = sorted({branch.guess_index for branch in result.branches})
+    overlaps = dict(zip(members, (np.abs(amps.conj() @ amps[members].T) ** 2).T))
+    total = 0.0
+    for branch in result.branches:
+        total += float(np.dot(ens.priors * branch.member_probabilities,
+                              overlaps[branch.guess_index]))
+    assert result.fidelity.hex() == total.hex()
+
+
+def _repeated(inst, depth, bottom):
+    """``depth`` rounds of ``inst`` above ``bottom``, each outcome 0 ending in Leaf(0)."""
+    node = bottom
+    for _ in range(depth):
+        node = Round(inst, (Leaf(0),) + (node,) * (inst.n_outcomes - 1))
+    return node
+
+
+def test_validate_tree_checks_each_instrument_in_every_call():
+    ens = ghz_basis(3, (2, 1))  # A1 holds qubits (0, 1), A2 qubit 2
+    shared = computational_instrument("A1", (1,), (2,))
+    tree = _repeated(shared, 8, Leaf(1))
+    validate_tree(tree, ens)
+    # the same tree against a layout in which A1 no longer holds qubit 1
+    moved = Ensemble(PartyLayout((("A1", (0, 2)), ("A2", (1,)))), ens.members)
+    with pytest.raises(ValueError, match=r"targets \(1,\) outside"):
+        validate_tree(tree, moved)
+    validate_tree(tree, ens)
+    # a bad instrument or guess used only at the bottom still raises
+    stray = computational_instrument("A2", (0,), (2,))
+    with pytest.raises(ValueError, match=r"'A2' targets \(0,\) outside"):
+        validate_tree(_repeated(shared, 8, Round(stray, (Leaf(0), Leaf(1)))), ens)
+    with pytest.raises(ValueError, match="leaf guesses member 8 of 8"):
+        validate_tree(_repeated(shared, 8, Leaf(8)), ens)
 
 
 def _instruments(node, found=None):

@@ -18,8 +18,13 @@ generalized Bell basis, the one case whose corrections are not Paulis,
 the partial lattice teleport of 2 of 3 pairs, teleportation of the
 2-pair lattice basis from B to A, two unknown qubits per party, and its
 teleportation from A to B with the parties' subsystems listed out of
-order, A = (2, 0) and B = (3, 1). Two cases hold trees whose rounds share
-no instrument: the first chain after a JSON round trip, and the (2, 2, 1)
+order, A = (2, 0) and B = (3, 1). One case has uneven priors: the
+GHZ basis of 3 qubits in parties (2, 1), weighted 3:3:1:1:3:3:1:1 / 16,
+under a computational round on qubit 0, then a weak (0.3 : 0.7) and a
++/- round on qubit 2: the priors move 4 of its 8 decoded guesses, and its
+branch probabilities are sums that a different summation order rounds
+differently. Two cases hold trees whose rounds
+share no instrument: the first chain after a JSON round trip, and the (2, 2, 1)
 partitioned GHZ protocol coarsened to one party by ``relabel_parties``.
 
 Then one line per one-way search, ``feasibility_search`` on the Bell
@@ -38,16 +43,24 @@ Uses only the standard library, numpy and ``locce``.
 
 import hashlib
 
-from locce.families import Ensemble, Graph, PartyLayout, bell_basis, coarsen, lattice_basis
+import numpy as np
+
+from locce.families import (
+    Ensemble, Graph, PartyLayout, bell_basis, coarsen, ghz_basis, lattice_basis,
+)
 from locce.oneway import ResourceSpectrum, feasibility_search, to_matrix_rep
 from locce.protocols import (
+    Instrument,
     JointProblem,
+    computational_instrument,
+    plus_minus_instrument,
     relabel_parties,
     run_protocol,
     tree_from_json,
     tree_to_json,
 )
 from locce.zoo import (
+    build_tree,
     graph_decode_protocol,
     lattice_partial_teleport,
     partitioned_ghz_protocol,
@@ -83,6 +96,13 @@ def cases():
     merged = Ensemble(coarsen(joint.layout, grouping), joint.members)
     yield ("partitioned-ghz-5-221-coarsened", JointProblem(merged),
            relabel_parties(tree, grouping))
+    ghz = ghz_basis(3, (2, 1))
+    uneven = JointProblem(Ensemble(ghz.layout, tuple(
+        (weight / 16, state) for weight, state in zip((3, 3, 1, 1, 3, 3, 1, 1), ghz.states))))
+    weak = Instrument("A2", (2,), (np.diag([0.3 ** 0.5, 0.7 ** 0.5]),
+                                   np.diag([0.7 ** 0.5, 0.3 ** 0.5])))
+    script = [computational_instrument("A1", (0,), (2,)), weak, plus_minus_instrument("A2", 2)]
+    yield "ghz3-21-uneven-weak", uneven, build_tree(uneven, script)
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
