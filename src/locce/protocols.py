@@ -26,15 +26,16 @@ each reduction keeps that norm exact:
   row by <w|psi> on the remaining subsystems: K|psi> = |u> (x) <w|psi>
   has the same norm, and the split-off |u> is tensored back on only when
   a later instrument acts on one of those subsystems;
-- the walk goes one depth at a time. The rounds entered at a depth are
-  grouped by the shape of their step (targets, outcome count, rank one
-  or not, the axes of their rows and the groups split off them), and
-  each group is applied to its stacked rows in one batched product, all
-  outcomes at once. Every row still meets each operator in the product
-  it would meet alone, so a tree whose rounds share no instrument (one
-  loaded from JSON) gets the same bits as the tree it came from. The
-  walk returns the leaves it reached, with their rows' squared norms,
-  in depth-first order: :func:`run_protocol` scores them and
+- the walk pops groups of rounds off a stack. A group's rounds were
+  entered from one contraction and share the shape of their step
+  (targets, outcome count, rank one or not); each group is applied to
+  its stacked rows in one batched product, all outcomes at once, and a
+  group whose rows exceed ``_GROUP_BYTES`` is contracted in halves.
+  Every row still meets each operator in the product it would meet
+  alone, so a tree whose rounds share no instrument (one loaded from
+  JSON) gets the same bits as the tree it came from. The walk returns
+  the leaves it reached, with their rows' squared norms, in depth-first
+  order: :func:`run_protocol` scores them and
   :func:`locce.zoo.build_tree` decodes its guesses from them.
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
@@ -346,84 +347,75 @@ def _probabilities(rows: np.ndarray) -> np.ndarray:
     return probs
 
 
-class _Entry(NamedTuple):
-    """A round that the walk has entered, with the member rows that reach it.
+_GROUP_BYTES = 1 << 22  # a group whose rows hold more is contracted in halves
 
-    ``path`` holds the outcomes from the root and ``steps`` the records
-    made on the way. The rows are ``block[index]``, with ``block`` the
-    output of the contraction above. Row axes are the original subsystems
-    ``axes``; each ``(group, ket)`` in ``held`` is a group of subsystems
-    whose factor ``ket`` was split off the rows.
-    """
 
-    node: Round
-    path: tuple[int, ...]
-    steps: tuple[StepRecord, ...]
-    block: np.ndarray
-    index: int
+class _Group(NamedTuple):
+    """Rounds entered from one contraction that share the shape of their
+    step. Round b has outcome path ``paths[b]``, the records ``steps[b]``
+    made on the way and member rows ``rows[b]`` of shape (members, width),
+    whose axes are the original subsystems ``axes``; each
+    ``(subsystems, kets)`` in ``held`` is a group of subsystems whose
+    factor ``kets[b]`` was split off those rows."""
+
+    nodes: tuple[Round, ...]
+    paths: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[StepRecord, ...], ...]
+    rows: np.ndarray
     axes: tuple[int, ...]
     held: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
 
 def _push_rows(tree, states, dims, priors, prune):
-    """Push the member rows ``states`` through ``tree`` one depth at a
-    time and return its leaves as ``(leaf, probs, steps)`` in depth-first
-    order, with ``probs`` the squared norm of every member's row there.
+    """Push the member rows ``states`` through ``tree`` and return its
+    leaves as ``(leaf, probs, steps)`` in depth-first order, with ``probs``
+    the squared norm of every member's row there.
 
-    The rounds entered at one depth are grouped by the shape of their
-    step (targets, outcome count, rank one or not, row axes and held
-    groups), never by instrument, and each group is contracted at once
-    (:func:`_contract`). Leaves are collected with their outcome paths and
-    sorted by them. Outcomes whose weighted probability is below
-    ``prune`` are not entered, and each entered one adds a StepRecord
-    shared by the branches below; ``prune=None`` enters every outcome and
-    records no steps.
+    The walk pops groups of rounds off a stack, contracts each at once
+    (:func:`_contract`) and pushes the groups entered below it. Leaves are
+    collected with their outcome paths and sorted by them. Outcomes whose
+    weighted probability is below ``prune`` are not entered, and each
+    entered one adds a StepRecord shared by the branches below;
+    ``prune=None`` enters every outcome and records no steps.
     """
     if isinstance(tree, Leaf):
         return [(tree, _probabilities(states), ())]
     dims = tuple(dims)
-    frontier = [_Entry(tree, (), (), states[None], 0, tuple(range(len(dims))), ())]
+    stack = [_Group((tree,), ((),), ((),), states[None], tuple(range(len(dims))), ())]
     leaves: list = []  # (path, leaf node, probs, steps)
-    while frontier:
-        groups: dict = {}
-        for entry in frontier:
-            inst = entry.node.instrument
-            key = (inst.targets, inst.n_outcomes, inst._rank_one is None, entry.axes,
-                   tuple(group for group, _ in entry.held))
-            groups.setdefault(key, []).append(entry)
-        frontier = []
-        for group in groups.values():
-            frontier += _contract(group, dims, priors, prune, leaves)
+    while stack:
+        stack += _contract(stack.pop(), dims, priors, prune, leaves)
     leaves.sort(key=lambda item: item[0])
     return [item[1:] for item in leaves]
 
 
-def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
-    """Apply the rounds of ``group``, which share the shape of their step,
-    to their stacked rows (shape (B, members, width)) in one product:
+def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
+    """Apply the rounds of ``group`` to their stacked rows in one product:
     ``<w|`` for rank-one rounds, the Kraus stacks otherwise. Append the
-    entered leaves to ``leaves`` and return the entered rounds below."""
-    first = group[0]
-    targets, n_outcomes = first.node.instrument.targets, first.node.instrument.n_outcomes
-    if len(group) == len(first.block) and all(
-            entry.block is first.block and entry.index == b for b, entry in enumerate(group)):
-        rows = first.block  # every round below one contraction, in order: no copy
-    else:
-        rows = np.stack([entry.block[entry.index] for entry in group])
+    entered leaves to ``leaves`` and return the entered rounds below, one
+    group per shape of their step; a group of two or more rounds whose rows
+    exceed ``_GROUP_BYTES`` is returned as two halves, the first on top."""
+    nodes, rows = group.nodes, group.rows
+    if len(nodes) > 1 and rows.nbytes > _GROUP_BYTES:
+        half = len(nodes) // 2
+        return [_Group(nodes[part], group.paths[part], group.steps[part], rows[part],
+                       group.axes, tuple((s, kets[part]) for s, kets in group.held))
+                for part in (slice(half, None), slice(half))]
+    inst = nodes[0].instrument
+    targets, n_outcomes = inst.targets, inst.n_outcomes
     n_entries, members = rows.shape[:2]
-    axes, kept = first.axes, []
-    for j, (held_group, _) in enumerate(first.held):
-        if set(held_group).isdisjoint(targets):
-            kept.append(j)
+    axes, kept = group.axes, []
+    for subsystems, kets in group.held:
+        if set(subsystems).isdisjoint(targets):
+            kept.append((subsystems, kets))
             continue
-        kets = np.stack([entry.held[j][1] for entry in group])
         rows = (rows[:, :, :, None] * kets[:, None, None, :]).reshape(n_entries, members, -1)
-        axes += held_group
+        axes += subsystems
     pos = tuple(axes.index(t) for t in targets)
     local = tuple(dims[a] for a in axes)
-    rank_one = first.node.instrument._rank_one is not None
+    rank_one = inst._rank_one is not None
     if rank_one:
-        factors = [entry.node.instrument._rank_one for entry in group]
+        factors = [node.instrument._rank_one for node in nodes]
         split = np.stack([kets for kets, _ in factors])
         bras = np.stack([bras for _, bras in factors])
         dloc = bras.shape[2]
@@ -435,31 +427,39 @@ def _contract(group: list[_Entry], dims, priors, prune, leaves) -> list[_Entry]:
             n_entries, n_outcomes, members, rest)
         axes = tuple(a for a in axes if a not in targets)
     else:
-        ops = np.stack([entry.node.instrument._stack for entry in group])
+        ops = np.stack([node.instrument._stack for node in nodes])
         out = apply_to_batch(ops, pos, rows.reshape(n_entries * members, -1), local)
     probs = _probabilities(out)
     if prune is not None:
         weights = (probs @ priors).tolist()
         survivors = np.count_nonzero(probs > prune, axis=2).tolist()
-    out = out.reshape((-1,) + out.shape[2:])  # row blocks of the rounds below
-    below = []
-    for b, entry in enumerate(group):
-        inst = entry.node.instrument
-        held = tuple(entry.held[j] for j in kept)
-        for k, child in enumerate(entry.node.children):
-            steps = entry.steps
+    buckets: dict = {}  # step shape -> [(round, path, steps, row of out)]
+    for b, node in enumerate(nodes):
+        inst = node.instrument
+        for k, child in enumerate(node.children):
+            steps = group.steps[b]
             if prune is not None:
                 if weights[b][k] < prune:
                     continue
                 steps += (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
                                      survivors[b][k]),)
-            path = entry.path + (k,)
+            path = group.paths[b] + (k,)
             if isinstance(child, Leaf):
                 leaves.append((path, child, probs[b, k], steps))
-            else:
-                below.append(_Entry(child, path, steps, out, b * n_outcomes + k, axes,
-                                    held + ((targets, split[b, k]),) if rank_one else held))
-    return below
+                continue
+            below = child.instrument
+            key = (below.targets, below.n_outcomes, below._rank_one is None)
+            buckets.setdefault(key, []).append((child, path, steps, b * n_outcomes + k))
+    out = out.reshape((-1,) + out.shape[2:])  # one row block per outcome of each round
+    groups = []
+    for entered in buckets.values():
+        children, paths, steps, at = zip(*entered)
+        at = np.array(at)
+        held = tuple((subsystems, kets[at // n_outcomes]) for subsystems, kets in kept)
+        if rank_one:
+            held += ((targets, split.reshape(len(out), -1)[at]),)
+        groups.append(_Group(children, paths, steps, out[at], axes, held))
+    return groups
 
 
 def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolResult:

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from locce.tensor import StateVector, bell_vectors
 from locce.families import (
     Ensemble, Graph, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, single_qubit_layout,
 )
+from locce import protocols
 from locce.fidelity import average_fidelity
 from locce.protocols import (
     PRUNE,
@@ -300,7 +302,7 @@ def test_state_guess_below_a_collapsed_round_matches_flatten():
     assert run == pytest.approx(flat, abs=1e-12)
 
 
-# -- the level-by-level walk --------------------------------------------------
+# -- the walk over a stack of grouped rounds ----------------------------------
 
 def _paths(result):
     return [tuple(step.outcome for step in branch.steps) for branch in result.branches]
@@ -396,6 +398,83 @@ def _record_cases():
     problem = JointProblem(_uneven_ghz3())
     yield "ghz3-21-uneven-weak", problem, build_tree(problem, [
         computational_instrument("A1", (0,), (2,)), _weak("A2", 2), plus_minus_instrument("A2", 2)])
+
+
+def _records(problem, tree):
+    result = run_protocol(problem, tree)
+    return result.fidelity.hex(), [
+        (br.steps, br.probability.hex(), br.member_probabilities.tobytes(), br.survivors,
+         br.guess_index) for br in result.branches]
+
+
+def _count_contractions(monkeypatch):
+    calls = []
+    contract = protocols._contract
+    monkeypatch.setattr(protocols, "_contract", lambda *args: calls.append(1) or contract(*args))
+    return calls
+
+
+def test_a_zero_group_budget_contracts_round_by_round_to_the_same_bits(monkeypatch):
+    cases = list(_record_cases())
+    want = [_records(problem, tree) for _, problem, tree in cases]
+    calls = _count_contractions(monkeypatch)
+    monkeypatch.setattr(protocols, "_GROUP_BYTES", 0)
+    for (name, problem, tree), records in zip(cases, want):
+        assert _records(problem, tree) == records, name
+    problem, tree = sequential_bell_protocol(5)
+    calls.clear()
+    run_protocol(problem, tree)
+    assert len(calls) > 9  # 9 unsplit groups, one per script step
+
+
+def _weak_tree(n_qubits, depth):
+    """``depth`` weak rounds on qubits 0, 1, ... in turn, all 2^depth branches kept."""
+    node = Leaf(0)
+    for d in reversed(range(depth)):
+        node = Round(_weak(f"A{d % n_qubits + 1}", d % n_qubits), (node, node))
+    return node
+
+
+def test_a_deep_tree_of_general_rounds_stays_within_the_group_budget():
+    # 1024 branches of 64 member rows of 64 amplitudes: the bottom depth's rows alone
+    # take 64 MiB, a walk holding a whole depth peaked at 160 MiB and 4 MiB groups at 40
+    problem = JointProblem(ghz_basis(6, (1,) * 6))
+    tracemalloc.start()
+    try:
+        result = run_protocol(problem, _weak_tree(6, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.branches) == 1024
+    assert peak < 48 << 20
+
+
+def test_held_kets_stay_with_their_rounds_past_a_disjoint_round():
+    # qubit 0's split-off ket passes the +/- round on qubit 2 in the rows of four
+    # rounds and meets the second computational round on qubit 0 in each of them
+    ens = ghz_basis(3, (2, 1))
+    measure = computational_instrument("A1", (0,), (2,))
+    problem = JointProblem(ens)
+    tree = build_tree(problem, [measure, plus_minus_instrument("A2", 2), measure])
+    result = run_protocol(problem, tree, prune=0.0)
+    povm, _ = flatten_to_povm(tree, problem)
+    assert len(result.branches) == len(povm.factors) == 8
+    states = ens.amplitude_matrix()
+    for branch, factor in zip(result.branches, povm.factors):
+        want = np.sum(np.abs(states @ factor.T) ** 2, axis=1)
+        assert np.max(np.abs(branch.member_probabilities - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("build, steps", [
+    (lambda: sequential_bell_protocol(5), 9),
+    (lambda: partitioned_ghz_protocol(5, (2, 2, 1)), 11),
+    (lambda: graph_decode_protocol(Graph.cycle(5)), 5),
+], ids=["sequential-bell-5", "partitioned-ghz-5-221", "graph-cycle5"])
+def test_script_grown_trees_take_one_contraction_per_script_step(build, steps, monkeypatch):
+    problem, tree = build()
+    calls = _count_contractions(monkeypatch)
+    run_protocol(problem, tree)
+    assert len(calls) == steps == len(_leaf_paths(tree)[0])
 
 
 def _uneven_ghz3():

@@ -23,9 +23,12 @@ GHZ basis of 3 qubits in parties (2, 1), weighted 3:3:1:1:3:3:1:1 / 16,
 under a computational round on qubit 0, then a weak (0.3 : 0.7) and a
 +/- round on qubit 2: the priors move 4 of its 8 decoded guesses, and its
 branch probabilities are sums that a different summation order rounds
-differently. Two cases hold trees whose rounds
-share no instrument: the first chain after a JSON round trip, and the (2, 2, 1)
-partitioned GHZ protocol coarsened to one party by ``relabel_parties``.
+differently. Another GHZ (2, 1) case measures qubit 0, then qubit 2 in
+the +/- basis, then qubit 0 again: the ket split off qubit 0 is carried
+past the round on qubit 2 and put back for the second measurement. Two
+cases hold trees whose rounds share no instrument: the first chain after
+a JSON round trip, and the (2, 2, 1) partitioned GHZ protocol coarsened
+to one party by ``relabel_parties``.
 
 Then one line per one-way search, ``feasibility_search`` on the Bell
 basis at seed 0: spectra (1, 1) and (1.6, 0.4) with K = 4 and (1.6, 0.4)
@@ -103,6 +106,10 @@ def cases():
                                    np.diag([0.7 ** 0.5, 0.3 ** 0.5])))
     script = [computational_instrument("A1", (0,), (2,)), weak, plus_minus_instrument("A2", 2)]
     yield "ghz3-21-uneven-weak", uneven, build_tree(uneven, script)
+    held = JointProblem(ghz)
+    measure = computational_instrument("A1", (0,), (2,))
+    yield "ghz3-21-held-kets", held, build_tree(held, [measure, plus_minus_instrument("A2", 2),
+                                                       measure])
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
