@@ -124,6 +124,8 @@ class Instrument:
         kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not kraus:
             raise ValueError("instrument needs at least one Kraus operator")
+        if kraus[0].ndim != 2:
+            raise ValueError("Kraus operators must share one square shape")
         d = kraus[0].shape[0]
         total = np.zeros((d, d), dtype=complex)
         for k in kraus:

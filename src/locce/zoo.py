@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .protocols import (
     projective_instrument,
     run_protocol,
     unitary_instrument,
+    validate_tree,
     _push_rows,
 )
 
@@ -82,34 +83,32 @@ ScriptStep = Instrument | Callable[[tuple[int, ...]], Instrument]
 
 
 def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
-    """Grow a tree from a round script, decoding every leaf.
-
-    ``script`` entries are instruments, or callables receiving the
-    outcome indices accumulated so far (for outcome-conditioned rounds
-    such as correction unitaries). The script is grown once with
-    placeholder leaves and walked; every leaf's guess, the member with
-    the largest weighted branch probability (ties to the lowest index),
-    then comes from one argmax over the leaves' probability rows, and the
-    script is grown again with those guesses.
+    """Grow a tree from a round script once, check it with
+    :func:`~locce.protocols.validate_tree` and set every leaf's guess in
+    place: the member with the largest weighted branch probability (ties
+    to the lowest index), from one argmax over the rows of the exact walk.
+    ``script`` entries are instruments, or callables receiving the outcome
+    indices accumulated so far (for outcome-conditioned rounds such as
+    correction unitaries); each callable runs once per prefix.
     """
     ens = problem.joint
-    priors = ens.priors
-    leaves = _push_rows(_grow(script, itertools.repeat(0)), ens.amplitude_matrix(), ens.dims,
-                        priors, None)
+    tree = _grow(script)
+    validate_tree(tree, ens)
+    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, None)
     rows = np.array([probs for _, probs, _ in leaves])
-    return _grow(script, iter(np.argmax(priors * rows, axis=1).tolist()))
+    for (leaf, _, _), guess in zip(leaves, np.argmax(ens.priors * rows, axis=1).tolist()):
+        object.__setattr__(leaf, "guess", guess)  # as Leaf.__post_init__; no one holds it yet
+    return tree
 
 
-def _grow(script: Sequence[ScriptStep], guesses: Iterator[int], outcomes: tuple[int, ...] = ()):
-    """The tree of ``script`` after ``outcomes``, its leaves taking their
-    guesses from the iterator ``guesses`` in depth-first order."""
+def _grow(script: Sequence[ScriptStep], outcomes: tuple[int, ...] = ()):
+    """The tree of ``script`` after ``outcomes``, a new ``Leaf(0)`` on every branch."""
     if len(outcomes) == len(script):
-        return Leaf(next(guesses))
+        return Leaf(0)
     inst = script[len(outcomes)]
     if not isinstance(inst, Instrument):
         inst = inst(outcomes)
-    return Round(inst, tuple(_grow(script, guesses, outcomes + (k,))
-                             for k in range(inst.n_outcomes)))
+    return Round(inst, tuple(_grow(script, outcomes + (k,)) for k in range(inst.n_outcomes)))
 
 
 def _undo(party: str, target: int, pos: int, corrections=BELL_CORRECTIONS) -> ScriptStep:
@@ -342,7 +341,7 @@ class ZooEntry:
     problem: JointProblem
     tree: object
     expected_fidelity: float
-    mes: tuple[int, int] | None = None  # (k, d): k MES d x d members; only perfbench reads it
+    mes: tuple[int, int] | None = None  # (k, d): k MES d x d members, for mes_bound checks
     one_way_order: tuple[str, ...] | None = None
 
 

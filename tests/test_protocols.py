@@ -151,6 +151,16 @@ def test_nan_kraus_operator_rejected_at_construction():
         Instrument("A", (0,), (nan_kraus,))
 
 
+def test_a_kraus_operator_that_is_not_a_matrix_is_refused():
+    import json
+    with pytest.raises(ValueError, match="square shape"):
+        Instrument("A", (0,), (np.array(1.0),))
+    payload = {"type": "round", "party": "A", "targets": [0], "labels": None,
+               "kraus": [{"re": 1.0, "im": 0.0}], "children": [{"type": "leaf", "member": 0}]}
+    with pytest.raises(ValueError, match="square shape"):
+        tree_from_json(json.dumps(payload))
+
+
 def test_leaf_state_guess():
     bell = bell_basis()
     problem = JointProblem(bell)
@@ -385,6 +395,26 @@ def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
         ties += len(best) > 1
         moved += leaf.guess != np.argmax(probs)
     assert ties == 16 and moved == 8  # every leaf ties, and the priors move half the guesses
+
+
+def test_build_tree_refuses_a_script_that_does_not_fit_the_problem():
+    with pytest.raises(ValueError, match="operator shape"):
+        build_tree(JointProblem(bell_basis()), [computational_instrument("A", (0,), (4,))])
+
+
+def test_build_tree_runs_each_script_step_once_per_prefix():
+    prefixes = []
+
+    def counting_step(outcomes):
+        prefixes.append(outcomes)
+        return plus_minus_instrument("A2", 2)
+
+    tree = build_tree(JointProblem(ghz_basis(3, (2, 1))),
+                      [bell_instrument("A1", (0, 1)), counting_step])
+    assert prefixes == [(0,), (1,), (2,), (3,)]
+    leaves = [_at(tree, path) for path in _leaf_paths(tree)]
+    assert len(leaves) == 8 and len({id(leaf) for leaf in leaves}) == 8
+    assert all(type(leaf.guess) is int for leaf in leaves)
 
 
 def _record_cases():
