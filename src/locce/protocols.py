@@ -124,13 +124,12 @@ class Instrument:
         kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not kraus:
             raise ValueError("instrument needs at least one Kraus operator")
-        if kraus[0].ndim != 2:
-            raise ValueError("Kraus operators must share one square shape")
-        d = kraus[0].shape[0]
+        d = kraus[0].shape[0] if kraus[0].ndim == 2 else 0
         total = np.zeros((d, d), dtype=complex)
         for k in kraus:
-            if k.shape != (d, d):
-                raise ValueError("Kraus operators must share one square shape")
+            if k.shape != (d, d) or not d:
+                raise ValueError(f"kraus: operators must share one nonempty square shape, "
+                                 f"got {k.shape}")
             total += k.conj().T @ k
         err = np.max(np.abs(total - np.eye(d)))
         if not err <= TOL:

@@ -23,7 +23,7 @@ from locce.oneway import (
     teleportation_certificate,
     to_matrix_rep,
 )
-from locce.oneway import _frozen, _objective, _pack, _pair_products, _steihaug, minimize
+from locce.oneway import _objective, _pack, _pair_products, _steihaug, minimize
 
 S2 = 1 / math.sqrt(2)
 
@@ -160,6 +160,19 @@ def test_residual_rejects_zero_or_nonfinite_states_and_weights(index, phi, weigh
         orthogonality_residual(rep, ResourceSpectrum([1.0, 1.0]), phis, weights)
 
 
+def test_residual_skips_an_outcome_of_weight_zero():
+    rep = to_matrix_rep(bell_basis())
+    spectrum = ResourceSpectrum([1.6, 0.4])
+    phis, weights = teleportation_certificate(2)
+    base = orthogonality_residual(rep, spectrum, phis, weights)
+    extra = [np.zeros(4), np.array([1.0, 2.0, 0.0, 1j])]
+    with np.errstate(all="raise"):
+        got = orthogonality_residual(rep, spectrum, [*phis, *extra], [*weights, 0.0, 0.0])
+    assert got == pytest.approx(base, rel=1e-12)
+    with pytest.raises(ValueError, match="weight 4 "):
+        orthogonality_residual(rep, spectrum, [*phis, *extra], [*weights, -0.5, 0.0])
+
+
 def test_residual_invariant_under_second_factor_rotation():
     rng = np.random.default_rng(59)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -274,30 +287,40 @@ def test_search_records_every_restart_and_k8_meets_the_k4_floor():
         best = result.records[result.best_restart]
         assert best.residual == result.best_residual == min(r.residual for r in result.records)
     assert all(r.nit < 1500 for r in k8.records)  # every restart stops before the cap
+    assert all(r.status == 0 for r in k8.records)  # on the gradient tolerance
     assert k4.best_residual <= 0.953780669789
-    assert k8.best_residual <= 0.953781676923
-    assert abs(k8.best_residual - k4.best_residual) <= 1e-8
+    assert k8.best_residual <= 0.953780669789 + 1e-12
+    assert abs(k8.best_residual - k4.best_residual) <= 1e-12
+    # the four outcomes the K=8 minimizer does not need are dropped, and the
+    # reported states and weights give back its residual
+    assert sorted(k8.weights)[:4] == [0.0] * 4 and min(sorted(k8.weights)[4:]) > 0.5
+    for phi, weight in zip(k8.phis, k8.weights):
+        assert np.all(np.isfinite(phi)) and (weight > 0 or not phi.any())
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = orthogonality_residual(rep, ResourceSpectrum([1.6, 0.4]), k8.phis, k8.weights)
+    assert check == pytest.approx(k8.best_residual, abs=1e-9)
 
 
-def test_a_vanishing_outcome_stays_frozen():
-    # one of five outcomes starts at 1e-12 of the largest weight: the step
-    # never moves it, and no 0/0 or overflow arises on the way
+def test_a_vanishing_outcome_is_dropped():
+    # one of five outcomes starts at 1e-12 of the largest weight: it is set to
+    # exactly 0, where it imposes no condition, so the search reaches the K=4
+    # floor with no 0/0, overflow or warning on the way
     rep = to_matrix_rep(bell_basis())
     spectrum = ResourceSpectrum([1.6, 0.4])
     rng = np.random.default_rng(7)
     ys = (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))) / np.sqrt(8)
     weights = np.linalg.norm(ys, axis=1) ** 2
     ys[4] *= np.sqrt(1e-12 * weights[:4].max() / weights[4])
-    theta0 = _pack(ys[None])
-    frozen = _frozen(theta0, 5)
-    assert frozen.sum() == 8 and frozen[0].reshape(2, 5, 4)[:, 4].all()
     with np.errstate(all="raise"), warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        res = minimize(theta0, _pair_products(rep, spectrum), spectrum.lambdas, 5, rep.d, 1500)
-    assert np.array_equal(res.x[frozen], theta0[frozen])
-    assert np.all(np.isfinite(res.x))
-    assert np.isfinite(res.fun[0]) and np.isfinite(res.grad_norm[0])
-    assert res.statuses[0] in (0, 1, 2) and res.nits[0] > 0
+        warnings.simplefilter("error")
+        res = minimize(_pack(ys[None]), _pair_products(rep, spectrum), spectrum.lambdas, 5,
+                       rep.d, 1500)
+    assert np.all(res.x[0].reshape(2, 5, 4)[:, 4] == 0.0)
+    assert np.all(res.x[0].reshape(2, 5, 4)[:, :4].any(axis=(0, 2)))
+    assert np.all(np.isfinite(res.x)) and np.isfinite(res.grad_norm[0])
+    assert res.statuses[0] == 0 and res.nits[0] > 0
+    assert res.fun[0] <= 0.953780669789 + 1e-9
 
 
 def test_steihaug_steps_stay_inside_and_beat_the_cauchy_point():

@@ -2,7 +2,8 @@
 basis, random trees that mix rank-one, unitary and general rounds on 2 or
 3 Bell pairs, random POVMs held as factors or dense elements, the separable bound
 on random bases, and the one-way residual, its gradient and its Hessian
-against their brute-force Kronecker form."""
+against their brute-force Kronecker form and with an exactly zero outcome
+appended."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -399,3 +400,29 @@ def test_a_stack_gives_each_row_what_a_stack_of_one_gives(kind, seed):
         assert abs(value - one_value[0]) <= 1e-12 * abs(one_value[0])
         assert np.max(np.abs(grad - one_grad[0])) <= 1e-12 * np.max(np.abs(one_grad))
         assert np.max(np.abs(hess - one_hess[0])) <= 1e-12 * np.max(np.abs(one_hess))
+
+
+@settings(deadline=None)
+@given(rep_kinds, st.integers(0, 2 ** 32 - 1))
+def test_an_exactly_zero_outcome_adds_nothing(kind, seed):
+    # a dropped outcome imposes no condition: appending it leaves the value,
+    # the other coordinates' gradient and their Hessian block as they were
+    rep, spectrum, _, ys = random_problem(kind, seed)
+    k, n = ys.shape
+    pairs = _pair_products(rep, spectrum)
+    padded = np.concatenate([ys, np.zeros((1, n))])
+    with np.errstate(all="raise"):
+        value, grad = _objective(_pack(ys[None]), pairs, spectrum.lambdas, k, rep.d)
+        hess = _hessian(_pack(ys[None]), pairs, spectrum.lambdas, k, rep.d)
+        padded_value, padded_grad = _objective(_pack(padded[None]), pairs, spectrum.lambdas,
+                                               k + 1, rep.d)
+        padded_hess = _hessian(_pack(padded[None]), pairs, spectrum.lambdas, k + 1, rep.d)
+    live = np.r_[:k * n, (k + 1) * n:(2 * k + 1) * n]
+    zero = np.r_[k * n:(k + 1) * n, (2 * k + 1) * n:(2 * k + 2) * n]
+    assert np.isfinite(padded_value[0]) and np.all(np.isfinite(padded_grad))
+    assert np.all(np.isfinite(padded_hess))
+    assert abs(padded_value[0] - value[0]) <= 1e-12 * value[0]
+    assert np.max(np.abs(padded_grad[0, live] - grad[0])) <= 1e-12 * np.max(np.abs(grad))
+    assert not padded_grad[0, zero].any()
+    block = padded_hess[0][np.ix_(live, live)]
+    assert np.max(np.abs(block - hess[0])) <= 1e-12 * np.max(np.abs(hess))

@@ -161,6 +161,18 @@ def test_a_kraus_operator_that_is_not_a_matrix_is_refused():
         tree_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("empty", [np.zeros((0, 0)), np.zeros((1, 0)), np.zeros(0)])
+def test_an_empty_kraus_operator_is_refused_by_name(empty):
+    import json
+    with pytest.raises(ValueError, match="kraus"):
+        Instrument("A", (0,), (empty,))
+    payload = {"type": "round", "party": "A", "targets": [0], "labels": None,
+               "kraus": [{"re": empty.tolist(), "im": empty.tolist()}],
+               "children": [{"type": "leaf", "member": 0}]}
+    with pytest.raises(ValueError, match="kraus"):
+        tree_from_json(json.dumps(payload))
+
+
 def test_leaf_state_guess():
     bell = bell_basis()
     problem = JointProblem(bell)
