@@ -39,14 +39,16 @@ each reduction keeps that norm exact:
   :func:`locce.zoo.build_tree` decodes its guesses from them.
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
-reference path of the cross-checks. It carries each Kraus product as
-K_b = Q C with Q an isometry onto its range and emits the thin factor C
-(rank K_b rows), so that K_b^dagger K_b = C^dagger C; dense elements are
-built only on request. Each round re-factors the product with an SVD,
-except that a rank-one round factors only its rows contracted with
-<w| on the targets (d / d_T columns instead of d), and a single-outcome
-unitary round, whose image of orthonormal rows is orthonormal, needs no
-SVD at all.
+reference path of the cross-checks. It carries each Kraus product K_b on
+the subsystems no rank-one outcome has split off (the split-off unit
+kets leave K_b^dagger K_b unchanged) and emits a thin factor C with
+K_b^dagger K_b = C^dagger C and rank K_b rows; dense elements are built
+only on request. Rank-one rounds on such subsystems (contracted with
+<w_k|) and single-outcome unitary rounds keep the product's full row
+rank, so a branch made only of them emits that product itself as its
+factor, with no factorization. A branch below any other round, or below
+a round on a split-off subsystem, can lose rank and gets one SVD, at its
+leaf.
 
 Resource attachment follows the joint-space picture: discriminating
 {psi_i} with a shared resource Psi is the same problem as
@@ -526,69 +528,71 @@ def flatten_to_povm(tree, problem: JointProblem):
     identity-padded to the joint space, paired with the leaf's guess, so
     that ``average_fidelity`` on the result reproduces :func:`run_protocol`.
     E_b comes as a thin factor C_b of shape (rank K_b, d) with
-    E_b = C_b^dagger C_b; no d x d element is formed. Rank-one rounds are
-    factored on their contracted rows and single-outcome unitary rounds
-    skip the SVD (see :func:`_flatten`). The walk is kept apart from
-    :func:`_push_rows` so that the cross-checks compare two paths.
+    E_b = C_b^dagger C_b; no d x d element is formed. Rank-one and
+    single-outcome unitary rounds are applied without a factorization;
+    only a branch below another round kind, or below a round on a
+    subsystem a rank-one round already measured, gets one SVD, at its leaf
+    (see :func:`_flatten`). The walk is kept apart from :func:`_push_rows`
+    so that the cross-checks compare two paths.
     """
     ens = problem.joint
     validate_tree(tree, ens)
     factors: list[np.ndarray] = []
     guesses: list[StateVector] = []
-    eye = np.eye(ens.dim, dtype=complex)
-    _flatten(tree, eye, eye, ens.dims, ens.states, factors, guesses)
+    _flatten(tree, np.eye(ens.dim, dtype=complex), tuple(range(len(ens.dims))), (), True,
+             ens.dims, ens.states, factors, guesses)
     return Povm.from_factors(ens.dims, factors), GuessStrategy(tuple(guesses))
 
 
-def _flatten(node, basis, coef, dims, states, factors, guesses) -> None:
+def _flatten(node, kraus, axes, held, full, dims, states, factors, guesses) -> None:
     """Append the factor and guess of every branch below ``node``, which
-    the Kraus product K = basis^T coef reaches: the r rows of ``basis`` are
-    orthonormal and span the range of K, and ``coef`` has shape (r, d), so
-    K^dagger K = coef^dagger coef.
+    the Kraus product K reaches. ``kraus``, shape (m, d), is K on the
+    original subsystems ``axes``, in that order; each ``(subsystems, ket)``
+    in ``held`` is a unit ket split off K, which leaves K^dagger K
+    unchanged. ``full`` says that ``kraus`` has full row rank m.
 
-    A round re-factors K_k K = image^T coef with :func:`_refactor`. A
-    rank-one round, K_k = |u_k><w_k|, factors only the rows contracted
-    with <w_k| on the targets and puts |u_k> back on the new rows; a
-    single-outcome unitary round keeps ``coef``, since the image of
-    orthonormal rows is orthonormal."""
+    A round moves its targets to the front of the rows and applies all its
+    outcomes in one product: a rank-one round, K_k = |u_k><w_k|, contracts
+    <w_k| there and holds |u_k>, any other round applies K_k. A rank-one
+    round on un-held targets and a single-outcome unitary round keep full
+    row rank, so the leaf emits ``kraus`` as it is. Any other round, and
+    any round that touches a held subsystem (its kets are put back first),
+    can lower the rank: the leaf below then keeps the rows of the SVD of
+    ``kraus`` above 1e-13 of its largest singular value."""
     if isinstance(node, Leaf):
-        factors.append(coef)
+        if not full:
+            _, s, vh = np.linalg.svd(kraus, full_matrices=False)
+            r = int(np.count_nonzero(s > 1e-13 * s[0]))
+            kraus = s[:r, None] * vh[:r]
+        factors.append(kraus)
         guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
         return
     inst = node.instrument
+    targets, kept, d = inst.targets, [], kraus.shape[1]
+    for subsystems, ket in held:
+        if set(subsystems).isdisjoint(targets):
+            kept.append((subsystems, ket))
+            continue
+        kraus = (ket[:, None, None] * kraus).reshape(-1, d)
+        axes = subsystems + axes
+        full = False
+    rest = tuple(a for a in axes if a not in targets)
+    if axes != targets + rest:
+        perm = [axes.index(a) for a in targets + rest] + [len(axes)]
+        kraus = kraus.reshape(tuple(dims[a] for a in axes) + (d,)).transpose(perm)
+    kraus = kraus.reshape(len(inst.kraus[0]), -1)
     rank_one = inst._rank_one
     if rank_one is not None:
         kets, bras = rank_one
-        (n, d), dloc = basis.shape, bras.shape[1]
-        order = inst.targets + tuple(a for a in range(len(dims)) if a not in inst.targets)
-        moved = basis.reshape((n,) + tuple(dims)).transpose([0] + [a + 1 for a in order])
-        # <w_k| on the targets of every row: shape (k, r, d / d_T)
-        contracted = (bras @ moved.reshape(n, dloc, d // dloc)).swapaxes(0, 1)
-        shape = moved.shape[1:]
-        back = [0] + [int(p) + 1 for p in np.argsort(order)]
-        for ket, rows, child in zip(kets, contracted, node.children):
-            vh, part = _refactor(rows, coef)
-            image = (ket[:, None] * vh[:, None, :]).reshape((len(vh),) + shape)
-            _flatten(child, image.transpose(back).reshape(len(vh), d), part,
+        images = (bras @ kraus).reshape(len(bras), -1, d)
+        for ket, image, child in zip(kets, images, node.children):
+            _flatten(child, image, rest, (*kept, (targets, ket)), full,
                      dims, states, factors, guesses)
         return
-    images = apply_to_batch(inst._stack, inst.targets, basis, dims)  # (K_k basis^T)^T
-    if inst._unitary:
-        _flatten(node.children[0], images[0], coef, dims, states, factors, guesses)
-        return
+    images = (inst._stack @ kraus).reshape(len(inst.kraus), -1, d)
+    full = full and inst._unitary
     for image, child in zip(images, node.children):
-        _flatten(child, *_refactor(image, coef), dims, states, factors, guesses)
-
-
-def _refactor(rows: np.ndarray, coef: np.ndarray):
-    """``(vh, part)`` with rows^T coef = vh^T part and orthonormal rows in
-    ``vh``, from the SVD u s vh of ``rows``: part = s u^T coef, dropping
-    directions at or below 1e-13 of the largest singular value."""
-    if not len(rows):
-        return rows, coef
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    r = int(np.count_nonzero(s > 1e-13 * s[0]))
-    return vh[:r], (s[:r, None] * u[:, :r].T) @ coef
+        _flatten(child, image, targets + rest, tuple(kept), full, dims, states, factors, guesses)
 
 
 def relabel_parties(tree, mapping: Mapping[str, str]):

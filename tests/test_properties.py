@@ -143,6 +143,18 @@ def test_flattening_mixed_rounds_on_qubit_pairs_matches_the_walk(pairs, seed, ro
 
 
 @settings(deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_flattened_factor_rows_are_the_ranks_of_the_dense_kraus_products(pairs, seed, rounds):
+    ens = lattice_basis(pairs)
+    tree = random_tree(np.random.default_rng(seed), rounds, ens, random_lattice_round)
+    povm, _ = flatten_to_povm(tree, JointProblem(ens))  # raises unless the POVM is complete
+    rows = np.concatenate(povm.factors)
+    assert np.max(np.abs(rows.conj().T @ rows - np.eye(ens.dim))) <= ATOL
+    ranks = [int(np.linalg.matrix_rank(k)) for k in branch_kraus(tree, ens.dims)]
+    assert [len(c) for c in povm.factors] == ranks
+
+
+@settings(deadline=None)
 @given(trees)
 def test_member_probabilities_sum_to_one_without_pruning(tree):
     result = run_protocol(PROBLEM, tree, prune=0.0)

@@ -324,6 +324,28 @@ def test_state_guess_below_a_collapsed_round_matches_flatten():
     assert run == pytest.approx(flat, abs=1e-12)
 
 
+@pytest.mark.parametrize("targets", [(0,), (1, 0)], ids=["held", "half-held"])
+def test_rank_one_round_on_a_held_qubit_rebuilds_the_dense_elements(targets):
+    ens = ghz_basis(3, (2, 1))  # A1 holds qubits 0 and 1
+    rng = np.random.default_rng(11)
+    first = projective_instrument("A1", (0,), _random_unitary(rng, 2))
+    again = projective_instrument("A1", targets, _random_unitary(rng, 2 ** len(targets)))
+    # |<w|u>| on qubit 0, the last target, for each bra <w| of again and ket |u> of first
+    (kets, _), (_, bras) = first._rank_one, again._rank_one
+    overlaps = np.linalg.norm(bras.reshape(len(bras), -1, 2) @ kets.T, axis=1)
+    assert np.all((overlaps > 0.05) & (overlaps < 0.95))
+    tree = Round(first, tuple(Round(again, _leaves(again.n_outcomes, start=k, size=8))
+                              for k in range(2)))
+    povm, _ = flatten_to_povm(tree, JointProblem(ens))
+    want = list(branch_kraus(tree, ens.dims))
+    assert povm.n_outcomes == len(want)
+    for c, k in zip(povm.factors, want):
+        assert np.max(np.abs(c.conj().T @ c - k.conj().T @ k)) <= 1e-12
+        assert len(c) == np.linalg.matrix_rank(k) == 8 // 2 ** len(targets)
+    run, flat = _run_vs_flat(JointProblem(ens), tree)
+    assert run == pytest.approx(flat, abs=ATOL)
+
+
 # -- the walk over a stack of grouped rounds ----------------------------------
 
 def _paths(result):
@@ -637,15 +659,25 @@ def _round_kinds():
     plus_minus = plus_minus_instrument("B", 2)
     annihilated = Round(unitary_instrument("B", (2,), u2), (
         Round(_weak("B", 1), (Round(rank_one, _leaves(4, size=32)), Leaf(3))),))
+    angles = 2 * math.pi / 3 * np.arange(3)
+    trine = Instrument("B", (2,), tuple(  # three rank-one outcomes on one qubit
+        math.sqrt(2 / 3) * np.outer(v, v) for v in np.stack([np.cos(angles), np.sin(angles)], 1)))
+    parity = Instrument("B", (3, 1), (np.diag([1, 0, 0, 1]), np.diag([0, 1, 1, 0])))
     return {
-        # 4 outcomes, and 2 below the first
+        # rank-one rounds on un-held qubits and unitary rounds keep full row rank
         "rank-one-out-of-order": (Round(rank_one, (Round(plus_minus, _leaves(2, size=32)),)
-                                        + _leaves(3, start=1, size=32)), 6),
-        "unitary": (Round(unitary_instrument("A", (4, 0), u4), (Round(plus_minus, _leaves(2)),)), 2),
+                                        + _leaves(3, start=1, size=32)), 0),
+        "rank-one-trine": (Round(trine, (Round(rank_one, _leaves(4, size=32)),)
+                                 + _leaves(2, start=1, size=32)), 0),
+        "unitary": (Round(unitary_instrument("A", (4, 0), u4), (Round(plus_minus, _leaves(2)),)), 0),
+        # one SVD at each leaf below a round that is neither
         "nearly-complete": (Round(nearly, (Leaf(5),)), 1),
-        "weak": (Round(_weak("B", 3), (Round(rank_one, _leaves(4, size=32)), Leaf(1))), 6),
-        # measure_0 again: its outcome 1 leaves no rows, and no round below SVDs
-        "annihilating": (Round(measure_0, (Round(measure_0, (Leaf(0), annihilated)), Leaf(1))), 4),
+        "weak": (Round(_weak("B", 3), (Round(rank_one, _leaves(4, size=32)), Leaf(1))), 5),
+        # two rank-two projectors: each branch loses half the rank
+        "parity": (Round(parity, (Leaf(2), Round(rank_one, _leaves(4, size=32)))), 5),
+        # measure_0 again touches its held qubit: its outcome 1 leaves no rows, and each of
+        # the 6 leaves below the second measure_0 gets an SVD
+        "annihilating": (Round(measure_0, (Round(measure_0, (Leaf(0), annihilated)), Leaf(1))), 6),
     }
 
 
@@ -665,6 +697,7 @@ def test_flatten_factors_rebuild_the_dense_kraus_products(kind, monkeypatch):
     assert povm.n_outcomes == len(want)
     for c, k in zip(povm.factors, want):
         assert np.max(np.abs(c.conj().T @ c - k.conj().T @ k)) <= ATOL
+        assert len(c) == np.linalg.matrix_rank(k)
     if kind == "annihilating":
         assert [len(c) for c in povm.factors] == [16] + [0] * 5 + [16]
 

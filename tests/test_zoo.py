@@ -415,14 +415,23 @@ def test_zoo_flatten_factors_contracted_rows_and_skips_unitary_rounds(name, monk
     (entry,) = [e for e in standard_zoo() if e.name == name]
     instruments = list(_instruments(entry.tree))
     assert any(inst._unitary for inst in instruments)
+    assert all(inst._unitary or inst._rank_one is not None for inst in instruments)
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
     flatten_to_povm(entry.tree, entry.problem)
-    # the rank-one rounds act on 2 of the 8 qubits: 64 columns to factor, never 256
-    assert max(cols for _, cols in shapes) <= 64
-    # one SVD per outcome of every round but the single-outcome unitary ones
-    assert len(shapes) == sum(inst.n_outcomes for inst in instruments if not inst._unitary)
+    # rank-one rounds contract <w| on un-held qubits and unitary rounds keep the rows
+    assert shapes == []
+
+
+def test_zoo_flatten_makes_no_svd(monkeypatch):
+    entries = standard_zoo()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw))
+    for entry in entries:
+        flatten_to_povm(entry.tree, entry.problem)
+        assert calls == [], entry.name
 
 
 def test_zoo_flatten_factor_ranks_match_the_dense_kraus_products():
