@@ -24,6 +24,7 @@ the upper bounds in this module.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,7 +76,7 @@ class Povm:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if isinstance(self.elements, _Elements):
             elements = self.elements
             total = elements.rows.conj().T @ elements.rows
@@ -95,7 +96,7 @@ class Povm:
         """The POVM with elements C_a^dagger C_a, one per factor C_a of
         shape (r_a, prod(dims))."""
         dims = tuple(dims)
-        return cls(dims, _Elements(factors, int(np.prod(dims))))
+        return cls(dims, _Elements(factors, math.prod(dims)))
 
     @property
     def factors(self) -> tuple[np.ndarray, ...]:
@@ -164,7 +165,7 @@ class GuessStrategy:
 def computational_povm(dims: Sequence[int]) -> Povm:
     """Rank-1 projectors onto the computational product basis."""
     dims = tuple(dims)
-    return Povm.from_factors(dims, np.eye(int(np.prod(dims)), dtype=complex)[:, None])
+    return Povm.from_factors(dims, np.eye(math.prod(dims), dtype=complex)[:, None])
 
 
 def _outcome_weights(ens: Ensemble, povm: Povm) -> np.ndarray:

@@ -224,7 +224,7 @@ class JointProblem:
     ensemble: Ensemble
     resource: StateVector | None = None
     resource_layout: PartyLayout | None = None
-    _joint: Ensemble | None = field(default=None, compare=False, repr=False)
+    joint: Ensemble = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.resource is None) != (self.resource_layout is None):
@@ -233,11 +233,7 @@ class JointProblem:
             joint = attach_resource(self.ensemble, self.resource, self.resource_layout)
         else:
             joint = self.ensemble
-        object.__setattr__(self, "_joint", joint)
-
-    @property
-    def joint(self) -> Ensemble:
-        return self._joint
+        object.__setattr__(self, "joint", joint)
 
 
 def attach_resource(ens: Ensemble, resource: StateVector,
@@ -289,7 +285,7 @@ def validate_tree(tree, ens: Ensemble) -> None:
                     f"instrument for {inst.party!r} targets {inst.targets} outside "
                     f"that party's subsystems {party_idx}"
                 )
-            dloc = int(np.prod([dims[t] for t in inst.targets]))
+            dloc = math.prod(dims[t] for t in inst.targets)
             if inst.kraus[0].shape != (dloc, dloc):
                 raise ValueError(
                     f"instrument for {inst.party!r} has operator shape "
@@ -339,18 +335,18 @@ class ProtocolResult:
         return tuple(sorted(counts))
 
 
+_GROUP_BYTES = 1 << 22  # a group whose rows hold more is contracted in halves
+
+
 def _probabilities(rows: np.ndarray) -> np.ndarray:
     """Squared norm along the last axis, taken over runs of the first axis
-    that keep the complex temporaries near 4 MiB; a new float array."""
+    that keep the complex temporaries near ``_GROUP_BYTES``; a new float array."""
     probs = np.empty(rows.shape[:-1])
-    step = max(1, (1 << 22) // max(1, rows[:1].nbytes))
+    step = max(1, _GROUP_BYTES // max(1, rows[:1].nbytes))
     for start in range(0, len(rows), step):
         run = rows[start:start + step]
         probs[start:start + step] = np.real(np.einsum("...d,...d->...", run.conj(), run))
     return probs
-
-
-_GROUP_BYTES = 1 << 22  # a group whose rows hold more is contracted in halves
 
 
 class _Group(NamedTuple):
@@ -377,9 +373,10 @@ def _push_rows(tree, states, dims, priors, prune):
     The walk pops groups of rounds off a stack, contracts each at once
     (:func:`_contract`) and pushes the groups entered below it. Leaves are
     collected with their outcome paths and sorted by them. Outcomes whose
-    weighted probability is below ``prune`` are not entered, and each
-    entered one adds a StepRecord shared by the branches below;
-    ``prune=None`` enters every outcome and records no steps.
+    weighted probability is below ``prune`` are not entered (``-math.inf``
+    enters every one), and each entered one adds a StepRecord to the
+    branches below; within one contraction, branches taking the same step
+    share one record.
     """
     if isinstance(tree, Leaf):
         return [(tree, _probabilities(states), ())]
@@ -433,19 +430,20 @@ def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
         ops = np.stack([node.instrument._stack for node in nodes])
         out = apply_to_batch(ops, pos, rows.reshape(n_entries * members, -1), local)
     probs = _probabilities(out)
-    if prune is not None:
-        weights = (probs @ priors).tolist()
-        survivors = np.count_nonzero(probs > prune, axis=2).tolist()
+    weights = (probs @ priors).tolist()
+    survivors = np.count_nonzero(probs > prune, axis=2).tolist()
+    records: dict = {}  # (id(instrument), outcome, survivor count) -> its one StepRecord
     buckets: dict = {}  # step shape -> [(round, path, steps, row of out)]
     for b, node in enumerate(nodes):
         inst = node.instrument
         for k, child in enumerate(node.children):
-            steps = group.steps[b]
-            if prune is not None:
-                if weights[b][k] < prune:
-                    continue
-                steps += (StepRecord(inst.party, k, inst.outcome_label(k), inst.n_outcomes,
-                                     survivors[b][k]),)
+            if weights[b][k] < prune:
+                continue
+            key = (id(inst), k, survivors[b][k])
+            if key not in records:
+                records[key] = StepRecord(inst.party, k, inst.outcome_label(k),
+                                          inst.n_outcomes, survivors[b][k])
+            steps = group.steps[b] + (records[key],)
             path = group.paths[b] + (k,)
             if isinstance(child, Leaf):
                 leaves.append((path, child, probs[b, k], steps))
@@ -710,7 +708,7 @@ def generalized_bell_instrument(party: str, targets: Sequence[int], d: int) -> I
 
 def computational_instrument(party: str, targets: Sequence[int],
                              local_dims: Sequence[int]) -> Instrument:
-    d = int(np.prod(tuple(local_dims)))
+    d = math.prod(local_dims)
     eye = np.eye(d, dtype=complex)
     labels = tuple(str(b) for b in range(d))
     return projective_instrument(party, targets, eye, labels)

@@ -71,13 +71,6 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _prod(xs: Iterable[int]) -> int:
-    p = 1
-    for x in xs:
-        p *= x
-    return p
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state over a tensor product of subsystems."""
@@ -88,7 +81,7 @@ class StateVector:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if amps.size != _prod(dims):
+        if amps.size != math.prod(dims):
             raise ValueError(
                 f"amplitude length {amps.size} != product of dims {dims}"
             )
@@ -140,7 +133,7 @@ class Operator:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         entries = np.asarray(self.entries, dtype=complex)
-        side = _prod(dims)
+        side = math.prod(dims)
         if entries.shape != (side, side):
             raise ValueError(
                 f"matrix shape {entries.shape} != ({side}, {side}) from dims {dims}"
@@ -205,7 +198,7 @@ def partial_trace(obj, keep: Iterable[int]) -> Operator:
         raise ValueError("keep must be nonempty")
     drop_idx = tuple(i for i in range(n) if i not in keep_idx)
     keep_dims = tuple(dims[i] for i in keep_idx)
-    dk = _prod(keep_dims)
+    dk = math.prod(keep_dims)
     if isinstance(obj, StateVector):
         tensor = obj.amps.reshape(dims)
         tensor = np.moveaxis(tensor, keep_idx, range(len(keep_idx)))
@@ -235,7 +228,7 @@ def _bipartition_matrix(dims: Sequence[int], amps: np.ndarray, part_a, part_b) -
     lead = amps.shape[:-1]
     axes = [len(lead) + i for i in a + b]
     tensor = np.moveaxis(amps.reshape(lead + tuple(dims)), axes, sorted(axes))
-    return tensor.reshape(lead + (_prod(dims[i] for i in a), -1))
+    return tensor.reshape(lead + (math.prod(dims[i] for i in a), -1))
 
 
 def _schmidt_values(psi: StateVector, bipartition) -> np.ndarray:
@@ -356,7 +349,7 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
         batch = batch[None, :]
     n = batch.shape[0]
     targets = tuple(int(t) for t in targets)
-    dloc = _prod(dims[t] for t in targets)
+    dloc = math.prod(dims[t] for t in targets)
     if mat.shape[-2:] != (dloc, dloc) or mat.ndim not in (2, 3, 4):
         raise ValueError(f"operator shape {mat.shape} != target space ({dloc}, {dloc})")
     runs = len(mat) if mat.ndim == 4 else 1
@@ -369,10 +362,10 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
     dst = list(range(1, len(targets) + 1))
     arr = np.moveaxis(arr, src, dst)
     moved_shape = arr.shape
-    arr = arr.reshape(runs, 1, n // runs, dloc, _prod(dims) // dloc)
+    arr = arr.reshape(runs, 1, n // runs, dloc, math.prod(dims) // dloc)
     arr = np.matmul(ops[:, :, None], arr).reshape((runs, k, n // runs) + moved_shape[1:])
     arr = np.moveaxis(arr, [d + 2 for d in dst], [s + 2 for s in src])
-    out = arr.reshape(runs, k, n // runs, _prod(dims))
+    out = arr.reshape(runs, k, n // runs, math.prod(dims))
     if mat.ndim < 4:
         out = out[0, 0] if mat.ndim == 2 else out[0]
     return out[..., 0, :] if squeeze else out

@@ -86,7 +86,9 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     """Grow a tree from a round script once, check it with
     :func:`~locce.protocols.validate_tree` and set every leaf's guess in
     place: the member with the largest weighted branch probability (ties
-    to the lowest index), from one argmax over the rows of the exact walk.
+    to the lowest index), from one argmax over the rows of the exact walk,
+    which enters every outcome, even one whose weight a slightly negative
+    prior makes negative.
     ``script`` entries are instruments, or callables receiving the outcome
     indices accumulated so far (for outcome-conditioned rounds such as
     correction unitaries); each callable runs once per prefix.
@@ -94,7 +96,7 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     ens = problem.joint
     tree = _grow(script)
     validate_tree(tree, ens)
-    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, None)
+    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
     rows = np.array([probs for _, probs, _ in leaves])
     for (leaf, _, _), guess in zip(leaves, np.argmax(ens.priors * rows, axis=1).tolist()):
         object.__setattr__(leaf, "guess", guess)  # as Leaf.__post_init__; no one holds it yet
@@ -142,7 +144,7 @@ def teleportation_protocol(ens: Ensemble, sender: str, receiver: str):
     if {sender, receiver} != set(ens.layout.names):
         raise ValueError(f"sender/receiver must be {ens.layout.names}")
     blocks = [ens.layout.indices(name) for name in (sender, receiver)]
-    d = int(np.prod([ens.dims[i] for i in blocks[0]]))
+    d = math.prod(ens.dims[i] for i in blocks[0])
     problem = JointProblem(ens, StateVector((d, d), maximally_entangled(d)),
                            PartyLayout(((sender, (0,)), (receiver, (1,)))))
     send, recv = (problem.joint.layout.indices(name) for name in (sender, receiver))

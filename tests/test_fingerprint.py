@@ -26,7 +26,7 @@ def test_every_protocol_case_prints_one_well_formed_line():
         assert re.fullmatch(r"\S+", name) and sha256.fullmatch(shape) and sha256.fullmatch(probs)
         assert 0.0 < float.fromhex(fidelity) <= 1.0 + 1e-9, name  # 1e-9: the library tolerance
         names.append(name)
-    assert len(names) == len(set(names)) == 29
+    assert len(names) == len(set(names)) == 30
 
 
 def test_standard_zoo_builds_the_same_trees_twice():

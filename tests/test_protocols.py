@@ -85,6 +85,13 @@ def test_attach_partial_sharing_three_parties():
     assert joint.layout.parties == (("A", (2,)), ("B", (0, 3)), ("C", (1, 4)))
 
 
+def test_joint_problem_takes_no_joint_ensemble_argument():
+    with pytest.raises(TypeError):
+        JointProblem(bell_basis(), None, None, ghz_basis(3, (1, 1, 1)))
+    problem = JointProblem(bell_basis())
+    assert problem.joint is problem.ensemble
+
+
 def test_attach_unknown_party():
     with pytest.raises(KeyError):
         attach_resource(bell_basis(), StateVector((2, 2), bell_vectors()[0]),
@@ -419,7 +426,7 @@ def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
     script = [computational_instrument("A1", (0,), (2,)), _weak("A2", 2),
               bell_instrument("A1", (0, 1))]
     tree = build_tree(JointProblem(ens), script)
-    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, None)
+    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
     assert len(leaves) == 2 * 2 * 4
     ties = moved = 0
     for (leaf, probs, _), path in zip(leaves, _leaf_paths(tree)):
@@ -429,6 +436,16 @@ def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
         ties += len(best) > 1
         moved += leaf.guess != np.argmax(probs)
     assert ties == 16 and moved == 8  # every leaf ties, and the priors move half the guesses
+
+
+def test_build_tree_enters_negative_weight_outcomes():
+    # priors down to -1e-9 are admitted; the two mixed-bit outcomes of B weigh
+    # -1e-10 and must still decode to psi+ (2), not keep the default guess 0
+    bell = bell_basis()
+    ens = Ensemble(bell.layout, tuple(zip((0.5 + 2e-10, 0.5, 1e-10, -3e-10), bell.states)))
+    tree = build_tree(JointProblem(ens), [computational_instrument("A", (0,), (2,)),
+                                          computational_instrument("B", (1,), (2,))])
+    assert [_at(tree, path).guess for path in _leaf_paths(tree)] == [0, 2, 2, 0]
 
 
 def test_build_tree_refuses_a_script_that_does_not_fit_the_problem():
@@ -557,9 +574,17 @@ def test_branch_records_and_guesses_match_their_per_leaf_definitions():
             assert branch.probability.hex() == float(np.dot(ens.priors, probs)).hex(), name
             assert branch.survivors == tuple(np.flatnonzero(probs > PRUNE)), name
             assert all(type(i) is int for i in branch.survivors), name
-        leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, None)
+        leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
         assert [leaf.guess for leaf, _, _ in leaves] == [
             int(np.argmax(ens.priors * probs)) for _, probs, _ in leaves], name
+
+
+def test_branches_taking_the_same_step_share_one_record():
+    result = run_protocol(*sequential_bell_protocol(5))
+    assert len(result.branches) == 1024
+    for depth in range(len(result.branches[0].steps)):
+        steps = [branch.steps[depth] for branch in result.branches]
+        assert len({id(step) for step in steps}) == len(set(steps)) == 4, depth
 
 
 def test_fidelity_is_the_branch_ordered_sum_of_per_leaf_terms():

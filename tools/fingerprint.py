@@ -28,7 +28,9 @@ the +/- basis, then qubit 0 again: the ket split off qubit 0 is carried
 past the round on qubit 2 and put back for the second measurement. Two
 cases hold trees whose rounds share no instrument: the first chain after
 a JSON round trip, and the (2, 2, 1) partitioned GHZ protocol coarsened
-to one party by ``relabel_parties``.
+to one party by ``relabel_parties``. The last case measures A of the
+Bell basis twice, then B after a Hadamard: half its leaves are reached
+by no member, so its ``tree`` hash covers the guesses decoded there.
 
 Then one line per one-way search, ``feasibility_search`` on the Bell
 basis at seed 0: spectra (1, 1) and (1.6, 0.4) with K = 4 and (1.6, 0.4)
@@ -61,6 +63,7 @@ from locce.protocols import (
     run_protocol,
     tree_from_json,
     tree_to_json,
+    unitary_instrument,
 )
 from locce.zoo import (
     build_tree,
@@ -71,7 +74,7 @@ from locce.zoo import (
     standard_zoo,
     teleportation_protocol,
 )
-from locce.tensor import StateVector, generalized_bell_vectors
+from locce.tensor import HADAMARD, StateVector, generalized_bell_vectors
 
 
 def cases():
@@ -110,6 +113,11 @@ def cases():
     measure = computational_instrument("A1", (0,), (2,))
     yield "ghz3-21-held-kets", held, build_tree(held, [measure, plus_minus_instrument("A2", 2),
                                                        measure])
+    bell = JointProblem(bell_basis())
+    measure = computational_instrument("A", (0,), (2,))
+    yield "bell-unreached-leaves", bell, build_tree(bell, [
+        measure, measure, unitary_instrument("B", (1,), HADAMARD),
+        computational_instrument("B", (1,), (2,))])
 
 
 def fingerprint(problem, tree) -> tuple[str, str, str]:
