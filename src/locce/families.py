@@ -20,6 +20,7 @@ from .tensor import (
     TOL,
     Operator,
     StateVector,
+    _as_int,
     all_bipartitions,
     bell_vectors,
 )
@@ -50,7 +51,8 @@ class PartyLayout:
     parties: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        parties = tuple((str(n), tuple(int(i) for i in idx)) for n, idx in self.parties)
+        parties = tuple((str(n), tuple(_as_int(i, "parties") for i in idx))
+                        for n, idx in self.parties)
         names = [n for n, _ in parties]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate party names: {names}")
@@ -167,12 +169,15 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        edges = frozenset(tuple(sorted((int(a), int(b)))) for a, b in self.edges)
+        n = _as_int(self.vertex_count, "vertex_count")
+        edges = frozenset(tuple(sorted((_as_int(a, "edges"), _as_int(b, "edges"))))
+                          for a, b in self.edges)
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise ValueError(f"edge ({a},{b}) outside 0..{self.vertex_count - 1}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) outside 0..{n - 1}")
+        object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -219,7 +224,7 @@ def ghz_basis(num_qubits: int, party_sizes: Sequence[int]) -> Ensemble:
     +|k_a> and member 2a+1 to -|k_a>. Qubits are grouped contiguously
     into parties of the given sizes.
     """
-    sizes = tuple(int(s) for s in party_sizes)
+    sizes = tuple(_as_int(s, "party_sizes") for s in party_sizes)
     if num_qubits < 2:
         raise ValueError("need at least 2 qubits")
     if len(sizes) < 2 or any(s < 1 for s in sizes) or sum(sizes) != num_qubits:

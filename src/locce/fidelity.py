@@ -15,7 +15,8 @@ with C_a of shape (rank, d), so the weights <psi_i|M_a|psi_i> =
 factor rows with the members. The flattened protocols of
 :func:`locce.protocols.flatten_to_povm` arrive as factors; dense elements
 are factored once when a POVM is built from them, and built again only
-on request.
+on request. Completeness is checked on the stored factors, so a POVM
+holds what it was checked on.
 
 The local-protocol optimum itself is never computed here: it is only
 bracketed between protocol-achievable values (see :mod:`locce.zoo`) and
@@ -33,6 +34,8 @@ import numpy as np
 from .tensor import (
     TOL,
     StateVector,
+    _as_dims,
+    _as_int,
     _bipartition_matrix,
     _schmidt_values,
     entanglement_entropy,
@@ -64,10 +67,10 @@ class Povm:
     Every element is held as a thin factor C_a of shape (r_a, d) with
     E_a = C_a^dagger C_a, so positivity holds by construction. Built from
     dense elements, ``Povm(dims, elements)`` checks each one for shape,
-    hermiticity and positivity (smallest eigenvalue at least -TOL) and
-    their sum for completeness, then factors each once. Built with
-    :meth:`from_factors`, only completeness is checked, by one Gram
-    product of all factor rows. Either way ``elements[a]`` builds the
+    hermiticity and positivity (smallest eigenvalue at least -TOL), then
+    factors each once; :meth:`from_factors` takes the factors as given.
+    Either way completeness is checked once, on the factors stored, by
+    one Gram product of all factor rows. ``elements[a]`` builds the
     dense E_a on request, and ``len(elements)`` builds nothing.
     """
 
@@ -75,18 +78,13 @@ class Povm:
     elements: Sequence[np.ndarray]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _as_dims(self.dims)
         d = math.prod(dims)
-        if isinstance(self.elements, _Elements):
-            elements = self.elements
-            total = elements.rows.conj().T @ elements.rows
-        else:
-            dense = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-            elements = _Elements(tuple(_factor(k, e, d) for k, e in enumerate(dense)), d)
-            total = np.zeros((d, d), dtype=complex)
-            for e in dense:
-                total += e
-        if not np.max(np.abs(total - np.eye(d))) <= TOL:
+        elements = self.elements
+        if not isinstance(elements, _Elements):
+            elements = _Elements(tuple(_factor(k, np.asarray(e, dtype=complex), d)
+                                       for k, e in enumerate(elements)), d)
+        if not np.max(np.abs(elements.rows.conj().T @ elements.rows - np.eye(d))) <= TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "elements", elements)
@@ -95,7 +93,7 @@ class Povm:
     def from_factors(cls, dims: Sequence[int], factors: Sequence[np.ndarray]) -> "Povm":
         """The POVM with elements C_a^dagger C_a, one per factor C_a of
         shape (r_a, prod(dims))."""
-        dims = tuple(dims)
+        dims = _as_dims(dims)
         return cls(dims, _Elements(factors, math.prod(dims)))
 
     @property
@@ -338,7 +336,7 @@ def vidal_conversion_probability(psi: StateVector, bipartition, target_rank: int
     min over 1 <= l <= r of r/(r-l+1) * sum_{i>=l} lam_i; it vanishes
     when the Schmidt rank falls short of the target.
     """
-    r = int(target_rank)
+    r = _as_int(target_rank, "target_rank")
     if r < 2:
         raise ValueError("target rank must be >= 2")
     s = _schmidt_values(psi, bipartition)

@@ -44,11 +44,11 @@ the subsystems no rank-one outcome has split off (the split-off unit
 kets leave K_b^dagger K_b unchanged) and emits a thin factor C with
 K_b^dagger K_b = C^dagger C and rank K_b rows; dense elements are built
 only on request. Rank-one rounds on such subsystems (contracted with
-<w_k|) and single-outcome unitary rounds keep the product's full row
-rank, so a branch made only of them emits that product itself as its
-factor, with no factorization. A branch below any other round, or below
-a round on a split-off subsystem, can lose rank and gets one SVD, at its
-leaf.
+<w_k|) and single-outcome rounds, whose one Kraus operator completeness
+makes invertible, keep the product's full row rank, so a branch made
+only of them emits that product itself as its factor, with no
+factorization. A branch below any other round, or below a round on a
+split-off subsystem, can lose rank and gets one SVD, at its leaf.
 
 Resource attachment follows the joint-space picture: discriminating
 {psi_i} with a shared resource Psi is the same problem as
@@ -160,15 +160,6 @@ class Instrument:
     def _stack(self) -> np.ndarray:
         """The Kraus operators as one (outcomes, d, d) array."""
         return np.array(self.kraus)
-
-    @cached_property
-    def _unitary(self) -> bool:
-        """True for a single Kraus operator U with U^dagger U within 1e-14
-        of the identity. Computed once per instrument; not a field."""
-        if len(self.kraus) != 1:
-            return False
-        u = self.kraus[0]
-        return bool(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-14)
 
     @cached_property
     def _rank_one(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -527,7 +518,7 @@ def flatten_to_povm(tree, problem: JointProblem):
     that ``average_fidelity`` on the result reproduces :func:`run_protocol`.
     E_b comes as a thin factor C_b of shape (rank K_b, d) with
     E_b = C_b^dagger C_b; no d x d element is formed. Rank-one and
-    single-outcome unitary rounds are applied without a factorization;
+    single-outcome rounds are applied without a factorization;
     only a branch below another round kind, or below a round on a
     subsystem a rank-one round already measured, gets one SVD, at its leaf
     (see :func:`_flatten`). The walk is kept apart from :func:`_push_rows`
@@ -552,8 +543,9 @@ def _flatten(node, kraus, axes, held, full, dims, states, factors, guesses) -> N
     A round moves its targets to the front of the rows and applies all its
     outcomes in one product: a rank-one round, K_k = |u_k><w_k|, contracts
     <w_k| there and holds |u_k>, any other round applies K_k. A rank-one
-    round on un-held targets and a single-outcome unitary round keep full
-    row rank, so the leaf emits ``kraus`` as it is. Any other round, and
+    round on un-held targets keeps full row rank, and so does a
+    single-outcome round: its K has K^dagger K = I to TOL, hence is
+    invertible. The leaf then emits ``kraus`` as it is. Any other round, and
     any round that touches a held subsystem (its kets are put back first),
     can lower the rank: the leaf below then keeps the rows of the SVD of
     ``kraus`` above 1e-13 of its largest singular value."""
@@ -588,7 +580,8 @@ def _flatten(node, kraus, axes, held, full, dims, states, factors, guesses) -> N
                      dims, states, factors, guesses)
         return
     images = (inst._stack @ kraus).reshape(len(inst.kraus), -1, d)
-    full = full and inst._unitary
+    # a lone K has K^dagger K = I to TOL, so every singular value is near 1 and K is invertible
+    full = full and len(inst.kraus) == 1
     for image, child in zip(images, node.children):
         _flatten(child, image, targets + rest, tuple(kept), full, dims, states, factors, guesses)
 

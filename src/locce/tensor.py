@@ -181,7 +181,7 @@ def kron(a, b):
 
 
 def _check_indices(indices: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(_as_int(i, what) for i in indices))
     if len(set(idx)) != len(idx):
         raise ValueError(f"{what} contains duplicates: {indices}")
     if any(i < 0 or i >= n for i in idx):
@@ -219,7 +219,7 @@ def _bipartition_matrix(dims: Sequence[int], amps: np.ndarray, part_a, part_b) -
     """Amplitudes over ``dims`` as a (dim A, dim B) matrix, each side's
     subsystems taken in the order given. A stack of states, shape
     (k, prod(dims)), gives a stack of matrices, shape (k, dim A, dim B)."""
-    a, b = tuple(int(i) for i in part_a), tuple(int(i) for i in part_b)
+    a, b = (tuple(_as_int(i, "bipartition") for i in side) for side in (part_a, part_b))
     n = len(dims)
     if not a or not b:
         raise ValueError("bipartition sides must be nonempty")
@@ -245,7 +245,7 @@ def schmidt(psi: StateVector, bipartition) -> SchmidtData:
     positive, which makes sum_k c_k |u_k>|v_k> reproduce the input
     exactly (no residual global phase).
     """
-    a, b = (tuple(sorted(int(i) for i in side)) for side in bipartition)
+    a, b = (tuple(sorted(_as_int(i, "bipartition") for i in side)) for side in bipartition)
     u, s, vh = np.linalg.svd(_bipartition_matrix(psi.dims, psi.amps, a, b),
                              full_matrices=False)
     for k in range(s.size):

@@ -27,6 +27,7 @@ from .tensor import (
     maximally_entangled,
     PAULI_I,
     PAULI_Z,
+    _as_int,
     _bipartition_matrix,
     _weyl,
 )
@@ -215,7 +216,7 @@ def partitioned_ghz_protocol(num_qubits: int, party_sizes: Sequence[int]):
     N-qubit one; the sequential Bell protocol then runs pairwise under
     the coarse layout. Fidelity 1 for any partitioning.
     """
-    return _ghz_chain(num_qubits, tuple(int(s) for s in party_sizes))
+    return _ghz_chain(num_qubits, tuple(_as_int(s, "party_sizes") for s in party_sizes))
 
 
 def _ghz_chain(n: int, sizes: tuple[int, ...], order: Sequence[str] | None = None):

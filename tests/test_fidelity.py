@@ -367,6 +367,14 @@ def test_dense_povm_positivity_is_checked_at_tol(low, accepted):
             Povm((2,), elements)
 
 
+def test_dense_povm_completeness_is_checked_on_the_stored_factors():
+    # the dense elements sum to I and each passes the -TOL positivity check, but their
+    # factors drop the -0.9e-9 eigenvalues, so the stored elements miss I by 1.8e-9
+    low = np.diag([-0.9e-9, 0.5])
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        Povm((2,), (low, low, np.diag([1 + 1.8e-9, 0.0])))
+
+
 def test_dense_povm_refuses_a_nan_element():
     with pytest.raises(ValueError, match="element 0 is not Hermitian"):
         Povm((2,), (np.diag([float("nan"), 0.0]), np.diag([0.0, 1.0])))

@@ -34,3 +34,19 @@ def test_standard_zoo_builds_the_same_trees_twice():
     assert [e.name for e in first] == [e.name for e in second]
     for a, b in zip(first, second):
         assert tree_to_json(a.tree) == tree_to_json(b.tree), a.name
+
+
+def test_flattening_prints_one_line_per_case_up_to_dimension_256(monkeypatch, capsys):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "oneway_searches", lambda: ())  # too slow here
+    tool.main()
+    lines = capsys.readouterr().out.splitlines()
+    flat = [re.fullmatch(r"flat-(\S+) rows=([0-9a-f]{64}) guesses=([0-9a-f]{64})", line)
+            for line in lines[30:]]
+    assert len(lines) == 30 + 22 and all(flat)
+    names = [m[1] for m in flat]
+    cases = {name: (problem, tree) for name, problem, tree in tool.cases()}
+    assert names == [name for name, (problem, _) in cases.items() if problem.joint.dim <= 256]
+    assert len(set(names) & {e.name for e in standard_zoo()}) == 16
+    for m in flat[::7]:  # a second flattening gives the same bytes
+        assert tool.flat_fingerprint(*cases[m[1]]) == (m[2], m[3])

@@ -9,12 +9,12 @@ import weakref
 import numpy as np
 import pytest
 
-from locce.tensor import StateVector, bell_vectors
+from locce.tensor import StateVector, bell_vectors, entanglement_entropy, partial_trace, schmidt
 from locce.families import (
     Ensemble, Graph, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, single_qubit_layout,
 )
 from locce import protocols
-from locce.fidelity import average_fidelity
+from locce.fidelity import Povm, average_fidelity, vidal_conversion_probability
 from locce.protocols import (
     PRUNE,
     Instrument,
@@ -689,14 +689,15 @@ def _round_kinds():
         math.sqrt(2 / 3) * np.outer(v, v) for v in np.stack([np.cos(angles), np.sin(angles)], 1)))
     parity = Instrument("B", (3, 1), (np.diag([1, 0, 0, 1]), np.diag([0, 1, 1, 0])))
     return {
-        # rank-one rounds on un-held qubits and unitary rounds keep full row rank
+        # rank-one rounds on un-held qubits and single-outcome rounds keep full row rank,
+        # also one whose Kraus operator is 1e-12 off unitary
         "rank-one-out-of-order": (Round(rank_one, (Round(plus_minus, _leaves(2, size=32)),)
                                         + _leaves(3, start=1, size=32)), 0),
         "rank-one-trine": (Round(trine, (Round(rank_one, _leaves(4, size=32)),)
                                  + _leaves(2, start=1, size=32)), 0),
         "unitary": (Round(unitary_instrument("A", (4, 0), u4), (Round(plus_minus, _leaves(2)),)), 0),
+        "nearly-complete": (Round(nearly, (Leaf(5),)), 0),
         # one SVD at each leaf below a round that is neither
-        "nearly-complete": (Round(nearly, (Leaf(5),)), 1),
         "weak": (Round(_weak("B", 3), (Round(rank_one, _leaves(4, size=32)), Leaf(1))), 5),
         # two rank-two projectors: each branch loses half the rank
         "parity": (Round(parity, (Leaf(2), Round(rank_one, _leaves(4, size=32)))), 5),
@@ -843,6 +844,29 @@ def test_integer_fields_take_numpy_integers_and_integral_floats():
     assert StateVector((np.int32(2), 2.0), np.eye(4)[0]).dims == (2, 2)
     with pytest.raises(ValueError, match="targets"):
         Instrument("A", (True,), (np.eye(2),))
+
+
+_BELL = StateVector((2, 2), bell_vectors()[0])
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: ghz_basis(3, (2.9, 1.1)), "party_sizes", id="ghz_basis"),
+    pytest.param(lambda: partitioned_ghz_protocol(3, (2.9, 1.1)), "party_sizes",
+                 id="partitioned_ghz_protocol"),
+    pytest.param(lambda: PartyLayout((("A", (0.5,)), ("B", (1,)))), "parties", id="PartyLayout"),
+    pytest.param(lambda: Graph(3, {(0, 1.7)}), "edges", id="Graph-edges"),
+    pytest.param(lambda: Graph(2.5, {(0, 1)}), "vertex_count", id="Graph-vertex_count"),
+    pytest.param(lambda: Povm((2.5,), (np.eye(2),)), "dims", id="Povm"),
+    pytest.param(lambda: partial_trace(_BELL, [0.7]), "keep", id="partial_trace"),
+    pytest.param(lambda: schmidt(_BELL, ((0.4,), (1,))), "bipartition", id="schmidt"),
+    pytest.param(lambda: entanglement_entropy(_BELL, ((0,), (1.2,))), "bipartition",
+                 id="entanglement_entropy"),
+    pytest.param(lambda: vidal_conversion_probability(_BELL, ((0,), (1,)), 2.5), "target_rank",
+                 id="vidal_conversion_probability"),
+])
+def test_integer_inputs_refuse_fractions_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+        build()
 
 
 def test_leaf_takes_a_numpy_integer_and_refuses_a_bool():

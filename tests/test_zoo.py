@@ -414,13 +414,13 @@ def _instruments(node):
 def test_zoo_flatten_factors_contracted_rows_and_skips_unitary_rounds(name, monkeypatch):
     (entry,) = [e for e in standard_zoo() if e.name == name]
     instruments = list(_instruments(entry.tree))
-    assert any(inst._unitary for inst in instruments)
-    assert all(inst._unitary or inst._rank_one is not None for inst in instruments)
+    assert any(inst.n_outcomes == 1 for inst in instruments)
+    assert all(inst.n_outcomes == 1 or inst._rank_one is not None for inst in instruments)
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
     flatten_to_povm(entry.tree, entry.problem)
-    # rank-one rounds contract <w| on un-held qubits and unitary rounds keep the rows
+    # rank-one rounds contract <w| on un-held qubits and single-outcome rounds keep the rows
     assert shapes == []
 
 

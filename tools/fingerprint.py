@@ -1,5 +1,5 @@
-"""Print a bit-exact fingerprint of the protocol builders, the branch walk
-and the one-way trust region.
+"""Print a bit-exact fingerprint of the protocol builders, the branch walk,
+flattening to a POVM and the one-way trust region.
 
     PYTHONPATH=src python tools/fingerprint.py
 
@@ -32,6 +32,15 @@ to one party by ``relabel_parties``. The last case measures A of the
 Bell basis twice, then B after a Hadamard: half its leaves are reached
 by no member, so its ``tree`` hash covers the guesses decoded there.
 
+Then one ``flat-<case>`` line per protocol case of joint dimension at
+most 256 (22 cases, 16 of them the ``standard_zoo()`` entries), for the
+POVM and guesses that ``flatten_to_povm`` makes of it. Each holds two
+values.
+
+- ``rows``: sha256 of the bytes of the stacked factor rows and of their
+  outcome bounds;
+- ``guesses``: sha256 of the bytes of every guess's amplitudes.
+
 Then one line per one-way search, ``feasibility_search`` on the Bell
 basis at seed 0: spectra (1, 1) and (1.6, 0.4) with K = 4 and (1.6, 0.4)
 with K = 8, 12 restarts each, and (1.6, 0.4) with K = 8 and 50 restarts.
@@ -58,6 +67,7 @@ from locce.protocols import (
     Instrument,
     JointProblem,
     computational_instrument,
+    flatten_to_povm,
     plus_minus_instrument,
     relabel_parties,
     run_protocol,
@@ -133,6 +143,16 @@ def fingerprint(problem, tree) -> tuple[str, str, str]:
     return shape.hexdigest(), probs.hexdigest(), result.fidelity.hex()
 
 
+FLAT_MAX_DIM = 256  # the 1024-dimensional cases are left out to keep the run short
+
+
+def flat_fingerprint(problem, tree) -> tuple[str, str]:
+    povm, guess = flatten_to_povm(tree, problem)
+    rows = hashlib.sha256(povm.elements.rows.tobytes() + povm.elements.bounds.tobytes())
+    guesses = hashlib.sha256(b"".join(g.amps.tobytes() for g in guess.guesses))
+    return rows.hexdigest(), guesses.hexdigest()
+
+
 def oneway_searches():
     for lambdas, outcomes, restarts in (((1.0, 1.0), 4, 12), ((1.6, 0.4), 4, 12),
                                         ((1.6, 0.4), 8, 12), ((1.6, 0.4), 8, 50)):
@@ -151,9 +171,15 @@ def oneway_fingerprint(spectrum, outcomes, restarts) -> tuple[str, str]:
 
 
 def main() -> None:
+    flat = []
     for name, problem, tree in cases():
         shape, probs, fidelity = fingerprint(problem, tree)
         print(f"{name} tree={shape} probs={probs} F={fidelity}")
+        if problem.joint.dim <= FLAT_MAX_DIM:
+            flat.append((name, problem, tree))
+    for name, problem, tree in flat:
+        rows, guesses = flat_fingerprint(problem, tree)
+        print(f"flat-{name} rows={rows} guesses={guesses}")
     for name, *search in oneway_searches():
         records, phis = oneway_fingerprint(*search)
         print(f"{name} records={records} phis={phis}")
