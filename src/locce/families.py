@@ -224,6 +224,7 @@ def ghz_basis(num_qubits: int, party_sizes: Sequence[int]) -> Ensemble:
     +|k_a> and member 2a+1 to -|k_a>. Qubits are grouped contiguously
     into parties of the given sizes.
     """
+    num_qubits = _as_int(num_qubits, "num_qubits")
     sizes = tuple(_as_int(s, "party_sizes") for s in party_sizes)
     if num_qubits < 2:
         raise ValueError("need at least 2 qubits")
@@ -248,6 +249,7 @@ def ghz_basis(num_qubits: int, party_sizes: Sequence[int]) -> Ensemble:
 
 def ghz_state(num_parties: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on ``num_parties`` qubits."""
+    num_parties = _as_int(num_parties, "num_parties")
     if num_parties < 2:
         raise ValueError("need at least 2 parties")
     d = 2 ** num_parties
@@ -263,6 +265,7 @@ def lattice_basis(num_pairs: int) -> Ensemble:
     second (odd subsystems), so every member is maximally entangled of
     rank 2**num_pairs across A|B.
     """
+    num_pairs = _as_int(num_pairs, "num_pairs")
     if num_pairs < 1:
         raise ValueError("need at least one pair")
     bells = bell_vectors()

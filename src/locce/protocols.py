@@ -17,7 +17,7 @@ as the POVM element K_b^dagger K_b with guess phi_b. Branches whose total
 weighted probability falls below the pruning threshold are skipped.
 
 The branch walk only needs ||K_b |psi_i>||^2; the overlaps come from the
-original members, and only the guessed members' columns are formed. It
+members before any resource is attached (see :func:`run_protocol`). It
 therefore pushes less than the full member rows through the tree, and
 each reduction keeps that norm exact:
 
@@ -31,9 +31,10 @@ each reduction keeps that norm exact:
   (targets, outcome count, rank one or not); each group is applied to
   its stacked rows in one batched product, all outcomes at once, and a
   group whose rows exceed ``_GROUP_BYTES`` is contracted in halves.
-  Every row still meets each operator in the product it would meet
-  alone, so a tree whose rounds share no instrument (one loaded from
-  JSON) gets the same bits as the tree it came from. The walk returns
+  Every member row meets each operator in its own product, of the shape
+  it would have alone, so a tree whose rounds share no instrument (one
+  loaded from JSON) gets the same bits as the tree it came from, and no
+  product grows with the number of members or rounds. The walk returns
   the leaves it reached, with their rows' squared norms, in depth-first
   order: :func:`run_protocol` scores them and
   :func:`locce.zoo.build_tree` decodes its guesses from them.
@@ -381,11 +382,15 @@ def _push_rows(tree, states, dims, priors, prune):
 
 
 def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
-    """Apply the rounds of ``group`` to their stacked rows in one product:
-    ``<w|`` for rank-one rounds, the Kraus stacks otherwise. Append the
-    entered leaves to ``leaves`` and return the entered rounds below, one
-    group per shape of their step; a group of two or more rounds whose rows
-    exceed ``_GROUP_BYTES`` is returned as two halves, the first on top."""
+    """Apply the rounds of ``group`` to their stacked rows in one batched
+    product: ``<w|`` for rank-one rounds, the Kraus stacks otherwise. Both
+    kinds give each member row its own (outcomes, dloc) @ (dloc, rest)
+    product and read the result as (rounds, outcomes, members, rest); each
+    group below takes its rows from it in one gather by (round, outcome).
+    Append the entered leaves to ``leaves`` and return the entered rounds
+    below, one group per shape of their step; a group of two or more rounds
+    whose rows exceed ``_GROUP_BYTES`` is returned as two halves, the first
+    on top."""
     nodes, rows = group.nodes, group.rows
     if len(nodes) > 1 and rows.nbytes > _GROUP_BYTES:
         half = len(nodes) // 2
@@ -393,7 +398,7 @@ def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
                        group.axes, tuple((s, kets[part]) for s, kets in group.held))
                 for part in (slice(half, None), slice(half))]
     inst = nodes[0].instrument
-    targets, n_outcomes = inst.targets, inst.n_outcomes
+    targets = inst.targets
     n_entries, members = rows.shape[:2]
     axes, kept = group.axes, []
     for subsystems, kets in group.held:
@@ -411,11 +416,11 @@ def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
         bras = np.stack([bras for _, bras in factors])
         dloc = bras.shape[2]
         rest = rows.shape[2] // dloc
-        # <w_k| on the target axes: one (k, dloc) @ (dloc, members * rest) product per round
+        # <w_k| on the target axes, moved behind the member axis: one (k, dloc) @ (dloc, rest)
+        # product per member row, read as (rounds, outcomes, members, rest)
         arr = np.moveaxis(rows.reshape((n_entries, members) + local), [p + 2 for p in pos],
-                          range(1, len(pos) + 1))
-        out = (bras @ arr.reshape(n_entries, dloc, members * rest)).reshape(
-            n_entries, n_outcomes, members, rest)
+                          range(2, len(pos) + 2))
+        out = (bras[:, None] @ arr.reshape(n_entries, members, dloc, rest)).swapaxes(1, 2)
         axes = tuple(a for a in axes if a not in targets)
     else:
         ops = np.stack([node.instrument._stack for node in nodes])
@@ -424,7 +429,7 @@ def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
     weights = (probs @ priors).tolist()
     survivors = np.count_nonzero(probs > prune, axis=2).tolist()
     records: dict = {}  # (id(instrument), outcome, survivor count) -> its one StepRecord
-    buckets: dict = {}  # step shape -> [(round, path, steps, row of out)]
+    buckets: dict = {}  # step shape -> [(round, path, steps, (round index, outcome))]
     for b, node in enumerate(nodes):
         inst = node.instrument
         for k, child in enumerate(node.children):
@@ -441,16 +446,15 @@ def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
                 continue
             below = child.instrument
             key = (below.targets, below.n_outcomes, below._rank_one is None)
-            buckets.setdefault(key, []).append((child, path, steps, b * n_outcomes + k))
-    out = out.reshape((-1,) + out.shape[2:])  # one row block per outcome of each round
+            buckets.setdefault(key, []).append((child, path, steps, (b, k)))
     groups = []
     for entered in buckets.values():
         children, paths, steps, at = zip(*entered)
-        at = np.array(at)
-        held = tuple((subsystems, kets[at // n_outcomes]) for subsystems, kets in kept)
+        entry, outcome = np.array(at).T
+        held = tuple((subsystems, kets[entry]) for subsystems, kets in kept)
         if rank_one:
-            held += ((targets, split.reshape(len(out), -1)[at]),)
-        groups.append(_Group(children, paths, steps, out[at], axes, held))
+            held += ((targets, split[entry, outcome]),)
+        groups.append(_Group(children, paths, steps, out[entry, outcome], axes, held))
     return groups
 
 
@@ -460,7 +464,14 @@ def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolR
     A branch's probability is priors . member probabilities and its
     survivors are the members above ``prune``; both are computed for all
     branches at once, over the leaves' probability rows. Each record
-    keeps the walk's own row as its ``member_probabilities``."""
+    keeps the walk's own row as its ``member_probabilities``.
+
+    A leaf guessing member g scores |<psi_i|psi_g>|^2, read from the Gram
+    matrix of ``problem.ensemble``, the members before the resource r is
+    attached: each joint member is r (x) psi_i, so the joint overlaps are
+    these times |r|^4, a product over the ensemble's dimension instead of
+    the joint one. A leaf guessing an explicit state is scored on the joint
+    members."""
     ens = problem.joint
     validate_tree(tree, ens)
     states = ens.amplitude_matrix()
@@ -484,15 +495,17 @@ def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolR
     for i, guess in enumerate(guesses):
         by_guess.setdefault(guess, []).append(i)
     explicit = by_guess.pop(None, [])
-    members = sorted(by_guess)
-    # |<psi_i|psi_g>|^2 for the guessed members g only, in one product
-    overlaps = dict(zip(members, (np.abs(states.conj() @ states[members].T) ** 2).T))
+    # |<psi_i|psi_g>|^2 from the members before the resource is attached: each joint member
+    # is r (x) psi_i, so its overlaps are these times |r|^4
+    overlaps = np.abs(problem.ensemble.gram()) ** 2
+    if problem.resource is not None:
+        overlaps *= np.linalg.norm(problem.resource.amps) ** 4
     weighted = rows * priors
     terms = np.empty(len(leaves))
     for member, at in by_guess.items():
         # each (1, members) @ (members, 1) product is np.dot(priors * probs, overlap); the
         # overlap column is read in place, since BLAS sums a contiguous copy in another order
-        terms[at] = (weighted[at][:, None, :] @ overlaps[member][:, None])[:, 0, 0]
+        terms[at] = (weighted[at][:, None, :] @ overlaps[:, member, None])[:, 0, 0]
     for i in explicit:
         terms[i] = np.dot(weighted[i], np.abs(states.conj() @ leaves[i][0].guess.amps) ** 2)
     total = 0.0

@@ -195,6 +195,7 @@ def sequential_bell_protocol(num_parties: int, order: Sequence[str] | None = Non
     resource qubit after each outcome. Achieves fidelity 1 exactly; any
     measurement order works.
     """
+    num_parties = _as_int(num_parties, "num_parties")
     if num_parties < 2:
         raise ValueError("need at least 2 parties")
     return _ghz_chain(num_parties, (1,) * num_parties, order)
@@ -216,7 +217,8 @@ def partitioned_ghz_protocol(num_qubits: int, party_sizes: Sequence[int]):
     N-qubit one; the sequential Bell protocol then runs pairwise under
     the coarse layout. Fidelity 1 for any partitioning.
     """
-    return _ghz_chain(num_qubits, tuple(_as_int(s, "party_sizes") for s in party_sizes))
+    return _ghz_chain(_as_int(num_qubits, "num_qubits"),
+                      tuple(_as_int(s, "party_sizes") for s in party_sizes))
 
 
 def _ghz_chain(n: int, sizes: tuple[int, ...], order: Sequence[str] | None = None):

@@ -6,7 +6,7 @@ against their brute-force Kronecker form and with an exactly zero outcome
 appended."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locce.tensor import StateVector, generalized_bell_vectors
 from locce.families import (
@@ -144,14 +144,42 @@ def test_flattening_mixed_rounds_on_qubit_pairs_matches_the_walk(pairs, seed, ro
 
 @settings(deadline=None)
 @given(st.sampled_from((2, 3)), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+@example(pairs=2, seed=62491, rounds=3)
 def test_flattened_factor_rows_are_the_ranks_of_the_dense_kraus_products(pairs, seed, rounds):
     ens = lattice_basis(pairs)
     tree = random_tree(np.random.default_rng(seed), rounds, ens, random_lattice_round)
     povm, _ = flatten_to_povm(tree, JointProblem(ens))  # raises unless the POVM is complete
     rows = np.concatenate(povm.factors)
     assert np.max(np.abs(rows.conj().T @ rows - np.eye(ens.dim))) <= ATOL
-    ranks = [int(np.linalg.matrix_rank(k)) for k in branch_kraus(tree, ens.dims)]
+    # ranks at the factors' 1e-13 rule: numpy's default cut, 16 eps of the largest singular
+    # value, counts rounding noise of a product of rounds (5.6e-15 of it in the example)
+    ranks = [int(np.linalg.matrix_rank(k, rtol=1e-13)) for k in branch_kraus(tree, ens.dims)]
     assert [len(c) for c in povm.factors] == ranks
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+def test_overlaps_taken_on_the_ensemble_match_the_joint_members(seed, rounds):
+    # random non-orthonormal members with uneven priors, a random two-qubit resource of
+    # norm 1 + 5e-10 and a root whose first leaf guesses an explicit state
+    rng = np.random.default_rng(seed)
+    layout = PartyLayout((("A", (0,)), ("B", (1,))))
+    size = int(rng.integers(2, 6))
+    amps = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
+    ens = Ensemble(layout, tuple(zip(rng.dirichlet(np.ones(size)),
+                                     (StateVector.normalized((2, 2), a) for a in amps))))
+    r = rng.normal(size=4) + 1j * rng.normal(size=4)
+    resource = StateVector((2, 2), r * (1 + 5e-10) / np.linalg.norm(r))
+    problem = JointProblem(ens, resource, layout)
+    joint = problem.joint
+    guess = StateVector.normalized(joint.dims, rng.normal(size=joint.dim)
+                                   + 1j * rng.normal(size=joint.dim))
+    isometry = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
+    root = Instrument("A", (2,), tuple(isometry[2 * k:2 * k + 2] for k in range(3)))
+    tree = Round(root, (Leaf(guess), Leaf(int(rng.integers(size))),
+                        random_tree(rng, rounds, joint, random_lattice_round)))
+    factored = run_protocol(problem, tree).fidelity
+    assert abs(factored - run_protocol(JointProblem(joint), tree).fidelity) <= 1e-12
 
 
 @settings(deadline=None)

@@ -9,9 +9,12 @@ import weakref
 import numpy as np
 import pytest
 
-from locce.tensor import StateVector, bell_vectors, entanglement_entropy, partial_trace, schmidt
+from locce.tensor import (
+    StateVector, bell_vectors, entanglement_entropy, generalized_bell_vectors, partial_trace, schmidt,
+)
 from locce.families import (
-    Ensemble, Graph, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, single_qubit_layout,
+    Ensemble, Graph, PartyLayout, bell_basis, coarsen, ghz_basis, ghz_state, lattice_basis,
+    single_qubit_layout,
 )
 from locce import protocols
 from locce.fidelity import Povm, average_fidelity, vidal_conversion_probability
@@ -43,6 +46,7 @@ from locce.zoo import (
     partitioned_ghz_protocol,
     sequential_bell_protocol,
     standard_zoo,
+    teleportation_protocol,
 )
 
 from dense_reference import branch_kraus
@@ -546,6 +550,44 @@ def test_held_kets_stay_with_their_rounds_past_a_disjoint_round():
         assert np.max(np.abs(branch.member_probabilities - want)) <= 1e-12
 
 
+def test_a_rank_one_group_with_pruned_outcomes_hands_each_child_its_own_rows():
+    # A measures qubit 0, then both rounds below apply B's 3-outcome rank-one round on
+    # qubit 1 as one group of two. Only outcomes (0, 0), (1, 1) and (1, 2) are entered,
+    # and the rounds below them form two groups, one of them gathering (0, 0) and (1, 2).
+    # Further down, a random projective round puts qubit 1's split-off ket back.
+    rng = np.random.default_rng(3)
+    layout = PartyLayout((("A", (0,)), ("B", (1, 2))))
+    members = []
+    for _ in range(4):
+        x, y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c, d = rng.normal(size=2) + 1j * rng.normal(size=2)
+        members.append(StateVector.normalized((2, 2, 2), c * np.kron([1, 0, 0, 0], x)
+                                              + d * np.kron([0, 0, 0, 1], y)))
+    ens = Ensemble(layout, tuple(zip(rng.dirichlet(np.ones(4)), members)))
+    lopsided = Instrument("B", (1,), (np.diag([1.0, 0.0]), np.array([[0, S2], [0, 0]]),
+                                      np.diag([0.0, S2])))
+    assert lopsided._rank_one is not None
+    back = Round(projective_instrument("B", (1,), _random_unitary(rng, 2)), _leaves(2))
+    weak = Round(_weak("B", 2), (back, Leaf(1)))
+    again = Round(projective_instrument("B", (1,), _random_unitary(rng, 2)), _leaves(2, 2))
+    tree = Round(computational_instrument("A", (0,), (2,)), (
+        Round(lopsided, (weak, Leaf(0), Leaf(1))),
+        Round(lopsided, (Leaf(2), again, weak)),
+    ))
+    problem = JointProblem(ens)
+    result = run_protocol(problem, tree)
+    paths = _paths(result)
+    assert {path[:2] for path in paths} == {(0, 0), (1, 1), (1, 2)}
+    povm, _ = flatten_to_povm(tree, problem)
+    factors = dict(zip(_leaf_paths(tree), povm.factors))
+    states = ens.amplitude_matrix()
+    for path, branch in zip(paths, result.branches):
+        want = np.sum(np.abs(states @ factors[path].T) ** 2, axis=1)
+        assert np.max(np.abs(branch.member_probabilities - want)) <= 1e-12, path
+    for path in set(factors) - set(paths):
+        assert np.max(np.sum(np.abs(states @ factors[path].T) ** 2, axis=1)) <= 1e-12, path
+
+
 @pytest.mark.parametrize("build, steps", [
     (lambda: sequential_bell_protocol(5), 9),
     (lambda: partitioned_ghz_protocol(5, (2, 2, 1)), 11),
@@ -604,6 +646,26 @@ def test_fidelity_is_the_branch_ordered_sum_of_per_leaf_terms():
         total += float(np.dot(ens.priors * branch.member_probabilities,
                               overlaps[branch.guess_index]))
     assert result.fidelity.hex() == total.hex()
+
+
+def _resource_cases():
+    for entry in standard_zoo():
+        if entry.problem.resource is not None:
+            yield entry.name, entry.problem, entry.tree
+    qutrit = Ensemble(PartyLayout((("A", (0,)), ("B", (1,)))), tuple(
+        (1 / 9, StateVector((3, 3), row)) for row in generalized_bell_vectors(3)))
+    yield "teleport-qutrit", *teleportation_protocol(qutrit, "A", "B")
+
+
+def test_overlaps_taken_on_the_ensemble_match_the_joint_members():
+    cases = list(_resource_cases())
+    assert len(cases) == 14
+    for name, problem, tree in cases:
+        factored = run_protocol(problem, tree)
+        joint = run_protocol(JointProblem(problem.joint), tree)  # the same members, no resource
+        assert abs(factored.fidelity - joint.fidelity) <= 1e-12, name
+        for a, b in zip(factored.branches, joint.branches, strict=True):
+            assert a.member_probabilities.tobytes() == b.member_probabilities.tobytes(), name
 
 
 def _repeated(inst, depth, bottom):
@@ -863,10 +925,33 @@ _BELL = StateVector((2, 2), bell_vectors()[0])
                  id="entanglement_entropy"),
     pytest.param(lambda: vidal_conversion_probability(_BELL, ((0,), (1,)), 2.5), "target_rank",
                  id="vidal_conversion_probability"),
+    pytest.param(lambda: ghz_basis(2.5, (1, 1)), "num_qubits", id="ghz_basis-num_qubits"),
+    pytest.param(lambda: ghz_state(True), "num_parties", id="ghz_state"),
+    pytest.param(lambda: lattice_basis(1.5), "num_pairs", id="lattice_basis"),
+    pytest.param(lambda: sequential_bell_protocol(2.5), "num_parties",
+                 id="sequential_bell_protocol"),
+    pytest.param(lambda: partitioned_ghz_protocol(True, (1, 1)), "num_qubits",
+                 id="partitioned_ghz_protocol-num_qubits"),
 ])
 def test_integer_inputs_refuse_fractions_naming_the_field(build, field):
     with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
         build()
+
+
+def _same_ensemble(a, b):
+    return (a.layout == b.layout and np.array_equal(a.priors, b.priors)
+            and np.array_equal(a.amplitude_matrix(), b.amplitude_matrix()))
+
+
+def test_integral_float_counts_build_as_integers():
+    assert _same_ensemble(ghz_basis(3.0, (2, 1)), ghz_basis(3, (2, 1)))
+    assert ghz_state(3.0).dims == (2, 2, 2)
+    assert np.array_equal(ghz_state(3.0).amps, ghz_state(3).amps)
+    assert _same_ensemble(lattice_basis(2.0), lattice_basis(2))
+    for build, args in ((sequential_bell_protocol, ()), (partitioned_ghz_protocol, ((2, 1),))):
+        (problem, tree), (want_problem, want_tree) = build(3.0, *args), build(3, *args)
+        assert _same_ensemble(problem.joint, want_problem.joint)
+        assert tree_to_json(tree) == tree_to_json(want_tree)
 
 
 def test_leaf_takes_a_numpy_integer_and_refuses_a_bool():
