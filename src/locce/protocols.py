@@ -31,13 +31,16 @@ each reduction keeps that norm exact:
   (targets, outcome count, rank one or not); each group is applied to
   its stacked rows in one batched product, all outcomes at once, and a
   group whose rows exceed ``_GROUP_BYTES`` is contracted in halves.
-  Every member row meets each operator in its own product, of the shape
-  it would have alone, so a tree whose rounds share no instrument (one
-  loaded from JSON) gets the same bits as the tree it came from, and no
-  product grows with the number of members or rounds. The walk returns
-  the leaves it reached, with their rows' squared norms, in depth-first
-  order: :func:`run_protocol` scores them and
-  :func:`locce.zoo.build_tree` decodes its guesses from them.
+  Each product covers as many member rows as fit in one joint row: the
+  largest divisor c of the member count with c * width <= the joint
+  dimension. So no product is wider than one member row's at the root,
+  and a product's shape depends only on the member count and the rows'
+  width: a tree whose rounds share no instrument (one loaded from JSON)
+  gets the same bits as the tree it came from, and no product grows
+  with the number of rounds. The walk returns the leaves it reached,
+  with their rows' squared norms, in depth-first order:
+  :func:`run_protocol` scores them and :func:`locce.zoo.build_tree`
+  decodes its guesses from them.
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
 reference path of the cross-checks. It carries each Kraus product K_b on
@@ -256,19 +259,21 @@ def attach_resource(ens: Ensemble, resource: StateVector,
 def validate_tree(tree, ens: Ensemble) -> None:
     """Check party names, target locality and guess ranges against ``ens``.
 
-    Every round and leaf is visited; each distinct instrument (by
-    identity) is checked once per call, at its first round."""
-    dims = ens.dims
+    Every round and leaf is visited, depth first from an explicit stack, so
+    a tree of any depth is checked; each distinct instrument (by identity)
+    is checked once per call, at its first round."""
+    dims, size = ens.dims, ens.size
     checked: set[int] = set()  # ids of instruments checked; the tree keeps them alive
-
-    def visit(node):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Leaf):
             if isinstance(node.guess, int):
-                if not 0 <= node.guess < ens.size:
-                    raise ValueError(f"leaf guesses member {node.guess} of {ens.size}")
+                if not 0 <= node.guess < size:
+                    raise ValueError(f"leaf guesses member {node.guess} of {size}")
             elif node.guess.dims != dims:
                 raise ValueError("leaf guess dims do not match the ensemble")
-            return
+            continue
         inst = node.instrument
         if id(inst) not in checked:
             party_idx = ens.layout.indices(inst.party)  # raises for unknown party
@@ -284,10 +289,7 @@ def validate_tree(tree, ens: Ensemble) -> None:
                     f"{inst.kraus[0].shape}, expected ({dloc},{dloc})"
                 )
             checked.add(id(inst))
-        for child in node.children:
-            visit(child)
-
-    visit(tree)
+        stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -299,8 +301,9 @@ class StepRecord:
     survivor_count: int
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
+    """One scored leaf; a named tuple, since a walk makes one per leaf."""
+
     steps: tuple[StepRecord, ...]
     probability: float
     member_probabilities: np.ndarray
@@ -331,13 +334,14 @@ _GROUP_BYTES = 1 << 22  # a group whose rows hold more is contracted in halves
 
 
 def _probabilities(rows: np.ndarray) -> np.ndarray:
-    """Squared norm along the last axis, taken over runs of the first axis
-    that keep the complex temporaries near ``_GROUP_BYTES``; a new float array."""
+    """Squared norm along the last axis, a new float array. The sum runs over
+    the real view of ``rows`` (its last axis must be contiguous), in runs of
+    the first axis that keep each run near ``_GROUP_BYTES``."""
     probs = np.empty(rows.shape[:-1])
     step = max(1, _GROUP_BYTES // max(1, rows[:1].nbytes))
     for start in range(0, len(rows), step):
-        run = rows[start:start + step]
-        probs[start:start + step] = np.real(np.einsum("...d,...d->...", run.conj(), run))
+        run = rows[start:start + step].view(float)
+        np.einsum("...d,...d->...", run, run, out=probs[start:start + step])
     return probs
 
 
@@ -359,46 +363,54 @@ class _Group(NamedTuple):
 
 def _push_rows(tree, states, dims, priors, prune):
     """Push the member rows ``states`` through ``tree`` and return its
-    leaves as ``(leaf, probs, steps)`` in depth-first order, with ``probs``
-    the squared norm of every member's row there.
+    leaves in depth-first order as ``(leaves, steps, probs)``: the leaf
+    nodes, the steps taken to each, and one row per leaf holding the
+    squared norm of every member's row there.
 
     The walk pops groups of rounds off a stack, contracts each at once
-    (:func:`_contract`) and pushes the groups entered below it. Leaves are
-    collected with their outcome paths and sorted by them. Outcomes whose
-    weighted probability is below ``prune`` are not entered (``-math.inf``
-    enters every one), and each entered one adds a StepRecord to the
-    branches below; within one contraction, branches taking the same step
-    share one record.
+    (:func:`_contract`) and pushes the groups entered below it. Each
+    contraction hands over the leaves it entered, with their outcome paths
+    and their rows in one block; the leaves are sorted by path at the end.
+    Outcomes whose weighted probability is below ``prune`` are not entered
+    (``-math.inf`` enters every one), and each entered one adds a
+    StepRecord to the branches below; within one contraction, branches
+    taking the same step share one record.
     """
     if isinstance(tree, Leaf):
-        return [(tree, _probabilities(states), ())]
+        return [tree], [()], _probabilities(states)[None]
     dims = tuple(dims)
     stack = [_Group((tree,), ((),), ((),), states[None], tuple(range(len(dims))), ())]
-    leaves: list = []  # (path, leaf node, probs, steps)
+    # (paths, leaves, steps, probs) per contraction; the empty first block keeps the
+    # concatenation defined when every outcome is pruned
+    blocks: list = [((), (), (), np.empty((0, len(states))))]
     while stack:
-        stack += _contract(stack.pop(), dims, priors, prune, leaves)
-    leaves.sort(key=lambda item: item[0])
-    return [item[1:] for item in leaves]
+        stack += _contract(stack.pop(), dims, priors, prune, blocks)
+    paths, leaves, steps = ([item for block in blocks for item in block[i]] for i in range(3))
+    order = sorted(range(len(paths)), key=paths.__getitem__)
+    probs = np.concatenate([block[3] for block in blocks])[order]
+    return [leaves[i] for i in order], [steps[i] for i in order], probs
 
 
-def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
+def _contract(group: _Group, dims, priors, prune, blocks) -> list[_Group]:
     """Apply the rounds of ``group`` to their stacked rows in one batched
-    product: ``<w|`` for rank-one rounds, the Kraus stacks otherwise. Both
-    kinds give each member row its own (outcomes, dloc) @ (dloc, rest)
-    product and read the result as (rounds, outcomes, members, rest); each
-    group below takes its rows from it in one gather by (round, outcome).
-    Append the entered leaves to ``leaves`` and return the entered rounds
-    below, one group per shape of their step; a group of two or more rounds
-    whose rows exceed ``_GROUP_BYTES`` is returned as two halves, the first
-    on top."""
+    product: ``<w|`` for rank-one rounds, the Kraus stacks otherwise, each
+    stacked once per distinct instrument and gathered by round. Each
+    product covers ``chunk`` member rows, the largest divisor of the member
+    count whose rows together are at most one joint row wide: a
+    (outcomes, dloc) @ (dloc, chunk * rest) product, never wider than one
+    member row's at the root. The result is laid out as (rounds, outcomes,
+    members, rest); each group below takes its rows from it in one gather
+    by (round, outcome), and so do the leaves entered, which are appended
+    to ``blocks`` as one block. Return the entered rounds below, one group
+    per shape of their step; a group of two or more rounds whose rows
+    exceed ``_GROUP_BYTES`` is returned as two halves, the first on top."""
     nodes, rows = group.nodes, group.rows
     if len(nodes) > 1 and rows.nbytes > _GROUP_BYTES:
         half = len(nodes) // 2
         return [_Group(nodes[part], group.paths[part], group.steps[part], rows[part],
                        group.axes, tuple((s, kets[part]) for s, kets in group.held))
                 for part in (slice(half, None), slice(half))]
-    inst = nodes[0].instrument
-    targets = inst.targets
+    targets = nodes[0].instrument.targets
     n_entries, members = rows.shape[:2]
     axes, kept = group.axes, []
     for subsystems, kets in group.held:
@@ -409,52 +421,83 @@ def _contract(group: _Group, dims, priors, prune, leaves) -> list[_Group]:
         axes += subsystems
     pos = tuple(axes.index(t) for t in targets)
     local = tuple(dims[a] for a in axes)
-    rank_one = inst._rank_one is not None
+    width = rows.shape[2]
+    chunk = min(members, math.prod(dims) // width)
+    while members % chunk:
+        chunk -= 1
+    insts = list({id(node.instrument): node.instrument for node in nodes}.values())
+    position = {id(inst): i for i, inst in enumerate(insts)}
+    index = np.array([position[id(node.instrument)] for node in nodes])
+    rank_one = insts[0]._rank_one is not None
     if rank_one:
-        factors = [node.instrument._rank_one for node in nodes]
-        split = np.stack([kets for kets, _ in factors])
-        bras = np.stack([bras for _, bras in factors])
-        dloc = bras.shape[2]
-        rest = rows.shape[2] // dloc
-        # <w_k| on the target axes, moved behind the member axis: one (k, dloc) @ (dloc, rest)
-        # product per member row, read as (rounds, outcomes, members, rest)
-        arr = np.moveaxis(rows.reshape((n_entries, members) + local), [p + 2 for p in pos],
-                          range(2, len(pos) + 2))
-        out = (bras[:, None] @ arr.reshape(n_entries, members, dloc, rest)).swapaxes(1, 2)
+        split = np.array([inst._rank_one[0] for inst in insts])
+        bras = np.array([inst._rank_one[1] for inst in insts])[index]
+        n_outcomes, dloc = bras.shape[1:]
+        rest = width // dloc
+        # the chunk's member axis stays behind the target axes: one (outcomes, dloc) @ (dloc,
+        # chunk * rest) product per chunk, written through a transposed view of (rounds,
+        # outcomes, members, rest)
+        arr = np.moveaxis(rows.reshape((n_entries, members // chunk, chunk) + local),
+                          [p + 3 for p in pos], range(2, len(pos) + 2))
+        out = np.empty((n_entries, n_outcomes, members, rest), dtype=complex)
+        np.matmul(bras[:, None], arr.reshape(n_entries, members // chunk, dloc, chunk * rest),
+                  out=out.reshape(n_entries, n_outcomes, members // chunk, -1).swapaxes(1, 2))
         axes = tuple(a for a in axes if a not in targets)
     else:
-        ops = np.stack([node.instrument._stack for node in nodes])
-        out = apply_to_batch(ops, pos, rows.reshape(n_entries * members, -1), local)
+        ops = np.array([inst._stack for inst in insts])[index]
+        n_outcomes = ops.shape[1]
+        # the chunk is one more subsystem, in front of the rows' own
+        out = apply_to_batch(ops, [p + 1 for p in pos],
+                             rows.reshape(n_entries * members // chunk, chunk * width),
+                             (chunk,) + local).reshape(n_entries, n_outcomes, members, width)
     probs = _probabilities(out)
     weights = (probs @ priors).tolist()
     survivors = np.count_nonzero(probs > prune, axis=2).tolist()
-    records: dict = {}  # (id(instrument), outcome, survivor count) -> its one StepRecord
-    buckets: dict = {}  # step shape -> [(round, path, steps, (round index, outcome))]
-    for b, node in enumerate(nodes):
+    records: dict = {}  # (id(instrument), outcome, survivor count) -> (its one StepRecord,)
+    # the leaves entered: paths, nodes, steps and rows in probs read as (rounds * outcomes,
+    # members); parallel lists, as appending to each is cheaper than splitting tuples
+    leaf_paths, leaf_nodes, leaf_steps, at = [], [], [], []
+    buckets: dict = {}  # step shape -> (rounds, paths, steps, round indices, outcomes)
+    bucket_of: dict = {}  # id(instrument below) -> the bucket of its step shape
+    for b, (node, path, steps, weight, count) in enumerate(
+            zip(nodes, group.paths, group.steps, weights, survivors)):
         inst = node.instrument
+        inst_id = id(inst)
         for k, child in enumerate(node.children):
-            if weights[b][k] < prune:
+            if weight[k] < prune:
                 continue
-            key = (id(inst), k, survivors[b][k])
-            if key not in records:
-                records[key] = StepRecord(inst.party, k, inst.outcome_label(k),
-                                          inst.n_outcomes, survivors[b][k])
-            steps = group.steps[b] + (records[key],)
-            path = group.paths[b] + (k,)
-            if isinstance(child, Leaf):
-                leaves.append((path, child, probs[b, k], steps))
+            key = (inst_id, k, count[k])
+            record = records.get(key)
+            if record is None:
+                record = records[key] = (StepRecord(inst.party, k, inst.outcome_label(k),
+                                                    len(inst.kraus), count[k]),)
+            if type(child) is Leaf:
+                leaf_paths.append(path + (k,))
+                leaf_nodes.append(child)
+                leaf_steps.append(steps + record)
+                at.append(b * n_outcomes + k)
                 continue
-            below = child.instrument
-            key = (below.targets, below.n_outcomes, below._rank_one is None)
-            buckets.setdefault(key, []).append((child, path, steps, (b, k)))
+            bucket = bucket_of.get(id(child.instrument))
+            if bucket is None:
+                below = child.instrument
+                shape = (below.targets, len(below.kraus), below._rank_one is None)
+                bucket = bucket_of[id(below)] = buckets.setdefault(shape, ([], [], [], [], []))
+            rounds, paths, steps_below, entry, outcome = bucket
+            rounds.append(child)
+            paths.append(path + (k,))
+            steps_below.append(steps + record)
+            entry.append(b)
+            outcome.append(k)
+    if at:
+        blocks.append((leaf_paths, leaf_nodes, leaf_steps, probs.reshape(-1, members)[at]))
     groups = []
-    for entered in buckets.values():
-        children, paths, steps, at = zip(*entered)
-        entry, outcome = np.array(at).T
+    for rounds, paths, steps, entry, outcome in buckets.values():
+        entry, outcome = np.array(entry), np.array(outcome)
         held = tuple((subsystems, kets[entry]) for subsystems, kets in kept)
         if rank_one:
-            held += ((targets, split[entry, outcome]),)
-        groups.append(_Group(children, paths, steps, out[entry, outcome], axes, held))
+            held += ((targets, split[index[entry], outcome]),)
+        groups.append(_Group(tuple(rounds), tuple(paths), tuple(steps), out[entry, outcome],
+                             axes, held))
     return groups
 
 
@@ -476,42 +519,35 @@ def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolR
     validate_tree(tree, ens)
     states = ens.amplitude_matrix()
     priors = ens.priors
-    leaves = _push_rows(tree, states, ens.dims, priors, prune)
-    rows = np.array([probs for _, probs, _ in leaves]).reshape(len(leaves), ens.size)
+    leaves, steps, rows = _push_rows(tree, states, ens.dims, priors, prune)
     # a batch of (1, members) @ (members,) products: each one is np.dot(priors, row)
     probabilities = (rows[:, None, :] @ priors)[:, 0].tolist()
     above = rows > prune
-    counts = np.count_nonzero(above, axis=1).tolist()
     columns = np.nonzero(above)[1].tolist()
-    guesses = [leaf.guess if isinstance(leaf.guess, int) else None for leaf, _, _ in leaves]
-    branches, start = [], 0
-    for (_, probs, steps), probability, count, guess in zip(
-            leaves, probabilities, counts, guesses):
-        branches.append(BranchRecord(
-            steps=steps, probability=probability, member_probabilities=probs,
-            survivors=tuple(columns[start:start + count]), guess_index=guess))
+    survivors, start = [], 0
+    for count in np.count_nonzero(above, axis=1).tolist():
+        survivors.append(tuple(columns[start:start + count]))
         start += count
-    by_guess: dict = {}
-    for i, guess in enumerate(guesses):
-        by_guess.setdefault(guess, []).append(i)
-    explicit = by_guess.pop(None, [])
+    guesses = [leaf.guess if isinstance(leaf.guess, int) else None for leaf in leaves]
+    branches = tuple(map(BranchRecord._make, zip(steps, probabilities, rows, survivors, guesses)))
     # |<psi_i|psi_g>|^2 from the members before the resource is attached: each joint member
     # is r (x) psi_i, so its overlaps are these times |r|^4
     overlaps = np.abs(problem.ensemble.gram()) ** 2
     if problem.resource is not None:
         overlaps *= np.linalg.norm(problem.resource.amps) ** 4
     weighted = rows * priors
-    terms = np.empty(len(leaves))
-    for member, at in by_guess.items():
-        # each (1, members) @ (members, 1) product is np.dot(priors * probs, overlap); the
-        # overlap column is read in place, since BLAS sums a contiguous copy in another order
-        terms[at] = (weighted[at][:, None, :] @ overlaps[:, member, None])[:, 0, 0]
-    for i in explicit:
-        terms[i] = np.dot(weighted[i], np.abs(states.conj() @ leaves[i][0].guess.amps) ** 2)
+    # one (1, members) @ (members, 1) product per leaf, np.dot(priors * probs, overlap column):
+    # taken side by side, the columns are read at a stride, as in place, when there are two
+    # leaves or more (BLAS sums a contiguous column in another order)
+    picked = np.take(overlaps, [0 if guess is None else guess for guess in guesses], axis=1)
+    terms = (weighted[:, None, :] @ picked.T[:, :, None])[:, 0, 0]
+    for i, guess in enumerate(guesses):
+        if guess is None:
+            terms[i] = np.dot(weighted[i], np.abs(states.conj() @ leaves[i].guess.amps) ** 2)
     total = 0.0
     for term in terms.tolist():  # summed in branch order
         total += term
-    return ProtocolResult(total, tuple(branches))
+    return ProtocolResult(total, branches)
 
 
 def validate_one_way(tree, order: Sequence[str]) -> bool:
@@ -625,11 +661,16 @@ def _complex_to_json(arr: np.ndarray):
     return {"re": np.real(arr).tolist(), "im": np.imag(arr).tolist()}
 
 
-def _complex_from_json(obj) -> np.ndarray:
-    # set the parts rather than add them: re + 1j * im turns -0.0 into +0.0
+def _complex_from_json(obj, name: str) -> np.ndarray:
+    """The complex array of ``obj``'s ``re`` and ``im``, which must have one
+    shape; a mismatch is refused, naming the field ``name``."""
     re = np.asarray(obj["re"], dtype=float)
+    im = np.asarray(obj["im"], dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f"{name}.im: shape {im.shape} does not match re shape {re.shape}")
+    # set the parts rather than add them: re + 1j * im turns -0.0 into +0.0
     arr = np.empty(re.shape, dtype=complex)
-    arr.real, arr.imag = re, np.asarray(obj["im"], dtype=float)
+    arr.real, arr.imag = re, im
     return arr
 
 
@@ -657,12 +698,12 @@ def tree_from_dict(obj):
         if "member" in obj:
             return Leaf(_as_int(obj["member"], "member"))
         st = obj["state"]
-        return Leaf(StateVector(tuple(st["dims"]), _complex_from_json(st)))
+        return Leaf(StateVector(tuple(st["dims"]), _complex_from_json(st, "state")))
     if obj["type"] == "round":
         inst = Instrument(
             obj["party"],
             tuple(obj["targets"]),
-            tuple(_complex_from_json(k) for k in obj["kraus"]),
+            tuple(_complex_from_json(k, f"kraus[{i}]") for i, k in enumerate(obj["kraus"])),
             tuple(obj["labels"]) if obj.get("labels") else None,
         )
         return Round(inst, tuple(tree_from_dict(c) for c in obj["children"]))

@@ -340,7 +340,10 @@ def apply_to_batch(mat: np.ndarray, targets: Sequence[int], batch: np.ndarray,
     B stacks, shape (B, k, dloc, dloc), apply stack b to the b-th of B
     equal runs of consecutive rows, all in the same contraction, and give
     shape (B, k, n / B, prod(dims)). Every row meets each operator in its
-    own (dloc, dloc) @ (dloc, rest) product.
+    own (dloc, dloc) @ (dloc, rest) product. To let one product cover c
+    rows, pass them as one row over dims (c,) + dims, targets shifted by
+    one: the branch walk does so with as many member rows as fit in one
+    joint row.
     """
     dims = tuple(dims)
     batch = np.asarray(batch, dtype=complex)

@@ -97,9 +97,8 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     ens = problem.joint
     tree = _grow(script)
     validate_tree(tree, ens)
-    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
-    rows = np.array([probs for _, probs, _ in leaves])
-    for (leaf, _, _), guess in zip(leaves, np.argmax(ens.priors * rows, axis=1).tolist()):
+    leaves, _, rows = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
+    for leaf, guess in zip(leaves, np.argmax(ens.priors * rows, axis=1).tolist()):
         object.__setattr__(leaf, "guess", guess)  # as Leaf.__post_init__; no one holds it yet
     return tree
 

@@ -182,12 +182,14 @@ def test_overlaps_taken_on_the_ensemble_match_the_joint_members(seed, rounds):
     assert abs(factored - run_protocol(JointProblem(joint), tree).fidelity) <= 1e-12
 
 
-@settings(deadline=None)
-@given(trees)
-def test_member_probabilities_sum_to_one_without_pruning(tree):
-    result = run_protocol(PROBLEM, tree, prune=0.0)
-    total = sum(br.member_probabilities for br in result.branches)
-    assert np.max(np.abs(total - 1.0)) <= ATOL
+def random_folding_round(rng: np.random.Generator, ens: Ensemble) -> Instrument:
+    """A computational measurement of one of a party's qubits a quarter of the
+    time (measured again, it leaves outcomes that no member reaches), else a
+    random lattice round."""
+    if rng.random() < 0.25:
+        party, qubits = ens.layout.parties[rng.integers(2)]
+        return projective_instrument(party, (int(rng.choice(qubits)),), np.eye(2))
+    return random_lattice_round(rng, ens)
 
 
 def leaf_paths(node, path=()):
@@ -195,6 +197,55 @@ def leaf_paths(node, path=()):
     if isinstance(node, Leaf):
         return [path]
     return [p for k, child in enumerate(node.children) for p in leaf_paths(child, path + (k,))]
+
+
+def leaf_nodes(node):
+    """The leaves of ``node``, depth first."""
+    if isinstance(node, Leaf):
+        return [node]
+    return [leaf for child in node.children for leaf in leaf_nodes(child)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from((3, 5, 6, 7)), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_folded_member_rows_match_the_flattened_and_dense_branches(members, seed, rounds):
+    # 3, 5, 6 or 7 random members of 3 qubits and a random Bell-pair-sized resource, 32
+    # joint amplitudes: the member rows a product folds divide the member count, so with 6
+    # members 3 rows of width 8 share one product, and with 5 or 7 all rows of width 4
+    rng = np.random.default_rng(seed)
+    layout = PartyLayout((("A", (0, 1)), ("B", (2,))))
+    amps = rng.normal(size=(members, 8)) + 1j * rng.normal(size=(members, 8))
+    ens = Ensemble(layout, tuple(zip(rng.dirichlet(np.ones(members)),
+                                     (StateVector.normalized((2, 2, 2), a) for a in amps))))
+    resource = StateVector.normalized((2, 2), rng.normal(size=4) + 1j * rng.normal(size=4))
+    problem = JointProblem(ens, resource, PartyLayout((("A", (0,)), ("B", (1,)))))
+    joint = problem.joint
+    measure = projective_instrument("A", (2,), np.eye(2))  # rank one: its ket is held below
+    tree = Round(measure, tuple(random_tree(rng, rounds, joint, random_folding_round)
+                                for _ in range(2)))
+    result = run_protocol(problem, tree)
+    povm, _ = flatten_to_povm(tree, problem)
+    factors = dict(zip(leaf_paths(tree), povm.factors))
+    states = joint.amplitude_matrix()
+    for branch in result.branches:
+        path = tuple(step.outcome for step in branch.steps)
+        want = np.sum(np.abs(states @ factors[path].T) ** 2, axis=1)
+        assert np.max(np.abs(branch.member_probabilities - want)) <= 1e-12, path
+    dense = 0.0
+    for leaf, kraus in zip(leaf_nodes(tree), branch_kraus(tree, joint.dims)):
+        guess = joint.states[leaf.guess] if isinstance(leaf.guess, int) else leaf.guess
+        overlaps = np.abs(states.conj() @ guess.amps) ** 2
+        dense += float(np.sum(joint.priors * np.sum(np.abs(kraus @ states.T) ** 2, axis=0)
+                              * overlaps))
+    assert abs(result.fidelity - dense) <= 1e-12
+
+
+@settings(deadline=None)
+@given(trees)
+def test_member_probabilities_sum_to_one_without_pruning(tree):
+    result = run_protocol(PROBLEM, tree, prune=0.0)
+    total = sum(br.member_probabilities for br in result.branches)
+    assert np.max(np.abs(total - 1.0)) <= ATOL
 
 
 @settings(deadline=None)

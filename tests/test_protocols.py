@@ -3,6 +3,10 @@
 import dataclasses
 import gc
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -417,11 +421,11 @@ def test_walk_returns_the_reached_leaves_depth_first():
     tree = _mixed_depth_tree(ens)
     paths = _leaf_paths(tree)
     for prune, reached in ((0.0, paths), (PRUNE, [p for p in paths if p != (0, 1, 1)])):
-        leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, prune)
-        assert [tuple(s.outcome for s in steps) for _, _, steps in leaves] == reached
-        assert all(leaf is _at(tree, path) for (leaf, _, _), path in zip(leaves, reached))
-        for (_, probs, steps), path in zip(leaves, reached):
-            assert probs.shape == (ens.size,) and len(steps) == len(path)
+        leaves, steps, probs = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors,
+                                          prune)
+        assert [tuple(s.outcome for s in leaf_steps) for leaf_steps in steps] == reached
+        assert all(leaf is _at(tree, path) for leaf, path in zip(leaves, reached))
+        assert probs.shape == (len(reached), ens.size)
 
 
 def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
@@ -430,10 +434,10 @@ def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
     script = [computational_instrument("A1", (0,), (2,)), _weak("A2", 2),
               bell_instrument("A1", (0, 1))]
     tree = build_tree(JointProblem(ens), script)
-    leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
-    assert len(leaves) == 2 * 2 * 4
+    leaves, _, rows = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
+    assert len(leaves) == len(rows) == 2 * 2 * 4
     ties = moved = 0
-    for (leaf, probs, _), path in zip(leaves, _leaf_paths(tree)):
+    for leaf, probs, path in zip(leaves, rows, _leaf_paths(tree)):
         weighted = priors * probs
         best = np.flatnonzero(weighted == weighted.max())
         assert leaf is _at(tree, path) and leaf.guess == best[0]
@@ -534,6 +538,41 @@ def test_a_deep_tree_of_general_rounds_stays_within_the_group_budget():
     assert peak < 48 << 20
 
 
+def _other_threads_cpu_ns():
+    """CPU time of this process's other threads, from /proc/self/task/*/schedstat."""
+    me, total = threading.get_native_id(), 0
+    for task in os.listdir("/proc/self/task"):
+        if int(task) != me:
+            try:
+                with open(f"/proc/self/task/{task}/schedstat") as f:
+                    total += int(f.read().split()[0])
+            except FileNotFoundError:  # the thread has exited
+                pass
+    return total
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_the_branch_walk_wakes_no_other_thread():
+    # a BLAS product large enough for OpenBLAS to hand to its idle worker wakes it, and the
+    # worker then spins for about 0.1 s of CPU: every product of the walk must stay smaller
+    if len(os.listdir("/proc/self/task")) < 2:
+        pytest.skip("this process has no other thread")
+    if not os.path.exists(f"/proc/self/task/{threading.get_native_id()}/schedstat"):
+        pytest.skip("the kernel keeps no schedstat")
+    before = _other_threads_cpu_ns()
+    deadline = time.monotonic() + 1.0
+    while True:  # until a worker woken before this test has gone back to sleep
+        time.sleep(0.02)
+        now = _other_threads_cpu_ns()
+        if now == before:
+            break
+        if time.monotonic() > deadline:
+            pytest.skip("another thread stayed busy for 1 s")
+        before = now
+    run_protocol(*sequential_bell_protocol(5))
+    assert _other_threads_cpu_ns() - before < 5_000_000
+
+
 def test_held_kets_stay_with_their_rounds_past_a_disjoint_round():
     # qubit 0's split-off ket passes the +/- round on qubit 2 in the rows of four
     # rounds and meets the second computational round on qubit 0 in each of them
@@ -616,9 +655,10 @@ def test_branch_records_and_guesses_match_their_per_leaf_definitions():
             assert branch.probability.hex() == float(np.dot(ens.priors, probs)).hex(), name
             assert branch.survivors == tuple(np.flatnonzero(probs > PRUNE)), name
             assert all(type(i) is int for i in branch.survivors), name
-        leaves = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
-        assert [leaf.guess for leaf, _, _ in leaves] == [
-            int(np.argmax(ens.priors * probs)) for _, probs, _ in leaves], name
+        leaves, _, rows = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors,
+                                     -math.inf)
+        assert [leaf.guess for leaf in leaves] == [
+            int(np.argmax(ens.priors * probs)) for probs in rows], name
 
 
 def test_branches_taking_the_same_step_share_one_record():
@@ -692,6 +732,19 @@ def test_validate_tree_checks_each_instrument_in_every_call():
         validate_tree(_repeated(shared, 8, Round(stray, (Leaf(0), Leaf(1)))), ens)
     with pytest.raises(ValueError, match="leaf guesses member 8 of 8"):
         validate_tree(_repeated(shared, 8, Leaf(8)), ens)
+
+
+def test_a_chain_of_1200_single_outcome_rounds_validates_and_runs():
+    # deeper than the interpreter's recursion limit: validation walks an explicit stack
+    ens = bell_basis()
+    identity = unitary_instrument("A", (0,), np.eye(2))
+    tree = Leaf(0)
+    for _ in range(1200):
+        tree = Round(identity, (tree,))
+    validate_tree(tree, ens)
+    result = run_protocol(JointProblem(ens), tree)
+    assert len(result.branches) == 1 and len(result.branches[0].steps) == 1200
+    assert result.fidelity == pytest.approx(0.25, abs=1e-12)  # the prior of member 0
 
 
 def _instruments(node, found=None):
@@ -871,6 +924,19 @@ def test_tree_json_with_a_nan_kraus_entry_is_refused():
         tree_from_json(json.dumps(payload))
     payload = {"type": "leaf", "state": {"dims": [2], "re": [float("nan"), 0.0], "im": [0.0, 0.0]}}
     with pytest.raises(ValueError, match="not normalized"):
+        tree_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("im", [0, [0.0, 0.0]])
+def test_tree_json_refuses_an_im_part_of_another_shape_naming_the_field(im):
+    import json
+    _problem, tree = computational_protocol(bell_basis())
+    payload = json.loads(tree_to_json(tree))
+    payload["kraus"][1]["im"] = im  # against a 2 x 2 re
+    with pytest.raises(ValueError, match=r"kraus\[1\]\.im: shape"):
+        tree_from_json(json.dumps(payload))
+    payload = {"type": "leaf", "state": {"dims": [2, 2], "re": [1.0, 0.0, 0.0, 0.0], "im": im}}
+    with pytest.raises(ValueError, match=r"state\.im: shape"):
         tree_from_json(json.dumps(payload))
 
 
