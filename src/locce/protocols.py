@@ -38,9 +38,9 @@ each reduction keeps that norm exact:
   width: a tree whose rounds share no instrument (one loaded from JSON)
   gets the same bits as the tree it came from, and no product grows
   with the number of rounds. The walk returns the leaves it reached,
-  with their rows' squared norms, in depth-first order:
-  :func:`run_protocol` scores them and :func:`locce.zoo.build_tree`
-  decodes its guesses from them.
+  with their rows' squared norms, in depth-first order, which sorting
+  them by their step records gives: :func:`run_protocol` scores them and
+  :func:`locce.zoo.build_tree` decodes its guesses from them.
 
 :func:`flatten_to_povm` builds these elements by a separate walk, the
 reference path of the cross-checks. It carries each Kraus product K_b on
@@ -52,7 +52,8 @@ only on request. Rank-one rounds on such subsystems (contracted with
 makes invertible, keep the product's full row rank, so a branch made
 only of them emits that product itself as its factor, with no
 factorization. A branch below any other round, or below a round on a
-split-off subsystem, can lose rank and gets one SVD, at its leaf.
+split-off subsystem, can lose rank and gets one SVD, at its leaf. Like
+the branch walk, it is one loop over an explicit stack.
 
 Resource attachment follows the joint-space picture: discriminating
 {psi_i} with a shared resource Psi is the same problem as
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -292,8 +294,9 @@ def validate_tree(tree, ens: Ensemble) -> None:
         stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step of a branch; a named tuple, so that branches sort by their steps."""
+
     party: str
     outcome: int
     label: str
@@ -347,14 +350,13 @@ def _probabilities(rows: np.ndarray) -> np.ndarray:
 
 class _Group(NamedTuple):
     """Rounds entered from one contraction that share the shape of their
-    step. Round b has outcome path ``paths[b]``, the records ``steps[b]``
-    made on the way and member rows ``rows[b]`` of shape (members, width),
-    whose axes are the original subsystems ``axes``; each
-    ``(subsystems, kets)`` in ``held`` is a group of subsystems whose
-    factor ``kets[b]`` was split off those rows."""
+    step. Round b has the records ``steps[b]`` made on the way and member
+    rows ``rows[b]`` of shape (members, width), whose axes are the
+    original subsystems ``axes``; each ``(subsystems, kets)`` in ``held``
+    is a group of subsystems whose factor ``kets[b]`` was split off those
+    rows."""
 
     nodes: tuple[Round, ...]
-    paths: tuple[tuple[int, ...], ...]
     steps: tuple[tuple[StepRecord, ...], ...]
     rows: np.ndarray
     axes: tuple[int, ...]
@@ -369,25 +371,27 @@ def _push_rows(tree, states, dims, priors, prune):
 
     The walk pops groups of rounds off a stack, contracts each at once
     (:func:`_contract`) and pushes the groups entered below it. Each
-    contraction hands over the leaves it entered, with their outcome paths
-    and their rows in one block; the leaves are sorted by path at the end.
-    Outcomes whose weighted probability is below ``prune`` are not entered
-    (``-math.inf`` enters every one), and each entered one adds a
-    StepRecord to the branches below; within one contraction, branches
-    taking the same step share one record.
+    contraction hands over the leaves it entered, with their steps and
+    their rows in one block. Outcomes whose weighted probability is below
+    ``prune`` are not entered (``-math.inf`` enters every one), and each
+    entered one adds a StepRecord to the branches below; within one
+    contraction, branches taking the same step share one record. So two
+    branches share the records of their common prefix and first differ at
+    two outcomes of one round, where ``party`` ties and ``outcome``
+    decides: sorting the leaves by their steps puts them depth first.
     """
     if isinstance(tree, Leaf):
         return [tree], [()], _probabilities(states)[None]
     dims = tuple(dims)
-    stack = [_Group((tree,), ((),), ((),), states[None], tuple(range(len(dims))), ())]
-    # (paths, leaves, steps, probs) per contraction; the empty first block keeps the
+    stack = [_Group((tree,), ((),), states[None], tuple(range(len(dims))), ())]
+    # (leaves, steps, probs) per contraction; the empty first block keeps the
     # concatenation defined when every outcome is pruned
-    blocks: list = [((), (), (), np.empty((0, len(states))))]
+    blocks: list = [((), (), np.empty((0, len(states))))]
     while stack:
         stack += _contract(stack.pop(), dims, priors, prune, blocks)
-    paths, leaves, steps = ([item for block in blocks for item in block[i]] for i in range(3))
-    order = sorted(range(len(paths)), key=paths.__getitem__)
-    probs = np.concatenate([block[3] for block in blocks])[order]
+    leaves, steps = ([item for block in blocks for item in block[i]] for i in range(2))
+    order = sorted(range(len(steps)), key=steps.__getitem__)
+    probs = np.concatenate([block[2] for block in blocks])[order]
     return [leaves[i] for i in order], [steps[i] for i in order], probs
 
 
@@ -407,8 +411,8 @@ def _contract(group: _Group, dims, priors, prune, blocks) -> list[_Group]:
     nodes, rows = group.nodes, group.rows
     if len(nodes) > 1 and rows.nbytes > _GROUP_BYTES:
         half = len(nodes) // 2
-        return [_Group(nodes[part], group.paths[part], group.steps[part], rows[part],
-                       group.axes, tuple((s, kets[part]) for s, kets in group.held))
+        return [_Group(nodes[part], group.steps[part], rows[part], group.axes,
+                       tuple((s, kets[part]) for s, kets in group.held))
                 for part in (slice(half, None), slice(half))]
     targets = nodes[0].instrument.targets
     n_entries, members = rows.shape[:2]
@@ -454,13 +458,12 @@ def _contract(group: _Group, dims, priors, prune, blocks) -> list[_Group]:
     weights = (probs @ priors).tolist()
     survivors = np.count_nonzero(probs > prune, axis=2).tolist()
     records: dict = {}  # (id(instrument), outcome, survivor count) -> (its one StepRecord,)
-    # the leaves entered: paths, nodes, steps and rows in probs read as (rounds * outcomes,
-    # members); parallel lists, as appending to each is cheaper than splitting tuples
-    leaf_paths, leaf_nodes, leaf_steps, at = [], [], [], []
-    buckets: dict = {}  # step shape -> (rounds, paths, steps, round indices, outcomes)
+    # the leaves entered: nodes, steps and rows in probs read as (rounds * outcomes, members);
+    # parallel lists, as appending to each is cheaper than splitting tuples
+    leaf_nodes, leaf_steps, at = [], [], []
+    buckets: dict = {}  # step shape -> (rounds, steps, round indices, outcomes)
     bucket_of: dict = {}  # id(instrument below) -> the bucket of its step shape
-    for b, (node, path, steps, weight, count) in enumerate(
-            zip(nodes, group.paths, group.steps, weights, survivors)):
+    for b, (node, steps, weight, count) in enumerate(zip(nodes, group.steps, weights, survivors)):
         inst = node.instrument
         inst_id = id(inst)
         for k, child in enumerate(node.children):
@@ -472,7 +475,6 @@ def _contract(group: _Group, dims, priors, prune, blocks) -> list[_Group]:
                 record = records[key] = (StepRecord(inst.party, k, inst.outcome_label(k),
                                                     len(inst.kraus), count[k]),)
             if type(child) is Leaf:
-                leaf_paths.append(path + (k,))
                 leaf_nodes.append(child)
                 leaf_steps.append(steps + record)
                 at.append(b * n_outcomes + k)
@@ -481,23 +483,21 @@ def _contract(group: _Group, dims, priors, prune, blocks) -> list[_Group]:
             if bucket is None:
                 below = child.instrument
                 shape = (below.targets, len(below.kraus), below._rank_one is None)
-                bucket = bucket_of[id(below)] = buckets.setdefault(shape, ([], [], [], [], []))
-            rounds, paths, steps_below, entry, outcome = bucket
+                bucket = bucket_of[id(below)] = buckets.setdefault(shape, ([], [], [], []))
+            rounds, steps_below, entry, outcome = bucket
             rounds.append(child)
-            paths.append(path + (k,))
             steps_below.append(steps + record)
             entry.append(b)
             outcome.append(k)
     if at:
-        blocks.append((leaf_paths, leaf_nodes, leaf_steps, probs.reshape(-1, members)[at]))
+        blocks.append((leaf_nodes, leaf_steps, probs.reshape(-1, members)[at]))
     groups = []
-    for rounds, paths, steps, entry, outcome in buckets.values():
+    for rounds, steps, entry, outcome in buckets.values():
         entry, outcome = np.array(entry), np.array(outcome)
         held = tuple((subsystems, kets[entry]) for subsystems, kets in kept)
         if rank_one:
             held += ((targets, split[index[entry], outcome]),)
-        groups.append(_Group(tuple(rounds), tuple(paths), tuple(steps), out[entry, outcome],
-                             axes, held))
+        groups.append(_Group(tuple(rounds), tuple(steps), out[entry, outcome], axes, held))
     return groups
 
 
@@ -551,12 +551,22 @@ def run_protocol(problem: JointProblem, tree, prune: float = PRUNE) -> ProtocolR
 
 
 def validate_one_way(tree, order: Sequence[str]) -> bool:
-    """True iff every path's acting parties are non-decreasing in ``order``."""
-    if isinstance(tree, Leaf):
-        return True
+    """True iff every path's acting parties are non-decreasing in ``order``.
+
+    The walk keeps each round still to visit with the lowest rank in
+    ``order`` its party may take, on an explicit stack, so a tree of any
+    depth is checked; a party named twice in ``order`` takes its last rank."""
     rank = {str(name): i for i, name in enumerate(order)}
-    r = rank.get(tree.instrument.party)
-    return r is not None and all(validate_one_way(c, order[r:]) for c in tree.children)
+    stack = [(tree, 0)]
+    while stack:
+        node, lowest = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        r = rank.get(node.instrument.party, -1)
+        if r < lowest:
+            return False
+        stack.extend((child, r) for child in node.children)
+    return True
 
 
 def flatten_to_povm(tree, problem: JointProblem):
@@ -566,93 +576,93 @@ def flatten_to_povm(tree, problem: JointProblem):
     identity-padded to the joint space, paired with the leaf's guess, so
     that ``average_fidelity`` on the result reproduces :func:`run_protocol`.
     E_b comes as a thin factor C_b of shape (rank K_b, d) with
-    E_b = C_b^dagger C_b; no d x d element is formed. Rank-one and
-    single-outcome rounds are applied without a factorization;
-    only a branch below another round kind, or below a round on a
-    subsystem a rank-one round already measured, gets one SVD, at its leaf
-    (see :func:`_flatten`). The walk is kept apart from :func:`_push_rows`
-    so that the cross-checks compare two paths.
+    E_b = C_b^dagger C_b; no d x d element is formed. The walk is kept
+    apart from :func:`_push_rows` so that the cross-checks compare two
+    paths.
+
+    One loop pops ``(node, K, axes, held, full)`` off an explicit stack, so
+    a tree of any depth flattens. K, shape (m, d), is the Kraus product
+    reaching ``node`` on the original subsystems ``axes``; each
+    ``(subsystems, ket)`` in ``held`` is a unit ket split off K, which
+    leaves K^dagger K unchanged, and ``full`` says K has full row rank m.
+    A round moves its targets to the front of K's rows and applies all its
+    outcomes in one product: <w_k| for a rank-one round, K_k = |u_k><w_k|
+    (|u_k> is held), K_k for any other; its children are pushed in reverse,
+    so the leaves come off depth first. Rank-one rounds on un-held targets
+    and single-outcome rounds keep full row rank (a lone K has K^dagger K
+    = I to TOL, so it is invertible), and the leaf emits K as it is. Below
+    any other round, or a round touching a held subsystem (its kets are put
+    back first), the leaf keeps the rows of K's SVD above 1e-13 of its
+    largest singular value.
     """
     ens = problem.joint
     validate_tree(tree, ens)
+    dims, states = ens.dims, ens.states
     factors: list[np.ndarray] = []
     guesses: list[StateVector] = []
-    _flatten(tree, np.eye(ens.dim, dtype=complex), tuple(range(len(ens.dims))), (), True,
-             ens.dims, ens.states, factors, guesses)
-    return Povm.from_factors(ens.dims, factors), GuessStrategy(tuple(guesses))
-
-
-def _flatten(node, kraus, axes, held, full, dims, states, factors, guesses) -> None:
-    """Append the factor and guess of every branch below ``node``, which
-    the Kraus product K reaches. ``kraus``, shape (m, d), is K on the
-    original subsystems ``axes``, in that order; each ``(subsystems, ket)``
-    in ``held`` is a unit ket split off K, which leaves K^dagger K
-    unchanged. ``full`` says that ``kraus`` has full row rank m.
-
-    A round moves its targets to the front of the rows and applies all its
-    outcomes in one product: a rank-one round, K_k = |u_k><w_k|, contracts
-    <w_k| there and holds |u_k>, any other round applies K_k. A rank-one
-    round on un-held targets keeps full row rank, and so does a
-    single-outcome round: its K has K^dagger K = I to TOL, hence is
-    invertible. The leaf then emits ``kraus`` as it is. Any other round, and
-    any round that touches a held subsystem (its kets are put back first),
-    can lower the rank: the leaf below then keeps the rows of the SVD of
-    ``kraus`` above 1e-13 of its largest singular value."""
-    if isinstance(node, Leaf):
-        if not full:
-            _, s, vh = np.linalg.svd(kraus, full_matrices=False)
-            r = int(np.count_nonzero(s > 1e-13 * s[0]))
-            kraus = s[:r, None] * vh[:r]
-        factors.append(kraus)
-        guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
-        return
-    inst = node.instrument
-    targets, kept, d = inst.targets, [], kraus.shape[1]
-    for subsystems, ket in held:
-        if set(subsystems).isdisjoint(targets):
-            kept.append((subsystems, ket))
+    stack = [(tree, np.eye(ens.dim, dtype=complex), tuple(range(len(dims))), (), True)]
+    while stack:
+        node, kraus, axes, held, full = stack.pop()
+        if isinstance(node, Leaf):
+            if not full:
+                _, s, vh = np.linalg.svd(kraus, full_matrices=False)
+                r = int(np.count_nonzero(s > 1e-13 * s[0]))
+                kraus = s[:r, None] * vh[:r]
+            factors.append(kraus)
+            guesses.append(states[node.guess] if isinstance(node.guess, int) else node.guess)
             continue
-        kraus = (ket[:, None, None] * kraus).reshape(-1, d)
-        axes = subsystems + axes
-        full = False
-    rest = tuple(a for a in axes if a not in targets)
-    if axes != targets + rest:
-        perm = [axes.index(a) for a in targets + rest] + [len(axes)]
-        kraus = kraus.reshape(tuple(dims[a] for a in axes) + (d,)).transpose(perm)
-    kraus = kraus.reshape(len(inst.kraus[0]), -1)
-    rank_one = inst._rank_one
-    if rank_one is not None:
-        kets, bras = rank_one
-        images = (bras @ kraus).reshape(len(bras), -1, d)
-        for ket, image, child in zip(kets, images, node.children):
-            _flatten(child, image, rest, (*kept, (targets, ket)), full,
-                     dims, states, factors, guesses)
-        return
-    images = (inst._stack @ kraus).reshape(len(inst.kraus), -1, d)
-    # a lone K has K^dagger K = I to TOL, so every singular value is near 1 and K is invertible
-    full = full and len(inst.kraus) == 1
-    for image, child in zip(images, node.children):
-        _flatten(child, image, targets + rest, tuple(kept), full, dims, states, factors, guesses)
+        inst = node.instrument
+        targets, kept, d = inst.targets, [], kraus.shape[1]
+        for subsystems, ket in held:
+            if set(subsystems).isdisjoint(targets):
+                kept.append((subsystems, ket))
+                continue
+            kraus = (ket[:, None, None] * kraus).reshape(-1, d)
+            axes = subsystems + axes
+            full = False
+        rest = tuple(a for a in axes if a not in targets)
+        if axes != targets + rest:
+            perm = [axes.index(a) for a in targets + rest] + [len(axes)]
+            kraus = kraus.reshape(tuple(dims[a] for a in axes) + (d,)).transpose(perm)
+        kraus = kraus.reshape(len(inst.kraus[0]), -1)
+        rank_one = inst._rank_one
+        if rank_one is not None:
+            kets, bras = rank_one
+            images = (bras @ kraus).reshape(len(bras), -1, d)
+            below = [(rest, (*kept, (targets, ket)), full) for ket in kets]
+        else:
+            images = (inst._stack @ kraus).reshape(len(inst.kraus), -1, d)
+            below = [(targets + rest, tuple(kept), full and len(inst.kraus) == 1)] * len(images)
+        stack += reversed([(child, image, *state)
+                           for child, image, state in zip(node.children, images, below)])
+    return Povm.from_factors(dims, factors), GuessStrategy(tuple(guesses))
 
 
 def relabel_parties(tree, mapping: Mapping[str, str]):
     """Rename acting parties (e.g. after coarsening); targets unchanged.
 
     Rounds that share an instrument share its relabelled copy, which is
-    built and checked once."""
+    built and checked once. Children are built before their parents from
+    an explicit stack, so a tree of any depth is relabelled."""
     renamed: dict[int, Instrument] = {}
-
-    def relabel(node):
-        if isinstance(node, Leaf):
-            return node
-        inst = node.instrument
-        if id(inst) not in renamed:
-            renamed[id(inst)] = Instrument(
-                mapping.get(inst.party, inst.party), inst.targets, inst.kraus, inst.labels,
-            )
-        return Round(renamed[id(inst)], tuple(relabel(c) for c in node.children))
-
-    return relabel(tree)
+    done: list = []  # relabelled subtrees; a round's children are the last ones
+    stack: list = [(tree, None)]  # (node, its copy's instrument once its children are pushed)
+    while stack:
+        node, inst = stack.pop()
+        if inst is not None:
+            first = len(done) - len(node.children)
+            done[first:] = [Round(inst, tuple(done[first:]))]
+        elif isinstance(node, Leaf):
+            done.append(node)
+        else:
+            inst = node.instrument
+            if id(inst) not in renamed:
+                renamed[id(inst)] = Instrument(
+                    mapping.get(inst.party, inst.party), inst.targets, inst.kraus, inst.labels,
+                )
+            stack.append((node, renamed[id(inst)]))
+            stack.extend((child, None) for child in reversed(node.children))
+    return done[0]
 
 
 # -- serialization -----------------------------------------------------------
@@ -674,40 +684,74 @@ def _complex_from_json(obj, name: str) -> np.ndarray:
     return arr
 
 
+def _check_json_depth(rounds: int) -> None:
+    """Refuse tree JSON whose rounds nest more than 300 deep. ``json``
+    recurses once per level, and a tree of n rounds nests 2n + 3 levels
+    (a round's dict and its children list, then a Kraus operator's list,
+    dict and rows), so the limit leaves about 400 of the interpreter's
+    1,000 levels to the caller's stack."""
+    if rounds > 300:
+        raise ValueError("tree JSON: rounds nest deeper than the limit of 300")
+
+
 def tree_to_dict(tree) -> dict:
-    if isinstance(tree, Leaf):
-        if isinstance(tree.guess, int):
-            return {"type": "leaf", "member": tree.guess}
-        return {
-            "type": "leaf",
-            "state": {"dims": list(tree.guess.dims), **_complex_to_json(tree.guess.amps)},
-        }
-    inst = tree.instrument
-    return {
-        "type": "round",
-        "party": inst.party,
-        "targets": list(inst.targets),
-        "labels": list(inst.labels) if inst.labels else None,
-        "kraus": [_complex_to_json(k) for k in inst.kraus],
-        "children": [tree_to_dict(c) for c in tree.children],
-    }
+    """The JSON-ready dict of ``tree``, built parents first from an explicit
+    stack; rounds nesting deeper than :func:`_check_json_depth` allows are
+    refused."""
+    top: list = []
+    stack = [(tree, top, 0)]  # (node, its parent's children list, rounds above it)
+    while stack:
+        node, siblings, depth = stack.pop()
+        if isinstance(node, Leaf):
+            if isinstance(node.guess, int):
+                siblings.append({"type": "leaf", "member": node.guess})
+            else:
+                state = {"dims": list(node.guess.dims), **_complex_to_json(node.guess.amps)}
+                siblings.append({"type": "leaf", "state": state})
+            continue
+        _check_json_depth(depth + 1)
+        inst, children = node.instrument, []
+        siblings.append({
+            "type": "round",
+            "party": inst.party,
+            "targets": list(inst.targets),
+            "labels": list(inst.labels) if inst.labels else None,
+            "kraus": [_complex_to_json(k) for k in inst.kraus],
+            "children": children,
+        })
+        stack.extend((child, children, depth + 1) for child in reversed(node.children))
+    return top[0]
 
 
 def tree_from_dict(obj):
-    if obj["type"] == "leaf":
-        if "member" in obj:
-            return Leaf(_as_int(obj["member"], "member"))
-        st = obj["state"]
-        return Leaf(StateVector(tuple(st["dims"]), _complex_from_json(st, "state")))
-    if obj["type"] == "round":
-        inst = Instrument(
-            obj["party"],
-            tuple(obj["targets"]),
-            tuple(_complex_from_json(k, f"kraus[{i}]") for i, k in enumerate(obj["kraus"])),
-            tuple(obj["labels"]) if obj.get("labels") else None,
-        )
-        return Round(inst, tuple(tree_from_dict(c) for c in obj["children"]))
-    raise ValueError(f"unknown node type {obj.get('type')!r}")
+    """The tree of a dict in the form of :func:`tree_to_dict`. Instruments
+    are read parents first and rounds built children first, from an
+    explicit stack, so a dict of any depth is read."""
+    done: list = []  # built subtrees; a round's children are the last ones
+    stack: list = [(obj, None)]  # (node, its instrument once its children are pushed)
+    while stack:
+        node, inst = stack.pop()
+        if inst is not None:
+            first = len(done) - len(node["children"])
+            done[first:] = [Round(inst, tuple(done[first:]))]
+        elif node["type"] == "leaf":
+            if "member" in node:
+                done.append(Leaf(_as_int(node["member"], "member")))
+            else:
+                st = node["state"]
+                done.append(Leaf(StateVector(tuple(st["dims"]), _complex_from_json(st, "state"))))
+        elif node["type"] == "round":
+            inst = Instrument(
+                node["party"],
+                tuple(node["targets"]),
+                tuple(_complex_from_json(k, f"kraus[{i}]") for i, k in enumerate(node["kraus"])),
+                tuple(node["labels"]) if node.get("labels") else None,
+            )
+            stack.append((node, inst))
+            stack.extend((child, None) for child in reversed(node["children"]))
+        else:
+            raise ValueError(f"unknown node type {node.get('type')!r}")
+    return done[0]
 
 
 def tree_to_json(tree) -> str:
@@ -715,6 +759,13 @@ def tree_to_json(tree) -> str:
 
 
 def tree_from_json(text: str):
+    """The tree of ``text``. Its deepest ``[`` or ``{`` outside strings is
+    found before ``json`` parses it, and text nesting more levels than a
+    tree at :func:`_check_json_depth`'s limit is refused."""
+    codes = np.frombuffer(re.sub(r'"(?:[^"\\]|\\.)*"', "", text).encode(), dtype=np.uint8)
+    levels = np.cumsum(np.isin(codes, list(b"[{")).astype(int) - np.isin(codes, list(b"]}")))
+    # a tree of n rounds nests 2n + 3 levels, read here as n rounds
+    _check_json_depth((int(levels.max(initial=0)) - 2) // 2)
     return tree_from_dict(json.loads(text))
 
 

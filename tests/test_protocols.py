@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import math
 import os
 import sys
@@ -734,25 +735,93 @@ def test_validate_tree_checks_each_instrument_in_every_call():
         validate_tree(_repeated(shared, 8, Leaf(8)), ens)
 
 
+def _chain(instruments, leaf=Leaf(0)):
+    """Single-outcome rounds of ``instruments``, root first, above ``leaf``."""
+    for inst in reversed(instruments):
+        leaf = Round(inst, (leaf,))
+    return leaf
+
+
+ID_A = unitary_instrument("A", (0,), np.eye(2))
+ID_B = unitary_instrument("B", (1,), np.eye(2))
+
+
 def test_a_chain_of_1200_single_outcome_rounds_validates_and_runs():
     # deeper than the interpreter's recursion limit: validation walks an explicit stack
     ens = bell_basis()
-    identity = unitary_instrument("A", (0,), np.eye(2))
-    tree = Leaf(0)
-    for _ in range(1200):
-        tree = Round(identity, (tree,))
+    tree = _chain([ID_A] * 1200)
     validate_tree(tree, ens)
     result = run_protocol(JointProblem(ens), tree)
     assert len(result.branches) == 1 and len(result.branches[0].steps) == 1200
     assert result.fidelity == pytest.approx(0.25, abs=1e-12)  # the prior of member 0
 
 
-def _instruments(node, found=None):
-    found = {} if found is None else found
-    if isinstance(node, Round):
-        found[id(node.instrument)] = node.instrument
-        for child in node.children:
-            _instruments(child, found)
+def test_a_chain_of_1200_single_outcome_rounds_flattens_to_the_run_fidelity():
+    problem = JointProblem(bell_basis())
+    tree = _chain([ID_A] * 1200)
+    povm, guesses = flatten_to_povm(tree, problem)
+    assert len(povm.factors) == 1
+    factor = povm.factors[0]
+    assert np.max(np.abs(factor.conj().T @ factor - np.eye(4))) <= ATOL  # complete
+    flat = average_fidelity(problem.joint, povm, guesses)
+    assert abs(flat - run_protocol(problem, tree).fidelity) <= 1e-12
+    assert flat == pytest.approx(0.25, abs=1e-12)
+
+
+def test_one_way_order_is_checked_down_a_chain_of_1200_rounds():
+    assert validate_one_way(_chain([ID_A] * 1199 + [ID_B]), ("A", "B"))
+    assert not validate_one_way(_chain([ID_A] * 1198 + [ID_B, ID_A]), ("A", "B"))
+    assert not validate_one_way(_chain([ID_A] * 1199 + [ID_B]), ("B", "A"))
+
+
+def test_a_chain_of_1200_rounds_relabels_to_one_party():
+    ens = bell_basis()
+    tree = _chain([ID_A, ID_B] * 600)
+    grouping = {"A": "AB", "B": "AB"}
+    coarse_tree = relabel_parties(tree, grouping)
+    copies = _instruments(coarse_tree)
+    assert len(copies) == 2 and {inst.party for inst in copies.values()} == {"AB"}
+    coarse = JointProblem(Ensemble(coarsen(ens.layout, grouping), ens.members))
+    assert run_protocol(coarse, coarse_tree).fidelity == pytest.approx(0.25, abs=1e-12)
+    assert run_protocol(JointProblem(ens), tree).fidelity == pytest.approx(0.25, abs=1e-12)
+
+
+def test_tree_json_round_trips_at_the_depth_limit_and_refuses_one_round_past_it():
+    # brackets, a quote and a backslash in a label must not count as nesting
+    odd = Instrument("A", (0,), (np.eye(2),), ('[{"\\]',))
+    at_limit = _chain([odd] * 299 + [ID_A], Leaf(StateVector.normalized((2, 2), [1, 0, 0, 1])))
+    text = tree_to_json(at_limit)
+    assert tree_to_json(tree_from_json(text)) == text
+    with pytest.raises(ValueError, match="limit of 300"):
+        tree_to_json(Round(ID_A, (at_limit,)))
+    outer = json.loads(tree_to_json(Round(ID_A, (Leaf(0),))))
+    with pytest.raises(ValueError, match="limit of 300"):
+        tree_from_json(json.dumps({**outer, "children": [json.loads(text)]}))
+    # far past the limit too, where json itself would recurse too deep
+    deep = _chain([ID_A] * 1200)
+    with pytest.raises(ValueError, match="limit of 300"):
+        tree_to_json(deep)
+    head, tail = json.dumps(outer).split('{"type": "leaf", "member": 0}')
+    with pytest.raises(ValueError, match="limit of 300"):
+        tree_from_json(head * 1200 + '{"type": "leaf", "member": 0}' + tail * 1200)
+    # the dict forms walk explicit stacks and take any depth
+    nested = {"type": "leaf", "member": 0}
+    for _ in range(1200):
+        nested = {**outer, "children": [nested]}
+    node, rounds = protocols.tree_from_dict(nested), 0
+    while isinstance(node, Round):
+        node, rounds = node.children[0], rounds + 1
+    assert rounds == 1200 and node == Leaf(0)
+
+
+def _instruments(tree):
+    """The distinct instruments of ``tree`` by id, walked from an explicit stack."""
+    found, stack = {}, [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Round):
+            found[id(node.instrument)] = node.instrument
+            stack.extend(node.children)
     return found
 
 
