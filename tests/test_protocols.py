@@ -804,7 +804,7 @@ def test_tree_json_round_trips_at_the_depth_limit_and_refuses_one_round_past_it(
     head, tail = json.dumps(outer).split('{"type": "leaf", "member": 0}')
     with pytest.raises(ValueError, match="limit of 300"):
         tree_from_json(head * 1200 + '{"type": "leaf", "member": 0}' + tail * 1200)
-    # the dict forms walk explicit stacks and take any depth
+    # tree_from_dict walks an explicit stack and reads a dict of any depth
     nested = {"type": "leaf", "member": 0}
     for _ in range(1200):
         nested = {**outer, "children": [nested]}
