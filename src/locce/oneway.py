@@ -333,75 +333,57 @@ def _steihaug(grad: np.ndarray, hess: np.ndarray, gnorm: np.ndarray, radius: np.
     Anal. 20, 626 (1983)), with scipy trust-ncg's stopping tolerance
     min(1/2, sqrt(||g||)) ||g|| on the residual.
 
-    A row leaves the lockstep on negative curvature (the boundary point
-    along p with the lower model value), on a step across the boundary
-    (the boundary point along p), on a small residual, or after as many
-    steps as the dimension. Returns the steps, whether each lies on the
-    boundary, and each step's curvature s.H s, taken from the row's
-    Hessian as it finishes. A finished row leaves the Hessians with the
-    rest of its iteration state, so every product is over the live rows
-    only, and no caller needs to keep the full stack.
+    A row finishes on negative curvature (the boundary point along p with
+    the lower model value), on a step across the boundary (the boundary
+    point along p), on a small residual, or after as many steps as the
+    dimension. Returns the steps, whether each lies on the boundary, and
+    each step's curvature s.H s. Every row keeps its place in the arrays
+    until the loop ends: a finished row's step is written once, as it
+    finishes, and its later iterates, which may overflow, are never read.
     """
     rows, size = grad.shape
     steps = np.empty_like(grad)
-    step_curvature = np.empty(rows)
     on_boundary = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)  # the rows still iterating
+    live = np.ones(rows, dtype=bool)  # the rows still iterating
     tol2 = np.square(np.minimum(0.5, np.sqrt(gnorm)) * gnorm)
     radius2 = np.square(radius)
     z = np.zeros_like(grad)
     r = grad
     p = -grad
     rr = np.square(gnorm)
-    for _ in range(size):
-        hp = (hess @ p[:, :, None])[:, :, 0]
-        curvature = np.einsum("ij,ij->i", p, hp)
-        alpha = (rr / curvature)[:, None]
-        z_next = z + alpha * p
-        r_next = r + alpha * hp
-        rr_next = np.einsum("ij,ij->i", r_next, r_next)
-        negative = ~(curvature > 0)
-        outside = np.einsum("ij,ij->i", z_next, z_next) >= radius2
-        small = rr_next < tol2
-        done = negative | outside | small
-        if done.any():
-            outside &= ~negative
-            small &= ~(negative | outside)
+    with np.errstate(all="ignore"):
+        for _ in range(size):
+            hp = (hess @ p[:, :, None])[:, :, 0]
+            curvature = np.einsum("ij,ij->i", p, hp)
+            alpha = (rr / curvature)[:, None]
+            z_next = z + alpha * p
+            r_next = r + alpha * hp
+            rr_next = np.einsum("ij,ij->i", r_next, r_next)
+            negative = live & ~(curvature > 0)
+            outside = live & ~negative & (np.einsum("ij,ij->i", z_next, z_next) >= radius2)
+            small = live & ~(negative | outside) & (rr_next < tol2)
             if negative.any():
                 sel = np.flatnonzero(negative)
                 ta, tb = _boundary_steps(z[sel], p[sel], radius2[sel])
                 za, zb = z[sel] + ta[:, None] * p[sel], z[sel] + tb[:, None] * p[sel]
                 ha, hb = (hess[sel] @ np.stack([za, zb], axis=2)).transpose(2, 0, 1)
-                g = grad[live[sel]]
+                g = grad[sel]
                 model_a = np.einsum("ij,ij->i", g, za) + 0.5 * np.einsum("ij,ij->i", za, ha)
                 model_b = np.einsum("ij,ij->i", g, zb) + 0.5 * np.einsum("ij,ij->i", zb, hb)
-                steps[live[sel]] = np.where((model_a < model_b)[:, None], za, zb)
+                steps[sel] = np.where((model_a < model_b)[:, None], za, zb)
             if outside.any():
                 sel = np.flatnonzero(outside)
                 tb = _boundary_steps(z[sel], p[sel], radius2[sel])[1]
-                steps[live[sel]] = z[sel] + tb[:, None] * p[sel]
-            on_boundary[live[negative | outside]] = True
-            steps[live[small]] = z_next[small]
-            ended = live[done]
-            step_curvature[ended] = _curvature(steps[ended], hess[done])
-            going = ~done
-            live = live[going]
-            if not live.size:
-                return steps, on_boundary, step_curvature
-            hess, z, r_next, p, rr, rr_next, tol2, radius2 = (
-                v[going] for v in (hess, z_next, r_next, p, rr, rr_next, tol2, radius2))
-        else:
-            z = z_next
-        p = -r_next + (rr_next / rr)[:, None] * p
-        r, rr = r_next, rr_next
-    steps[live] = z
-    step_curvature[live] = _curvature(z, hess)
-    return steps, on_boundary, step_curvature
-
-
-def _curvature(steps: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """s.H s for every row's step s and Hessian H."""
-    return np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0])
+                steps[sel] = z[sel] + tb[:, None] * p[sel]
+            on_boundary |= negative | outside
+            steps[small] = z_next[small]
+            live &= ~(negative | outside | small)
+            if not live.any():
+                break
+            p = -r_next + (rr_next / rr)[:, None] * p
+            z, r, rr = z_next, r_next, rr_next
+        steps[live] = z[live]
+    return steps, on_boundary, np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0])
 
 
 @dataclass(frozen=True)
@@ -467,7 +449,6 @@ def minimize(theta0: np.ndarray, pairs: np.ndarray, lambdas: np.ndarray, k: int,
     while live.size:
         here = x[live]
         g = grad[live]
-        # the Hessian stack is passed on unnamed: only _steihaug's compacted copies remain
         steps, on_boundary, curvature = _steihaug(g, _model_hessian(here, *args), gnorm[live],
                                                   radius[live])
         predicted = -(np.einsum("ij,ij->i", g, steps) + 0.5 * curvature)

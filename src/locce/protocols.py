@@ -671,11 +671,34 @@ def _complex_to_json(arr: np.ndarray):
     return {"re": np.real(arr).tolist(), "im": np.imag(arr).tolist()}
 
 
+def _field(node: dict, key: str, at: str, kind: type = object):
+    """``node[key]``; a missing key or a value that is not a ``kind`` is
+    refused, naming the field by its JSON path ``at + key``."""
+    if key not in node:
+        raise ValueError(f"{at}{key}: missing")
+    return _checked(node[key], kind, at + key)
+
+
+def _checked(value, kind: type, where: str):
+    """``value``, refused naming ``where`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _complex_from_json(obj, name: str) -> np.ndarray:
-    """The complex array of ``obj``'s ``re`` and ``im``, which must have one
-    shape; a mismatch is refused, naming the field ``name``."""
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    """The complex array of ``obj``'s ``re`` and ``im``, which must be
+    arrays of numbers of one shape; anything else is refused, naming the
+    field by its JSON path ``name``."""
+    _checked(obj, dict, name)
+    parts = []
+    for part in ("re", "im"):
+        value = _field(obj, part, f"{name}.")
+        try:
+            parts.append(np.asarray(value, dtype=float))
+        except (TypeError, ValueError):  # a ragged list, a string, an object
+            raise ValueError(f"{name}.{part}: not an array of numbers") from None
+    re, im = parts
     if im.shape != re.shape:
         raise ValueError(f"{name}.im: shape {im.shape} does not match re shape {re.shape}")
     # set the parts rather than add them: re + 1j * im turns -0.0 into +0.0
@@ -726,31 +749,42 @@ def tree_to_dict(tree) -> dict:
 def tree_from_dict(obj):
     """The tree of a dict in the form of :func:`tree_to_dict`. Instruments
     are read parents first and rounds built children first, from an
-    explicit stack, so a dict of any depth is read."""
+    explicit stack, so a dict of any depth is read. A field that is
+    missing or of the wrong kind is refused with a ``ValueError`` naming
+    its JSON path, such as ``children[1].kraus[0].re``."""
     done: list = []  # built subtrees; a round's children are the last ones
-    stack: list = [(obj, None)]  # (node, its instrument once its children are pushed)
+    stack: list = [(obj, "", None)]  # (node, its path, its instrument once its children are pushed)
     while stack:
-        node, inst = stack.pop()
+        node, path, inst = stack.pop()
         if inst is not None:
             first = len(done) - len(node["children"])
             done[first:] = [Round(inst, tuple(done[first:]))]
-        elif node["type"] == "leaf":
+            continue
+        _checked(node, dict, path or "tree")
+        at = f"{path}." if path else ""
+        node_type = _field(node, "type", at)
+        if node_type == "leaf":
             if "member" in node:
-                done.append(Leaf(_as_int(node["member"], "member")))
+                done.append(Leaf(_as_int(node["member"], f"{at}member")))
             else:
-                st = node["state"]
-                done.append(Leaf(StateVector(tuple(st["dims"]), _complex_from_json(st, "state"))))
-        elif node["type"] == "round":
+                st = _field(node, "state", at, dict)
+                dims = tuple(_field(st, "dims", f"{at}state.", list))
+                done.append(Leaf(StateVector(dims, _complex_from_json(st, f"{at}state"))))
+        elif node_type == "round":
+            labels = node.get("labels") or None
             inst = Instrument(
-                node["party"],
-                tuple(node["targets"]),
-                tuple(_complex_from_json(k, f"kraus[{i}]") for i, k in enumerate(node["kraus"])),
-                tuple(node["labels"]) if node.get("labels") else None,
+                _field(node, "party", at, str),
+                tuple(_field(node, "targets", at, list)),
+                tuple(_complex_from_json(k, f"{at}kraus[{i}]")
+                      for i, k in enumerate(_field(node, "kraus", at, list))),
+                tuple(_checked(labels, list, f"{at}labels")) if labels else None,
             )
-            stack.append((node, inst))
-            stack.extend((child, None) for child in reversed(node["children"]))
+            children = _field(node, "children", at, list)
+            stack.append((node, path, inst))
+            stack.extend((child, f"{at}children[{i}]", None)
+                         for i, child in reversed(list(enumerate(children))))
         else:
-            raise ValueError(f"unknown node type {node.get('type')!r}")
+            raise ValueError(f"{at}type: unknown node type {node_type!r}")
     return done[0]
 
 

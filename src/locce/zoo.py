@@ -103,14 +103,23 @@ def build_tree(problem: JointProblem, script: Sequence[ScriptStep]):
     return tree
 
 
-def _grow(script: Sequence[ScriptStep], outcomes: tuple[int, ...] = ()):
-    """The tree of ``script`` after ``outcomes``, a new ``Leaf(0)`` on every branch."""
-    if len(outcomes) == len(script):
-        return Leaf(0)
-    inst = script[len(outcomes)]
-    if not isinstance(inst, Instrument):
-        inst = inst(outcomes)
-    return Round(inst, tuple(_grow(script, outcomes + (k,)) for k in range(inst.n_outcomes)))
+def _grow(script: Sequence[ScriptStep]):
+    """The tree of ``script``, a new ``Leaf(0)`` on every branch, grown one
+    script step at a time, so a script of any length grows. Each callable
+    step runs once per outcome prefix, in the order of the prefixes; the
+    rounds are then built from the last step up."""
+    prefixes: list[tuple[int, ...]] = [()]
+    levels = []  # the instruments of each script step, one per prefix
+    for step in script:
+        insts = [step if isinstance(step, Instrument) else step(prefix) for prefix in prefixes]
+        levels.append(insts)
+        prefixes = [prefix + (k,) for prefix, inst in zip(prefixes, insts)
+                    for k in range(inst.n_outcomes)]
+    nodes = [Leaf(0) for _ in prefixes]
+    for insts in reversed(levels):
+        below = iter(nodes)
+        nodes = [Round(inst, tuple(itertools.islice(below, inst.n_outcomes))) for inst in insts]
+    return nodes[0]
 
 
 def _undo(party: str, target: int, pos: int, corrections=BELL_CORRECTIONS) -> ScriptStep:

@@ -44,3 +44,14 @@ def branch_kraus(tree, dims):
             yield from walk(child, kraus @ kmat)
 
     yield from walk(tree, np.eye(math.prod(dims), dtype=complex))
+
+
+def leaf_paths(node, path=()):
+    """Outcome paths of the leaves of ``node``, depth first."""
+    if isinstance(node, Leaf):
+        return [path]
+    return [p for k, child in enumerate(node.children) for p in leaf_paths(child, path + (k,))]
+
+
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]

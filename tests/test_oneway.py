@@ -324,22 +324,29 @@ def test_a_vanishing_outcome_is_dropped():
 
 
 def test_steihaug_steps_stay_inside_and_beat_the_cauchy_point():
-    # rows 0-2 convex, 3-5 indefinite; radii from tight to loose
+    # rows 0-2 convex, 3-5 indefinite; radii from tight to loose. Row 6 crosses
+    # the boundary at the first step with a zero residual, so once it has
+    # finished its next step divides 0 by 0
     rng = np.random.default_rng(11)
-    rows, size = 6, 10
-    a = rng.standard_normal((rows, size, size))
+    rows, size = 7, 10
+    a = rng.standard_normal((rows - 1, size, size))
     hess = a @ a.swapaxes(1, 2) + 0.1 * np.eye(size)
     hess[3:] -= 8.0 * np.eye(size)
-    grad = rng.standard_normal((rows, size))
+    hess = np.concatenate([hess, np.diag(np.eye(size)[0])[None]])
+    grad = np.concatenate([rng.standard_normal((rows - 1, size)), np.eye(size)[:1]])
     gnorm = np.linalg.norm(grad, axis=1)
-    radius = np.array([100.0, 0.1, 1.0, 100.0, 0.1, 1.0])
-    steps, on_boundary, step_curvature = _steihaug(grad, hess, gnorm, radius)
-    # each step's curvature is s.H s as the whole stack gives it, bit for bit
-    assert np.array_equal(step_curvature,
-                          np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0]))
-    for i in range(rows):  # each row's subproblem is solved on its own
-        one, hit, _ = _steihaug(grad[i:i + 1], hess[i:i + 1], gnorm[i:i + 1], radius[i:i + 1])
-        assert np.allclose(one[0], steps[i], rtol=1e-12, atol=0) and hit[0] == on_boundary[i]
+    radius = np.array([100.0, 0.1, 1.0, 100.0, 0.1, 1.0, 0.1])
+    with warnings.catch_warnings():
+        # finished rows stay in the arrays: they may neither warn nor touch a live row
+        warnings.simplefilter("error")
+        steps, on_boundary, step_curvature = _steihaug(grad, hess, gnorm, radius)
+        # each step's curvature is s.H s as the whole stack gives it, bit for bit
+        assert np.array_equal(step_curvature,
+                              np.einsum("ij,ij->i", steps, (hess @ steps[:, :, None])[:, :, 0]))
+        for i in range(rows):  # each row's subproblem is solved on its own, bit for bit
+            one, hit, _ = _steihaug(grad[i:i + 1], hess[i:i + 1], gnorm[i:i + 1],
+                                    radius[i:i + 1])
+            assert np.array_equal(one[0], steps[i]) and hit[0] == on_boundary[i]
     norms = np.linalg.norm(steps, axis=1)
     assert np.all(norms <= radius * (1 + 1e-12))
     assert np.array_equal(on_boundary, np.isclose(norms, radius, rtol=1e-12))

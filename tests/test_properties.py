@@ -50,15 +50,11 @@ from locce.protocols import (
     unitary_instrument,
 )
 
-from dense_reference import branch_kraus
+from dense_reference import branch_kraus, leaf_paths, random_unitary
 
 ENSEMBLE = ghz_basis(3, (1, 1, 1))
 PROBLEM = JointProblem(ENSEMBLE)
 ATOL = 1e-9
-
-
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
 def random_instrument(rng: np.random.Generator, ens: Ensemble) -> Instrument:
@@ -190,13 +186,6 @@ def random_folding_round(rng: np.random.Generator, ens: Ensemble) -> Instrument:
         party, qubits = ens.layout.parties[rng.integers(2)]
         return projective_instrument(party, (int(rng.choice(qubits)),), np.eye(2))
     return random_lattice_round(rng, ens)
-
-
-def leaf_paths(node, path=()):
-    """Outcome paths of the leaves of ``node``, depth first."""
-    if isinstance(node, Leaf):
-        return [path]
-    return [p for k, child in enumerate(node.children) for p in leaf_paths(child, path + (k,))]
 
 
 def leaf_nodes(node):

@@ -54,14 +54,10 @@ from locce.zoo import (
     teleportation_protocol,
 )
 
-from dense_reference import branch_kraus
+from dense_reference import branch_kraus, leaf_paths, random_unitary
 
 S2 = 1 / math.sqrt(2)
 ATOL = 1e-9
-
-
-def _random_unitary(rng, d):
-    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
 # -- resource attachment ------------------------------------------------------
@@ -301,7 +297,7 @@ def test_measuring_a_collapsed_qubit_again_matches_flatten(second):
 def test_unitary_on_half_of_a_bell_measured_pair_matches_flatten():
     problem = JointProblem(ghz_basis(3, (2, 1)))  # A1 holds qubits 0 and 1
     rng = np.random.default_rng(5)
-    u = _random_unitary(rng, 2)
+    u = random_unitary(rng, 2)
     children = tuple(
         Round(unitary_instrument("A1", (1,), u), (
             Round(computational_instrument("A1", (0, 1), (2, 2)), _leaves(4, start=k, size=8)),
@@ -344,8 +340,8 @@ def test_state_guess_below_a_collapsed_round_matches_flatten():
 def test_rank_one_round_on_a_held_qubit_rebuilds_the_dense_elements(targets):
     ens = ghz_basis(3, (2, 1))  # A1 holds qubits 0 and 1
     rng = np.random.default_rng(11)
-    first = projective_instrument("A1", (0,), _random_unitary(rng, 2))
-    again = projective_instrument("A1", targets, _random_unitary(rng, 2 ** len(targets)))
+    first = projective_instrument("A1", (0,), random_unitary(rng, 2))
+    again = projective_instrument("A1", targets, random_unitary(rng, 2 ** len(targets)))
     # |<w|u>| on qubit 0, the last target, for each bra <w| of again and ket |u> of first
     (kets, _), (_, bras) = first._rank_one, again._rank_one
     overlaps = np.linalg.norm(bras.reshape(len(bras), -1, 2) @ kets.T, axis=1)
@@ -366,13 +362,6 @@ def test_rank_one_round_on_a_held_qubit_rebuilds_the_dense_elements(targets):
 
 def _paths(result):
     return [tuple(step.outcome for step in branch.steps) for branch in result.branches]
-
-
-def _leaf_paths(node, path=()):
-    """Outcome paths of the leaves of ``node``, depth first."""
-    if isinstance(node, Leaf):
-        return [path]
-    return [p for k, child in enumerate(node.children) for p in _leaf_paths(child, path + (k,))]
 
 
 def _mixed_depth_tree(ens):
@@ -396,7 +385,7 @@ def test_walk_gives_depth_first_branches_on_a_mixed_depth_tree():
     ens = ghz_basis(3, (2, 1))  # A1 holds qubits 0 and 1
     problem, tree = JointProblem(ens), _mixed_depth_tree(ens)
     full = run_protocol(problem, tree, prune=0.0)
-    assert _paths(full) == _leaf_paths(tree)
+    assert _paths(full) == leaf_paths(tree)
     pruned = run_protocol(problem, tree)
     paths = _paths(pruned)
     assert paths == sorted(paths)
@@ -420,7 +409,7 @@ def _at(node, path):
 def test_walk_returns_the_reached_leaves_depth_first():
     ens = ghz_basis(3, (2, 1))
     tree = _mixed_depth_tree(ens)
-    paths = _leaf_paths(tree)
+    paths = leaf_paths(tree)
     for prune, reached in ((0.0, paths), (PRUNE, [p for p in paths if p != (0, 1, 1)])):
         leaves, steps, probs = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors,
                                           prune)
@@ -438,7 +427,7 @@ def test_build_tree_guesses_the_best_member_of_each_leaf_ties_to_the_lowest():
     leaves, _, rows = _push_rows(tree, ens.amplitude_matrix(), ens.dims, ens.priors, -math.inf)
     assert len(leaves) == len(rows) == 2 * 2 * 4
     ties = moved = 0
-    for leaf, probs, path in zip(leaves, rows, _leaf_paths(tree)):
+    for leaf, probs, path in zip(leaves, rows, leaf_paths(tree)):
         weighted = priors * probs
         best = np.flatnonzero(weighted == weighted.max())
         assert leaf is _at(tree, path) and leaf.guess == best[0]
@@ -454,7 +443,7 @@ def test_build_tree_enters_negative_weight_outcomes():
     ens = Ensemble(bell.layout, tuple(zip((0.5 + 2e-10, 0.5, 1e-10, -3e-10), bell.states)))
     tree = build_tree(JointProblem(ens), [computational_instrument("A", (0,), (2,)),
                                           computational_instrument("B", (1,), (2,))])
-    assert [_at(tree, path).guess for path in _leaf_paths(tree)] == [0, 2, 2, 0]
+    assert [_at(tree, path).guess for path in leaf_paths(tree)] == [0, 2, 2, 0]
 
 
 def test_build_tree_refuses_a_script_that_does_not_fit_the_problem():
@@ -472,7 +461,7 @@ def test_build_tree_runs_each_script_step_once_per_prefix():
     tree = build_tree(JointProblem(ghz_basis(3, (2, 1))),
                       [bell_instrument("A1", (0, 1)), counting_step])
     assert prefixes == [(0,), (1,), (2,), (3,)]
-    leaves = [_at(tree, path) for path in _leaf_paths(tree)]
+    leaves = [_at(tree, path) for path in leaf_paths(tree)]
     assert len(leaves) == 8 and len({id(leaf) for leaf in leaves}) == 8
     assert all(type(leaf.guess) is int for leaf in leaves)
 
@@ -607,9 +596,9 @@ def test_a_rank_one_group_with_pruned_outcomes_hands_each_child_its_own_rows():
     lopsided = Instrument("B", (1,), (np.diag([1.0, 0.0]), np.array([[0, S2], [0, 0]]),
                                       np.diag([0.0, S2])))
     assert lopsided._rank_one is not None
-    back = Round(projective_instrument("B", (1,), _random_unitary(rng, 2)), _leaves(2))
+    back = Round(projective_instrument("B", (1,), random_unitary(rng, 2)), _leaves(2))
     weak = Round(_weak("B", 2), (back, Leaf(1)))
-    again = Round(projective_instrument("B", (1,), _random_unitary(rng, 2)), _leaves(2, 2))
+    again = Round(projective_instrument("B", (1,), random_unitary(rng, 2)), _leaves(2, 2))
     tree = Round(computational_instrument("A", (0,), (2,)), (
         Round(lopsided, (weak, Leaf(0), Leaf(1))),
         Round(lopsided, (Leaf(2), again, weak)),
@@ -619,7 +608,7 @@ def test_a_rank_one_group_with_pruned_outcomes_hands_each_child_its_own_rows():
     paths = _paths(result)
     assert {path[:2] for path in paths} == {(0, 0), (1, 1), (1, 2)}
     povm, _ = flatten_to_povm(tree, problem)
-    factors = dict(zip(_leaf_paths(tree), povm.factors))
+    factors = dict(zip(leaf_paths(tree), povm.factors))
     states = ens.amplitude_matrix()
     for path, branch in zip(paths, result.branches):
         want = np.sum(np.abs(states @ factors[path].T) ** 2, axis=1)
@@ -637,7 +626,7 @@ def test_script_grown_trees_take_one_contraction_per_script_step(build, steps, m
     problem, tree = build()
     calls = _count_contractions(monkeypatch)
     run_protocol(problem, tree)
-    assert len(calls) == steps == len(_leaf_paths(tree)[0])
+    assert len(calls) == steps == len(leaf_paths(tree)[0])
 
 
 def _uneven_ghz3():
@@ -786,6 +775,13 @@ def test_a_chain_of_1200_rounds_relabels_to_one_party():
     assert run_protocol(JointProblem(ens), tree).fidelity == pytest.approx(0.25, abs=1e-12)
 
 
+def test_a_script_of_1200_steps_grows_and_runs():
+    # deeper than the interpreter's recursion limit: the tree grows one script step at a time
+    problem = JointProblem(bell_basis())
+    tree = build_tree(problem, [ID_A] * 1200)
+    assert run_protocol(problem, tree).fidelity == pytest.approx(0.25, abs=1e-12)
+
+
 def test_tree_json_round_trips_at_the_depth_limit_and_refuses_one_round_past_it():
     # brackets, a quote and a backslash in a label must not count as nesting
     odd = Instrument("A", (0,), (np.eye(2),), ('[{"\\]',))
@@ -861,8 +857,8 @@ def _weak(party, target):
 def _round_kinds():
     """(tree, SVD calls flattening it makes) on 5 qubits, A holding (0, 4)."""
     rng = np.random.default_rng(7)
-    u4, u2 = _random_unitary(rng, 4), _random_unitary(rng, 2)
-    rank_one = projective_instrument("A", (4, 0), _random_unitary(rng, 4))
+    u4, u2 = random_unitary(rng, 4), random_unitary(rng, 2)
+    rank_one = projective_instrument("A", (4, 0), random_unitary(rng, 4))
     nearly = Instrument("B", (3, 1), (u4 @ np.diag([1 + 1e-12, 1, 1, 1]),))
     measure_0 = computational_instrument("A", (0,), (2,))
     plus_minus = plus_minus_instrument("B", 2)
@@ -1007,6 +1003,46 @@ def test_tree_json_refuses_an_im_part_of_another_shape_naming_the_field(im):
     payload = {"type": "leaf", "state": {"dims": [2, 2], "re": [1.0, 0.0, 0.0, 0.0], "im": im}}
     with pytest.raises(ValueError, match=r"state\.im: shape"):
         tree_from_json(json.dumps(payload))
+
+
+_DROP = object()
+
+
+def _edited(keys, value):
+    """The JSON text of the computational Bell-basis tree with the field at
+    ``keys`` set to ``value`` (removed for ``_DROP``); no keys put ``value``
+    in the tree's place."""
+    payload = json.loads(tree_to_json(computational_protocol(bell_basis())[1]))
+    if not keys:
+        return json.dumps(value)
+    *parents, last = keys
+    node = payload
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    (("children", 1, "party"), _DROP, r"children\[1\]\.party: missing"),
+    (("children",), _DROP, r"children: missing"),
+    (("children", 0, "children", 1, "type"), _DROP,
+     r"children\[0\]\.children\[1\]\.type: missing"),
+    (("children", 1, "children", 0), {"type": "leaf"},
+     r"children\[1\]\.children\[0\]\.state: missing"),
+    (("children", 1, "kraus"), 5, r"children\[1\]\.kraus: expected list"),
+    (("labels",), 5, r"labels: expected list"),
+    ((), [{"type": "leaf", "member": 0}], r"tree: expected dict"),
+    (("children", 1, "kraus", 0, "re"), [[1.0, 0.0], [0.0]],
+     r"children\[1\]\.kraus\[0\]\.re: not an array of numbers"),
+], ids=["party", "children", "type", "leaf-guess", "kraus", "labels", "top-level-list",
+        "ragged-re"])
+def test_tree_json_refuses_an_unreadable_node_naming_its_path(keys, value, path):
+    with pytest.raises(ValueError, match=f"^{path}"):
+        tree_from_json(_edited(keys, value))
 
 
 @pytest.mark.parametrize("member", [1.7, True])
