@@ -35,8 +35,8 @@ each reduction keeps that norm exact:
   largest divisor c of the member count with c * width <= the joint
   dimension. So no product is wider than one member row's at the root,
   and a product's shape depends only on the member count and the rows'
-  width: a tree whose rounds share no instrument (one loaded from JSON)
-  gets the same bits as the tree it came from, and no product grows
+  width: a tree whose rounds share no instrument (one copied round by
+  round) gets the same bits as the tree it came from, and no product grows
   with the number of rounds. The walk returns the leaves it reached,
   with their rows' squared norms, in depth-first order, which sorting
   them by their step records gives: :func:`run_protocol` scores them and
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
@@ -688,16 +687,22 @@ def _checked(value, kind: type, where: str):
 
 def _complex_from_json(obj, name: str) -> np.ndarray:
     """The complex array of ``obj``'s ``re`` and ``im``, which must be
-    arrays of numbers of one shape; anything else is refused, naming the
-    field by its JSON path ``name``."""
+    arrays of JSON numbers (``bool`` is not one) of one shape; anything
+    else is refused, naming the field by its JSON path ``name``."""
     _checked(obj, dict, name)
     parts = []
     for part in ("re", "im"):
         value = _field(obj, part, f"{name}.")
+        # dtype=object keeps each entry's own type (a ragged array holds lists); an
+        # integer past the float range overflows
         try:
-            parts.append(np.asarray(value, dtype=float))
-        except (TypeError, ValueError):  # a ragged list, a string, an object
-            raise ValueError(f"{name}.{part}: not an array of numbers") from None
+            value = np.asarray(value, dtype=object)
+            if all(type(x) is float or type(x) is int for x in value.flat):
+                parts.append(value.astype(float))
+                continue
+        except (ValueError, OverflowError):
+            pass
+        raise ValueError(f"{name}.{part}: not an array of numbers")
     re, im = parts
     if im.shape != re.shape:
         raise ValueError(f"{name}.im: shape {im.shape} does not match re shape {re.shape}")
@@ -707,85 +712,112 @@ def _complex_from_json(obj, name: str) -> np.ndarray:
     return arr
 
 
-def _check_json_depth(rounds: int) -> None:
-    """Refuse tree JSON whose rounds nest more than 300 deep. ``json``
-    recurses once per level, and a tree of n rounds nests 2n + 3 levels
-    (a round's dict and its children list, then a Kraus operator's list,
-    dict and rows), so the limit leaves about 400 of the interpreter's
-    1,000 levels to the caller's stack."""
-    if rounds > 300:
-        raise ValueError("tree JSON: rounds nest deeper than the limit of 300")
+def _built(at: str, make, *args):
+    """``make(*args)``, whose ``ValueError`` is raised again with the JSON
+    path ``at`` in front."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{at}: {exc}") from None
+
+
+def _index(value, low: int, high: int, at: str) -> int:
+    """``value`` as an index in ``low`` .. ``high - 1``, refused naming ``at``."""
+    index = _as_int(value, at)
+    if not low <= index < high:
+        raise ValueError(f"{at}: index {index} is not in {low}..{high - 1}")
+    return index
+
+
+def _instrument_from_json(obj, at: str) -> Instrument:
+    _checked(obj, dict, at)
+    labels = _field(obj, "labels", f"{at}.")
+    if labels is not None:
+        labels = tuple(_checked(label, str, f"{at}.labels[{k}]")
+                       for k, label in enumerate(_checked(labels, list, f"{at}.labels")))
+    kraus = tuple(_complex_from_json(k, f"{at}.kraus[{i}]")
+                  for i, k in enumerate(_field(obj, "kraus", f"{at}.", list)))
+    return _built(at, Instrument, _field(obj, "party", f"{at}.", str),
+                  tuple(_field(obj, "targets", f"{at}.", list)), kraus, labels)
 
 
 def tree_to_dict(tree) -> dict:
-    """The JSON-ready dict of ``tree``, built parents first from an explicit
-    stack; rounds nesting deeper than :func:`_check_json_depth` allows are
-    refused."""
-    top: list = []
-    stack = [(tree, top, 0)]  # (node, its parent's children list, rounds above it)
+    """The JSON-ready dict of ``tree``, tree JSON format 2: each distinct
+    instrument (by identity) once in ``instruments``, and the nodes in
+    ``nodes``, depth first from an explicit stack, the root first. A round
+    is ``{"round": instrument index, "children": [node index, ...]}``, a
+    leaf ``{"member": g}`` or ``{"state": {"dims", "re", "im"}}``."""
+    instruments: dict[int, int] = {}  # id(instrument) -> its index; the tree keeps them alive
+    table: list = []
+    nodes: list = []
+    stack = [(tree, [])]  # (node, its parent's children list)
     while stack:
-        node, siblings, depth = stack.pop()
+        node, siblings = stack.pop()
+        siblings.append(len(nodes))
         if isinstance(node, Leaf):
-            if isinstance(node.guess, int):
-                siblings.append({"type": "leaf", "member": node.guess})
-            else:
-                state = {"dims": list(node.guess.dims), **_complex_to_json(node.guess.amps)}
-                siblings.append({"type": "leaf", "state": state})
+            guess = node.guess
+            nodes.append({"member": guess} if isinstance(guess, int) else
+                         {"state": {"dims": list(guess.dims), **_complex_to_json(guess.amps)}})
             continue
-        _check_json_depth(depth + 1)
         inst, children = node.instrument, []
-        siblings.append({
-            "type": "round",
-            "party": inst.party,
-            "targets": list(inst.targets),
-            "labels": list(inst.labels) if inst.labels else None,
-            "kraus": [_complex_to_json(k) for k in inst.kraus],
-            "children": children,
-        })
-        stack.extend((child, children, depth + 1) for child in reversed(node.children))
-    return top[0]
+        if id(inst) not in instruments:
+            instruments[id(inst)] = len(table)
+            table.append({"party": inst.party, "targets": list(inst.targets),
+                          "labels": list(inst.labels) if inst.labels else None,
+                          "kraus": [_complex_to_json(k) for k in inst.kraus]})
+        nodes.append({"round": instruments[id(inst)], "children": children})
+        stack.extend((child, children) for child in reversed(node.children))
+    return {"format": 2, "instruments": table, "nodes": nodes}
 
 
 def tree_from_dict(obj):
-    """The tree of a dict in the form of :func:`tree_to_dict`. Instruments
-    are read parents first and rounds built children first, from an
-    explicit stack, so a dict of any depth is read. A field that is
-    missing or of the wrong kind is refused with a ``ValueError`` naming
-    its JSON path, such as ``children[1].kraus[0].re``."""
-    done: list = []  # built subtrees; a round's children are the last ones
-    stack: list = [(obj, "", None)]  # (node, its path, its instrument once its children are pushed)
-    while stack:
-        node, path, inst = stack.pop()
-        if inst is not None:
-            first = len(done) - len(node["children"])
-            done[first:] = [Round(inst, tuple(done[first:]))]
-            continue
-        _checked(node, dict, path or "tree")
-        at = f"{path}." if path else ""
-        node_type = _field(node, "type", at)
-        if node_type == "leaf":
-            if "member" in node:
-                done.append(Leaf(_as_int(node["member"], f"{at}member")))
-            else:
-                st = _field(node, "state", at, dict)
-                dims = tuple(_field(st, "dims", f"{at}state.", list))
-                done.append(Leaf(StateVector(dims, _complex_from_json(st, f"{at}state"))))
-        elif node_type == "round":
-            labels = node.get("labels") or None
-            inst = Instrument(
-                _field(node, "party", at, str),
-                tuple(_field(node, "targets", at, list)),
-                tuple(_complex_from_json(k, f"{at}kraus[{i}]")
-                      for i, k in enumerate(_field(node, "kraus", at, list))),
-                tuple(_checked(labels, list, f"{at}labels")) if labels else None,
-            )
-            children = _field(node, "children", at, list)
-            stack.append((node, path, inst))
-            stack.extend((child, f"{at}children[{i}]", None)
-                         for i, child in reversed(list(enumerate(children))))
+    """The tree of a dict in the form of :func:`tree_to_dict`. A child's
+    index must be above its parent's, and every node but ``nodes[0]``, the
+    root, must have exactly one parent; so one loop builds the nodes from
+    the last one up, and a tree of any depth is read. Each instrument is
+    built once and shared by its rounds, and each must be used. Anything
+    else is refused with a ``ValueError`` naming its JSON path, such as
+    ``instruments[1].kraus[0].re`` or ``nodes[3].children[1]``."""
+    _checked(obj, dict, "tree")
+    if _field(obj, "format", "") != 2:
+        raise ValueError(f"format: {obj['format']!r} is not 2")
+    instruments = [_instrument_from_json(item, f"instruments[{i}]")
+                   for i, item in enumerate(_field(obj, "instruments", "", list))]
+    nodes = _field(obj, "nodes", "", list)
+    if not nodes:
+        raise ValueError("nodes: empty")
+    built: list = [None] * len(nodes)  # each node once built, None again once its parent took it
+    used: set[int] = set()
+    for i in reversed(range(len(nodes))):
+        at = f"nodes[{i}]"
+        node = _checked(nodes[i], dict, at)
+        if "round" in node:
+            inst = _index(node["round"], 0, len(instruments), f"{at}.round")
+            children = []
+            for k, child in enumerate(_field(node, "children", f"{at}.", list)):
+                j = _index(child, i + 1, len(nodes), f"{at}.children[{k}]")
+                if built[j] is None:
+                    raise ValueError(f"{at}.children[{k}]: node {j} has a second parent")
+                children.append(built[j])
+                built[j] = None
+            used.add(inst)
+            built[i] = _built(at, Round, instruments[inst], children)
+        elif "member" in node:
+            built[i] = Leaf(_as_int(node["member"], f"{at}.member"))
+        elif "state" in node:
+            st = _field(node, "state", f"{at}.", dict)
+            dims = tuple(_field(st, "dims", f"{at}.state.", list))
+            built[i] = Leaf(_built(f"{at}.state", StateVector, dims,
+                                   _complex_from_json(st, f"{at}.state")))
         else:
-            raise ValueError(f"{at}type: unknown node type {node_type!r}")
-    return done[0]
+            raise ValueError(f"{at}: no round, member or state")
+    orphan = next((j for j in range(1, len(nodes)) if built[j] is not None), None)
+    if orphan is not None:
+        raise ValueError(f"nodes[{orphan}]: no parent")
+    unused = next((i for i in range(len(instruments)) if i not in used), None)
+    if unused is not None:
+        raise ValueError(f"instruments[{unused}]: used by no round")
+    return built[0]
 
 
 def tree_to_json(tree) -> str:
@@ -793,14 +825,13 @@ def tree_to_json(tree) -> str:
 
 
 def tree_from_json(text: str):
-    """The tree of ``text``. Its deepest ``[`` or ``{`` outside strings is
-    found before ``json`` parses it, and text nesting more levels than a
-    tree at :func:`_check_json_depth`'s limit is refused."""
-    codes = np.frombuffer(re.sub(r'"(?:[^"\\]|\\.)*"', "", text).encode(), dtype=np.uint8)
-    levels = np.cumsum(np.isin(codes, list(b"[{")).astype(int) - np.isin(codes, list(b"]}")))
-    # a tree of n rounds nests 2n + 3 levels, read here as n rounds
-    _check_json_depth((int(levels.max(initial=0)) - 2) // 2)
-    return tree_from_dict(json.loads(text))
+    """The tree of ``text``. Tree JSON nests at most 7 levels, so text that
+    makes ``json`` recurse too deep is refused with a ``ValueError``."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("tree: JSON nests too deep") from None
+    return tree_from_dict(obj)
 
 
 # -- instrument builders -----------------------------------------------------

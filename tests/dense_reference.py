@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from locce.protocols import Leaf
+from locce.protocols import Instrument, Leaf, Round
 
 
 def embed_operator(mat, targets, dims) -> np.ndarray:
@@ -55,3 +55,12 @@ def leaf_paths(node, path=()):
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def unshared(node):
+    """A copy of ``node`` in which every round has an instrument of its own."""
+    if isinstance(node, Leaf):
+        return node
+    inst = node.instrument
+    return Round(Instrument(inst.party, inst.targets, inst.kraus, inst.labels),
+                 tuple(unshared(child) for child in node.children))

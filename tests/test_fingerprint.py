@@ -26,7 +26,7 @@ def test_every_protocol_case_prints_one_well_formed_line():
         assert re.fullmatch(r"\S+", name) and sha256.fullmatch(shape) and sha256.fullmatch(probs)
         assert 0.0 < float.fromhex(fidelity) <= 1.0 + 1e-9, name  # 1e-9: the library tolerance
         names.append(name)
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 31
 
 
 def test_standard_zoo_builds_the_same_trees_twice():
@@ -42,8 +42,8 @@ def test_flattening_prints_one_line_per_case_up_to_dimension_256(monkeypatch, ca
     tool.main()
     lines = capsys.readouterr().out.splitlines()
     flat = [re.fullmatch(r"flat-(\S+) rows=([0-9a-f]{64}) guesses=([0-9a-f]{64})", line)
-            for line in lines[30:]]
-    assert len(lines) == 30 + 22 and all(flat)
+            for line in lines[31:]]
+    assert len(lines) == 31 + 22 and all(flat)
     names = [m[1] for m in flat]
     cases = {name: (problem, tree) for name, problem, tree in tool.cases()}
     assert names == [name for name, (problem, _) in cases.items() if problem.joint.dim <= 256]

@@ -5,7 +5,14 @@ on random bases, and the one-way residual, its gradient and its Hessian
 against their brute-force Kronecker form and with an exactly zero outcome
 appended."""
 
+import copy
+import functools
+import json
+import operator
+import re
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from locce.tensor import StateVector, generalized_bell_vectors
@@ -46,9 +53,11 @@ from locce.protocols import (
     projective_instrument,
     run_protocol,
     tree_from_json,
+    tree_to_dict,
     tree_to_json,
     unitary_instrument,
 )
+from locce.zoo import computational_protocol
 
 from dense_reference import branch_kraus, leaf_paths, random_unitary
 
@@ -257,6 +266,86 @@ def test_branches_come_out_depth_first_and_match_the_unpruned_walk(tree):
 def test_json_round_trip_keeps_fidelity_bits(tree):
     back = tree_from_json(tree_to_json(tree))
     assert run_protocol(PROBLEM, back).fidelity == run_protocol(PROBLEM, tree).fidelity
+
+
+def _sites(value, path=()):
+    """``(path, value)`` of every value in the JSON document ``value``, itself first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _sites(item, path + (key,))
+
+
+_DROP = object()
+
+
+def _mutations(doc):
+    """``(path, kind, value)`` of every mutation of the tree JSON ``doc``
+    that leaves it unreadable: the value at ``path`` is dropped from its
+    dict, swapped for a value of another type, a number swapped for a string
+    or a boolean, an array nested one level deeper or grown by a copy of its
+    last item, or a node or instrument index pointed out of range."""
+    for path, value in _sites(doc):
+        if path and isinstance(path[-1], str):
+            yield path, "drop", _DROP
+        yield path, "type", [] if isinstance(value, dict) else {}
+        if type(value) in (int, float):
+            yield path, "string", str(value)
+            yield path, "bool", value == 0
+        if isinstance(value, list):
+            yield path, "wrap", [value]
+            if value:
+                yield path, "grow", value + value[-1:]
+        if path[-1:] == ("round",) or path[-2:-1] == ("children",):
+            yield path, "past-end", len(doc["instruments" if path[-1] == "round" else "nodes"])
+            yield path, "negative", -1
+
+
+def _mutated(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path`` (removed for ``_DROP``)."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, doc)
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+_PATH = re.compile(r"(tree|format|instruments|nodes)((?:\[\d+\]|\.[a-z]+)*): ")
+
+
+def _named_path(message, doc):
+    """The keys of the JSON path that ``message`` opens with, checked to lead
+    into ``doc`` (its last key may be a missing one), or None."""
+    match = _PATH.match(message)
+    if match is None or (match[1] == "tree" and match[2]):
+        return None
+    if match[1] == "tree":
+        return ()
+    keys = [match[1]] + [int(index) if index else name
+                         for index, name in re.findall(r"\[(\d+)\]|\.([a-z]+)", match[2])]
+    try:
+        parent = functools.reduce(operator.getitem, keys[:-1], doc)
+    except (KeyError, IndexError, TypeError):
+        return None
+    if isinstance(parent, list) and not keys[-1] < len(parent):
+        return None
+    return tuple(keys) if isinstance(parent, (dict, list)) else None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(trees, st.just(computational_protocol(bell_basis())[1])), st.data())
+def test_mutated_tree_json_is_refused_by_a_value_error_naming_a_path(tree, data):
+    doc = tree_to_dict(tree)
+    path, kind, value = data.draw(st.sampled_from(list(_mutations(doc))))
+    mutated = _mutated(doc, path, value)
+    with pytest.raises(ValueError) as refusal:
+        tree_from_json(json.dumps(mutated))
+    assert _named_path(str(refusal.value), mutated) is not None, (path, kind, str(refusal.value))
 
 
 def conjugated(node, local: list[np.ndarray], joint: np.ndarray):

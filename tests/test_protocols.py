@@ -54,7 +54,7 @@ from locce.zoo import (
     teleportation_protocol,
 )
 
-from dense_reference import branch_kraus, leaf_paths, random_unitary
+from dense_reference import branch_kraus, leaf_paths, random_unitary, unshared
 
 S2 = 1 / math.sqrt(2)
 ATOL = 1e-9
@@ -163,26 +163,32 @@ def test_nan_kraus_operator_rejected_at_construction():
         Instrument("A", (0,), (nan_kraus,))
 
 
+def _one_round_json(kraus):
+    """Tree JSON of one round of A on qubit 0 with the JSON Kraus operator
+    ``kraus``, above a leaf guessing member 0."""
+    return json.dumps({"format": 2, "instruments": [
+        {"party": "A", "targets": [0], "labels": None, "kraus": [kraus]}],
+        "nodes": [{"round": 0, "children": [1]}, {"member": 0}]})
+
+
+def _leaf_json(leaf):
+    """Tree JSON of the one JSON leaf node ``leaf``."""
+    return json.dumps({"format": 2, "instruments": [], "nodes": [leaf]})
+
+
 def test_a_kraus_operator_that_is_not_a_matrix_is_refused():
-    import json
     with pytest.raises(ValueError, match="square shape"):
         Instrument("A", (0,), (np.array(1.0),))
-    payload = {"type": "round", "party": "A", "targets": [0], "labels": None,
-               "kraus": [{"re": 1.0, "im": 0.0}], "children": [{"type": "leaf", "member": 0}]}
-    with pytest.raises(ValueError, match="square shape"):
-        tree_from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"^instruments\[0\]: kraus: .* square shape"):
+        tree_from_json(_one_round_json({"re": 1.0, "im": 0.0}))
 
 
 @pytest.mark.parametrize("empty", [np.zeros((0, 0)), np.zeros((1, 0)), np.zeros(0)])
 def test_an_empty_kraus_operator_is_refused_by_name(empty):
-    import json
     with pytest.raises(ValueError, match="kraus"):
         Instrument("A", (0,), (empty,))
-    payload = {"type": "round", "party": "A", "targets": [0], "labels": None,
-               "kraus": [{"re": empty.tolist(), "im": empty.tolist()}],
-               "children": [{"type": "leaf", "member": 0}]}
     with pytest.raises(ValueError, match="kraus"):
-        tree_from_json(json.dumps(payload))
+        tree_from_json(_one_round_json({"re": empty.tolist(), "im": empty.tolist()}))
 
 
 def test_leaf_state_guess():
@@ -782,32 +788,21 @@ def test_a_script_of_1200_steps_grows_and_runs():
     assert run_protocol(problem, tree).fidelity == pytest.approx(0.25, abs=1e-12)
 
 
-def test_tree_json_round_trips_at_the_depth_limit_and_refuses_one_round_past_it():
-    # brackets, a quote and a backslash in a label must not count as nesting
-    odd = Instrument("A", (0,), (np.eye(2),), ('[{"\\]',))
-    at_limit = _chain([odd] * 299 + [ID_A], Leaf(StateVector.normalized((2, 2), [1, 0, 0, 1])))
-    text = tree_to_json(at_limit)
-    assert tree_to_json(tree_from_json(text)) == text
-    with pytest.raises(ValueError, match="limit of 300"):
-        tree_to_json(Round(ID_A, (at_limit,)))
-    outer = json.loads(tree_to_json(Round(ID_A, (Leaf(0),))))
-    with pytest.raises(ValueError, match="limit of 300"):
-        tree_from_json(json.dumps({**outer, "children": [json.loads(text)]}))
-    # far past the limit too, where json itself would recurse too deep
-    deep = _chain([ID_A] * 1200)
-    with pytest.raises(ValueError, match="limit of 300"):
-        tree_to_json(deep)
-    head, tail = json.dumps(outer).split('{"type": "leaf", "member": 0}')
-    with pytest.raises(ValueError, match="limit of 300"):
-        tree_from_json(head * 1200 + '{"type": "leaf", "member": 0}' + tail * 1200)
-    # tree_from_dict walks an explicit stack and reads a dict of any depth
-    nested = {"type": "leaf", "member": 0}
-    for _ in range(1200):
-        nested = {**outer, "children": [nested]}
-    node, rounds = protocols.tree_from_dict(nested), 0
+def test_a_chain_of_1200_rounds_survives_text_to_tree_to_text():
+    # deeper than the interpreter's recursion limit: tree JSON nests 7 levels at most
+    text = tree_to_json(_chain([ID_A, ID_B] * 600, Leaf(StateVector((2, 2), np.eye(4)[3]))))
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == text
+    assert len(_instruments(tree)) == 2
+    node, rounds = tree, 0
     while isinstance(node, Round):
         node, rounds = node.children[0], rounds + 1
-    assert rounds == 1200 and node == Leaf(0)
+    assert rounds == 1200 and isinstance(node.guess, StateVector)
+
+
+def test_text_nesting_too_deep_for_json_is_refused():
+    with pytest.raises(ValueError, match="^tree: JSON nests too deep"):
+        tree_from_json("[" * 100_000)
 
 
 def _instruments(tree):
@@ -823,8 +818,10 @@ def _instruments(tree):
 
 def test_json_copy_of_a_shared_chain_gives_bit_identical_branches():
     problem, tree = sequential_bell_protocol(3, ("A2", "A1", "A3"))
-    copy = tree_from_json(tree_to_json(tree))
+    copy = unshared(tree)
     assert len(_instruments(copy)) > len(_instruments(tree))  # the copy shares none
+    # the JSON copy stores each instrument once, and shares it as the original does
+    assert len(_instruments(tree_from_json(tree_to_json(tree)))) == len(_instruments(tree))
     shared, loaded = run_protocol(problem, tree), run_protocol(problem, copy)
     assert shared.fidelity.hex() == loaded.fidelity.hex()
     assert len(shared.branches) == len(loaded.branches) == 64
@@ -953,56 +950,62 @@ def test_tree_json_round_trip():
     assert tree_to_json(back) == text
 
 
-@pytest.mark.parametrize("name, tree", [
-    *(pytest.param(entry.name, entry.tree, id=entry.name) for entry in standard_zoo()),
-    pytest.param("sequential-bell-5", sequential_bell_protocol(5)[1], id="sequential-bell-5"),
+@pytest.mark.parametrize("name, problem, tree", [
+    *(pytest.param(entry.name, entry.problem, entry.tree, id=entry.name)
+      for entry in standard_zoo()),
+    pytest.param("sequential-bell-5", *sequential_bell_protocol(5), id="sequential-bell-5"),
 ])
-def test_tree_json_text_is_a_fixed_point(name, tree):
-    # text -> tree -> text keeps every -0.0 imaginary part; the texts run to
-    # megabytes, so report where they part rather than diff them
+def test_tree_json_text_is_a_fixed_point(name, problem, tree):
+    # text -> tree -> text keeps every -0.0 imaginary part; report where long
+    # texts part rather than diff them
     text = tree_to_json(tree)
-    back = tree_to_json(tree_from_json(text))
+    loaded = tree_from_json(text)
+    back = tree_to_json(loaded)
     first = next((i for i, (a, b) in enumerate(zip(text, back)) if a != b), None)
     assert first is None and len(back) == len(text), (name, first)
+    assert len(_instruments(loaded)) == len(_instruments(tree))
+    want, got = run_protocol(problem, tree), run_protocol(problem, loaded)
+    assert got.fidelity.hex() == want.fidelity.hex()
+    for a, b in zip(want.branches, got.branches, strict=True):
+        assert a.steps == b.steps and a.probability.hex() == b.probability.hex()
+        assert a.member_probabilities.tobytes() == b.member_probabilities.tobytes()
 
 
 def test_tree_json_structure():
-    import json
     inst = unitary_instrument("A", (0,), np.array([[0, 1j], [1j, 0]]), "ix")
     tree = Round(inst, (Leaf(0),))
     problem = JointProblem(bell_basis())
     payload = json.loads(tree_to_json(tree))
-    assert payload["type"] == "round"
-    assert payload["party"] == "A"
-    assert payload["kraus"][0]["im"][0][1] == 1.0
-    assert payload["children"][0] == {"type": "leaf", "member": 0}
+    assert payload["format"] == 2
+    assert payload["instruments"][0]["party"] == "A"
+    assert payload["instruments"][0]["labels"] == ["ix"]
+    assert payload["instruments"][0]["kraus"][0]["im"][0][1] == 1.0
+    assert payload["nodes"] == [{"round": 0, "children": [1]}, {"member": 0}]
     rebuilt = tree_from_json(tree_to_json(tree))
     assert run_protocol(problem, rebuilt).fidelity == pytest.approx(0.25)
 
 
 def test_tree_json_with_a_nan_kraus_entry_is_refused():
-    import json
     _problem, tree = computational_protocol(bell_basis())
     payload = json.loads(tree_to_json(tree))
-    payload["kraus"][0]["re"][0][0] = float("nan")
+    payload["instruments"][0]["kraus"][0]["re"][0][0] = float("nan")
     with pytest.raises(ValueError, match="incomplete"):
         tree_from_json(json.dumps(payload))
-    payload = {"type": "leaf", "state": {"dims": [2], "re": [float("nan"), 0.0], "im": [0.0, 0.0]}}
+    state = {"dims": [2], "re": [float("nan"), 0.0], "im": [0.0, 0.0]}
     with pytest.raises(ValueError, match="not normalized"):
-        tree_from_json(json.dumps(payload))
+        tree_from_json(_leaf_json({"state": state}))
 
 
 @pytest.mark.parametrize("im", [0, [0.0, 0.0]])
 def test_tree_json_refuses_an_im_part_of_another_shape_naming_the_field(im):
-    import json
     _problem, tree = computational_protocol(bell_basis())
     payload = json.loads(tree_to_json(tree))
-    payload["kraus"][1]["im"] = im  # against a 2 x 2 re
-    with pytest.raises(ValueError, match=r"kraus\[1\]\.im: shape"):
+    payload["instruments"][0]["kraus"][1]["im"] = im  # against a 2 x 2 re
+    with pytest.raises(ValueError, match=r"instruments\[0\]\.kraus\[1\]\.im: shape"):
         tree_from_json(json.dumps(payload))
-    payload = {"type": "leaf", "state": {"dims": [2, 2], "re": [1.0, 0.0, 0.0, 0.0], "im": im}}
-    with pytest.raises(ValueError, match=r"state\.im: shape"):
-        tree_from_json(json.dumps(payload))
+    state = {"dims": [2, 2], "re": [1.0, 0.0, 0.0, 0.0], "im": im}
+    with pytest.raises(ValueError, match=r"nodes\[0\]\.state\.im: shape"):
+        tree_from_json(_leaf_json({"state": state}))
 
 
 _DROP = object()
@@ -1010,8 +1013,10 @@ _DROP = object()
 
 def _edited(keys, value):
     """The JSON text of the computational Bell-basis tree with the field at
-    ``keys`` set to ``value`` (removed for ``_DROP``); no keys put ``value``
-    in the tree's place."""
+    ``keys`` set to ``value`` (removed for ``_DROP``, appended one past the
+    end of a list); no keys put ``value`` in the tree's place. The tree has two instruments, A's and B's, and the
+    nodes [round 0 -> (1, 4)], [round 1 -> (2, 3)], member 0, member 2,
+    [round 1 -> (5, 6)], member 2, member 0."""
     payload = json.loads(tree_to_json(computational_protocol(bell_basis())[1]))
     if not keys:
         return json.dumps(value)
@@ -1021,23 +1026,23 @@ def _edited(keys, value):
         node = node[key]
     if value is _DROP:
         del node[last]
+    elif last == len(node):  # one past the end of a list
+        node.append(value)
     else:
         node[last] = value
     return json.dumps(payload)
 
 
 @pytest.mark.parametrize("keys, value, path", [
-    (("children", 1, "party"), _DROP, r"children\[1\]\.party: missing"),
-    (("children",), _DROP, r"children: missing"),
-    (("children", 0, "children", 1, "type"), _DROP,
-     r"children\[0\]\.children\[1\]\.type: missing"),
-    (("children", 1, "children", 0), {"type": "leaf"},
-     r"children\[1\]\.children\[0\]\.state: missing"),
-    (("children", 1, "kraus"), 5, r"children\[1\]\.kraus: expected list"),
-    (("labels",), 5, r"labels: expected list"),
-    ((), [{"type": "leaf", "member": 0}], r"tree: expected dict"),
-    (("children", 1, "kraus", 0, "re"), [[1.0, 0.0], [0.0]],
-     r"children\[1\]\.kraus\[0\]\.re: not an array of numbers"),
+    (("instruments", 1, "party"), _DROP, r"instruments\[1\]\.party: missing"),
+    (("nodes", 0, "children"), _DROP, r"nodes\[0\]\.children: missing"),
+    (("nodes", 4, "round"), _DROP, r"nodes\[4\]: no round, member or state"),
+    (("nodes", 2, "member"), _DROP, r"nodes\[2\]: no round, member or state"),
+    (("instruments", 1, "kraus"), 5, r"instruments\[1\]\.kraus: expected list"),
+    (("instruments", 0, "labels"), 5, r"instruments\[0\]\.labels: expected list"),
+    ((), [{"member": 0}], r"tree: expected dict"),
+    (("instruments", 1, "kraus", 0, "re"), [[1.0, 0.0], [0.0]],
+     r"instruments\[1\]\.kraus\[0\]\.re: not an array of numbers"),
 ], ids=["party", "children", "type", "leaf-guess", "kraus", "labels", "top-level-list",
         "ragged-re"])
 def test_tree_json_refuses_an_unreadable_node_naming_its_path(keys, value, path):
@@ -1045,30 +1050,74 @@ def test_tree_json_refuses_an_unreadable_node_naming_its_path(keys, value, path)
         tree_from_json(_edited(keys, value))
 
 
+@pytest.mark.parametrize("keys, value, path", [
+    (("nodes", 4, "children", 1), 7, r"nodes\[4\]\.children\[1\]: index 7 is not in 5\.\.6"),
+    (("nodes", 0, "round"), 2, r"nodes\[0\]\.round: index 2 is not in 0\.\.1"),
+    (("nodes", 4, "children", 0), 3, r"nodes\[4\]\.children\[0\]: index 3 is not in 5\.\.6"),
+    (("nodes", 4, "children", 0), 4, r"nodes\[4\]\.children\[0\]: index 4 is not in 5\.\.6"),
+    (("nodes", 1, "children", 1), 5, r"nodes\[1\]\.children\[1\]: node 5 has a second parent"),
+    (("nodes", 7), {"member": 1}, r"nodes\[7\]: no parent"),
+    (("instruments", 2), {"party": "A", "targets": [1], "labels": None,
+                          "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2}]},
+     r"instruments\[2\]: used by no round"),
+    (("nodes",), [], r"nodes: empty"),
+    (("format",), _DROP, r"format: missing"),
+    (("format",), 1, r"format: 1 is not 2"),
+    (("format",), "2", r"format: '2' is not 2"),
+], ids=["child-out-of-range", "instrument-out-of-range", "child-below-parent",
+        "child-is-parent", "second-parent", "unreached", "unused-instrument", "no-nodes",
+        "no-format", "format-1", "format-string"])
+def test_tree_json_refuses_a_node_table_that_is_not_a_tree_naming_the_path(keys, value, path):
+    with pytest.raises(ValueError, match=f"^{path}"):
+        tree_from_json(_edited(keys, value))
+
+
+@pytest.mark.parametrize("entry", ["1", True, False, None, [1.0], 10 ** 400],
+                         ids=["string", "true", "false", "null", "list", "past-float"])
+@pytest.mark.parametrize("keys, path", [
+    (("instruments", 1, "kraus", 0, "re", 0), r"instruments\[1\]\.kraus\[0\]\.re"),
+    (("instruments", 0, "kraus", 1, "im", 1), r"instruments\[0\]\.kraus\[1\]\.im"),
+], ids=["re", "im"])
+def test_tree_json_refuses_an_entry_that_is_not_a_number_naming_its_path(entry, keys, path):
+    with pytest.raises(ValueError, match=f"^{path}: not an array of numbers"):
+        tree_from_json(_edited(keys + (0,), entry))
+    state = {"dims": [2], "re": [1.0, entry], "im": [0.0, 0.0]}
+    with pytest.raises(ValueError, match=r"^nodes\[0\]\.state\.re: not an array of numbers"):
+        tree_from_json(_leaf_json({"state": state}))
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("instruments", 1, "kraus", 0, "re", 0, 0), 0.5,
+     r"instruments\[1\]: incomplete instrument for party 'B': "),
+    (("instruments", 0, "labels"), ["0"],
+     r"instruments\[0\]: labels must match the number of outcomes"),
+    (("instruments", 0, "targets"), [0, 0], r"instruments\[0\]: targets must be distinct"),
+    (("nodes", 4, "children"), [5], r"nodes\[4\]: round has 1 children for 2 outcomes"),
+    (("nodes", 3), {"state": {"dims": [2], "re": [1.0, 1.0], "im": [0.0, 0.0]}},
+     r"nodes\[3\]\.state: state vector not normalized"),
+], ids=["incomplete", "labels", "targets", "round", "state"])
+def test_tree_json_prefixes_the_path_to_a_constructor_refusal(keys, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        tree_from_json(_edited(keys, value))
+
+
 @pytest.mark.parametrize("member", [1.7, True])
 def test_tree_json_refuses_a_member_that_is_not_an_integer(member):
-    import json
     with pytest.raises(ValueError, match="member"):
-        tree_from_json(json.dumps({"type": "leaf", "member": member}))
+        tree_from_json(_leaf_json({"member": member}))
 
 
 @pytest.mark.parametrize("target", [0.9, True])
 def test_tree_json_refuses_a_target_that_is_not_an_integer(target):
-    import json
-    _problem, tree = computational_protocol(bell_basis())
-    payload = json.loads(tree_to_json(tree))
-    payload["targets"] = [target]
     with pytest.raises(ValueError, match="targets"):
-        tree_from_json(json.dumps(payload))
+        tree_from_json(_edited(("instruments", 0, "targets"), [target]))
 
 
 @pytest.mark.parametrize("dims", [[2.5, 2], [True, 2]])
 def test_tree_json_refuses_a_dimension_that_is_not_an_integer(dims):
-    import json
-    payload = {"type": "leaf",
-               "state": {"dims": dims, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}}
+    state = {"dims": dims, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
     with pytest.raises(ValueError, match="dims"):
-        tree_from_json(json.dumps(payload))
+        tree_from_json(_leaf_json({"state": state}))
 
 
 def test_integer_fields_take_numpy_integers_and_integral_floats():

@@ -5,8 +5,11 @@ flattening to a POVM and the one-way trust region.
 
 One line per protocol case: its name, then three values.
 
-- ``tree``: sha256 of ``tree_to_json`` plus every branch's steps,
-  survivors and guess index;
+- ``tree``: sha256 of a depth-first walk of the tree (each round's
+  party, targets, labels, child count and Kraus bytes, each leaf's member
+  or state bytes; the same for any serialization format and whether or
+  not rounds share instruments) plus every branch's steps, survivors and
+  guess index;
 - ``probs``: sha256 of every branch probability (``float.hex``) and the
   bytes of its ``member_probabilities``;
 - ``F``: the fidelity as ``float.hex``.
@@ -25,15 +28,16 @@ under a computational round on qubit 0, then a weak (0.3 : 0.7) and a
 branch probabilities are sums that a different summation order rounds
 differently. Another GHZ (2, 1) case measures qubit 0, then qubit 2 in
 the +/- basis, then qubit 0 again: the ket split off qubit 0 is carried
-past the round on qubit 2 and put back for the second measurement. Two
-cases hold trees whose rounds share no instrument: the first chain after
-a JSON round trip, and the (2, 2, 1) partitioned GHZ protocol coarsened
-to one party by ``relabel_parties``. The last case measures A of the
+past the round on qubit 2 and put back for the second measurement. The
+first chain also comes after a JSON round trip and as a copy whose rounds
+share no instrument, and the (2, 2, 1) partitioned GHZ protocol comes
+coarsened to one party by ``relabel_parties``, whose copies share
+instruments as the original's rounds do. The last case measures A of the
 Bell basis twice, then B after a Hadamard: half its leaves are reached
 by no member, so its ``tree`` hash covers the guesses decoded there.
 
 Then one ``flat-<case>`` line per protocol case of joint dimension at
-most 256 (22 cases, 16 of them the ``standard_zoo()`` entries), for the
+most 256 (22 of the 31 cases, 16 of them the ``standard_zoo()`` entries), for the
 POVM and guesses that ``flatten_to_povm`` makes of it. Each holds two
 values.
 
@@ -66,6 +70,8 @@ from locce.oneway import ResourceSpectrum, feasibility_search, to_matrix_rep
 from locce.protocols import (
     Instrument,
     JointProblem,
+    Leaf,
+    Round,
     computational_instrument,
     flatten_to_povm,
     plus_minus_instrument,
@@ -106,6 +112,7 @@ def cases():
     yield "teleport-lattice2-relabelled", *teleportation_protocol(relabelled, "A", "B")
     problem, tree = sequential_bell_protocol(5, ("A1", "A2", "A3", "A4", "A5"))
     yield "sequential-bell-5-json", problem, tree_from_json(tree_to_json(tree))
+    yield "sequential-bell-5-unshared", problem, unshared(tree)
     problem, tree = partitioned_ghz_protocol(5, (2, 2, 1))
     joint = problem.joint
     grouping = {name: "ALL" for name in joint.layout.names}
@@ -130,9 +137,37 @@ def cases():
         computational_instrument("B", (1,), (2,))])
 
 
+def unshared(node):
+    """A copy of ``node`` in which every round has an instrument of its own."""
+    if isinstance(node, Leaf):
+        return node
+    inst = node.instrument
+    return Round(Instrument(inst.party, inst.targets, inst.kraus, inst.labels),
+                 tuple(unshared(child) for child in node.children))
+
+
+def tree_hash(tree):
+    """sha256 of a depth-first walk of ``tree``, from an explicit stack."""
+    digest, stack = hashlib.sha256(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            guess = node.guess
+            if isinstance(guess, int):
+                digest.update(repr(("member", guess)).encode())
+            else:
+                digest.update(repr(("state", guess.dims)).encode() + guess.amps.tobytes())
+            continue
+        inst = node.instrument
+        digest.update(repr((inst.party, inst.targets, inst.labels, len(node.children))).encode())
+        digest.update(b"".join(k.tobytes() for k in inst.kraus))
+        stack.extend(reversed(node.children))
+    return digest
+
+
 def fingerprint(problem, tree) -> tuple[str, str, str]:
     result = run_protocol(problem, tree)
-    shape = hashlib.sha256(tree_to_json(tree).encode())
+    shape = tree_hash(tree)
     probs = hashlib.sha256()
     for branch in result.branches:
         steps = [(s.party, s.outcome, s.label, s.n_outcomes, s.survivor_count)
