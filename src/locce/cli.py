@@ -1,34 +1,28 @@
 """Command-line front end: run scenarios, print result tables.
 
-Subcommands map to the protocol families; ``paper-suite`` runs the full
-verification battery, the ``CRITERIA`` that ``tests/test_acceptance.py``
-also runs. Every run emits rows with the fixed column order
+Each subcommand is one entry of ``COMMANDS``: its runner, its help and
+its own flags beside the ``COMMON`` ones; ``paper-suite`` runs the
+``CRITERIA`` that ``tests/test_acceptance.py`` also runs. Every run
+emits rows with the fixed column order
 
     scenario, family, protocol, fidelity, bound, expected, status, ms
 
-as an aligned table, CSV, or JSON. Floats print with 12 significant
-digits. A scenario JSON file can predefine any field; explicit flags
-override file values. The exit code is 0 iff every row passes.
+as an aligned table, CSV, or JSON, floats at 12 significant digits. The
+exit code is 0 iff every row passes.
 
-Scenario file schema (all keys optional unless the family needs them):
+A scenario JSON file holds the flags of the subcommand's ``COMMANDS``
+entry and of ``COMMON`` as fields named without their dashes, except
+that ``--scenario`` names the file, ``--label`` sets ``scenario`` and
+``--family`` sets ``bounds_family`` (``FIELD_OF``); a ``family`` field
+must match the subcommand. Flags override file fields:
 
-    {
-      "scenario": "my-run",        # row label
-      "family":   "ghz",           # must match the subcommand if given
-      "n": 4, "sizes": [2, 2],     # family parameters (see --help per command)
-      "alpha": 0.9, "gamma": 0.8,
-      "m": 1, "graph": "triangle",  # or "edges": "0-1,1-2" and "vertices": 3
-      "lambdas": [1.0, 1.0], "outcomes": 4, "restarts": 20,
-      "bounds_family": "ghz",      # bounds: ghz | lattice | parametric
-      "seed": 7,
-      "format": "table",           # table | csv | json
-      "timing": "on"               # "off" zeroes the ms column for reproducible bytes
-    }
+    {"scenario": "my-run", "family": "ghz", "n": 4, "sizes": [2, 2], "format": "csv"}
 
-A default applies only when a field is absent or null; a given value,
-zero included, is validated, and an integer field refuses a fraction or a
-boolean. The default seed comes from the LOCCE_SEED environment variable
-when no flag or file value is given.
+A flag arrives as text, a file field as a JSON value; ``_field`` converts
+and checks both, and the default seed from LOCCE_SEED, so a bad value
+gets the same message from either. A default applies only when a field
+is absent or null; a given value, zero included, is checked, and an
+integer field refuses a fraction or a boolean.
 """
 
 from __future__ import annotations
@@ -195,16 +189,19 @@ def _float(value) -> float:
     return float(value)
 
 
-def _int_list(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        return tuple(_int(s) for s in value.split(",") if s)
-    return tuple(_int(v) for v in value)
+def _choice(*choices: str):
+    """A field that must be one of ``choices``."""
+    def convert(value) -> str:
+        if str(value) not in choices:
+            raise ValueError(repr(str(value)))
+        return str(value)
+    return convert
 
 
-def _float_list(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        return tuple(_float(s) for s in value.split(",") if s)
-    return tuple(_float(v) for v in value)
+def _list(kind):
+    """A list of ``kind``: comma-separated text (empty entries skipped) or a JSON list."""
+    return lambda value: tuple(kind(v) for v in (
+        [s for s in value.split(",") if s] if isinstance(value, str) else value))
 
 
 def _parse_graph(params: dict) -> Graph:
@@ -216,9 +213,8 @@ def _parse_graph(params: dict) -> Graph:
                                     "not allowed beside field 'graph'")
         key = str(name).lower()
         if key not in NAMED_GRAPHS:
-            raise ScenarioError(
-                f"graph: unknown named graph '{name}' (choices: {sorted(NAMED_GRAPHS)})"
-            )
+            raise ScenarioError(f"graph: bad value for field 'graph': unknown named graph "
+                                f"'{name}' (choices: {sorted(NAMED_GRAPHS)})")
         return NAMED_GRAPHS[key]()
     edges_spec = params.get("edges")
     if not edges_spec:
@@ -256,7 +252,7 @@ def _refuse(family: str, field: str, need: str) -> None:
 def run_ghz(params: dict) -> list[Row]:
     n = _field(params, "n", _int, "ghz", minimum=2)
     _check_size("ghz", "'n'", n, 2 * n)  # n unknown qubits and an n-qubit resource
-    sizes = _field(params, "sizes", _int_list, "ghz", (1,) * n)
+    sizes = _field(params, "sizes", _list(_int), "ghz", (1,) * n)
     if len(sizes) < 2 or any(s < 1 for s in sizes) or sum(sizes) != n:
         raise ScenarioError(f"ghz: bad value for field 'sizes': party sizes {sizes} "
                             f"inconsistent with {n} qubits")
@@ -376,7 +372,7 @@ def run_example4(params: dict) -> list[Row]:
 
 
 def run_oneway(params: dict) -> list[Row]:
-    lambdas = _field(params, "lambdas", _float_list, "oneway", (1.0, 1.0))
+    lambdas = _field(params, "lambdas", _list(_float), "oneway", (1.0, 1.0))
     if len(lambdas) != 2:
         raise ScenarioError("oneway: field 'lambdas' must have length 2 (qubit ensembles)")
     outcomes = _field(params, "outcomes", _int, "oneway", 4, minimum=4)
@@ -411,7 +407,7 @@ def run_oneway(params: dict) -> list[Row]:
 
 
 def run_bounds(params: dict) -> list[Row]:
-    family = _field(params, "bounds_family", str, "bounds", "ghz")
+    family = _field(params, "bounds_family", _choice("ghz", "lattice", "parametric"), "bounds", "ghz")
     if family == "parametric":
         alpha = _field(params, "alpha", _float, "bounds", 0.9)
         gamma = _field(params, "gamma", _float, "bounds", 0.8)
@@ -422,8 +418,6 @@ def run_bounds(params: dict) -> list[Row]:
         expected = (alpha ** 2 + gamma ** 2) / 2
         return [_row(label, "bounds", "computational-opt-guess", achieved,
                      "n/a", fmt(expected), abs(achieved - expected) <= ATOL, t0)]
-    if family not in ("ghz", "lattice"):
-        raise ScenarioError(f"bounds: bad value for field 'bounds_family': {family!r}")
     ghz = family == "ghz"
     n = _field(params, "n", _int, "bounds", 3 if ghz else 2, minimum=2 if ghz else 1)
     qubits = n if ghz else 2 * n
@@ -605,76 +599,58 @@ def run_paper_suite(params: dict) -> list[Row]:
     return [row for criterion in CRITERIA for row in criterion.run(seed)]
 
 
-FAMILIES = {
-    "ghz": run_ghz,
-    "graph": run_graph,
-    "lattice": run_lattice,
-    "parametric": run_parametric,
-    "example4": run_example4,
-    "oneway": run_oneway,
-    "bounds": run_bounds,
-    "paper-suite": run_paper_suite,
+class Command(NamedTuple):
+    run: Callable[[dict], list[Row]]
+    help: str
+    flags: tuple[tuple[str, str], ...]  # (flag, help); --x sets field x unless in FIELD_OF
+
+
+COMMON = (
+    ("--scenario", "JSON scenario file; flags override its fields"),
+    ("--label", "row label override"),
+    ("--format", "table | csv | json (default table)"),
+    ("--seed", "default from LOCCE_SEED, else 0"),
+    ("--timing", "on | off; 'off' zeroes the ms column for byte-stable output"),
+)
+FIELD_OF = {"--scenario": "scenario_file", "--label": "scenario", "--family": "bounds_family"}
+
+COMMANDS = {
+    "ghz": Command(run_ghz, "GHZ basis discrimination with a GHZ resource", (
+        ("--n", "total qubit count"), ("--sizes", "comma party sizes, e.g. 2,2"))),
+    "graph": Command(run_graph, "graph-state basis with conjugate resource", (
+        ("--graph", f"named graph: {sorted(NAMED_GRAPHS)}"),
+        ("--edges", "edge list, e.g. 0-1,1-2"),
+        ("--vertices", "vertex count, at least 2 (default: from the edges)"))),
+    "lattice": Command(run_lattice, "Bell-product basis, partial teleportation", (
+        ("--n", "number of Bell pairs"), ("--m", "pairs teleported"))),
+    "parametric": Command(run_parametric, "two-qubit parametric basis", (
+        ("--alpha", "amplitude alpha"), ("--gamma", "amplitude gamma"))),
+    "example4": Command(run_example4, "four GHZ states, Bell resource on B,C", ()),
+    "oneway": Command(run_oneway, "one-way feasibility probe", (
+        ("--lambdas", "resource spectrum, e.g. 1.6,0.4 (default 1,1)"),
+        ("--outcomes", "outcome count, at least 4 (default 4)"),
+        ("--restarts", "restart count (default 20)"))),
+    "bounds": Command(run_bounds, "bound chains per family", (
+        ("--family", "ghz | lattice | parametric (default ghz)"),
+        ("--n", "qubits (ghz, default 3) or Bell pairs (lattice, default 2)"),
+        ("--alpha", "parametric alpha (default 0.9)"),
+        ("--gamma", "parametric gamma (default 0.8)"))),
+    "paper-suite": Command(run_paper_suite, "run the full verification battery", ()),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``COMMANDS`` entry, whose flags only collect text."""
     parser = argparse.ArgumentParser(
         prog="locce",
         description="Local state discrimination with entanglement resources: "
                     "exact protocol fidelities and bound checks.",
     )
-    sub = parser.add_subparsers(dest="family", required=True)
-
-    def common(p):
-        p.add_argument("--scenario", help="JSON scenario file; flags override its fields")
-        p.add_argument("--label", dest="scenario_name", help="row label override")
-        p.add_argument("--format", choices=("table", "csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="default from LOCCE_SEED, else 0")
-        p.add_argument("--timing", choices=("on", "off"), default=None,
-                       help="'off' zeroes the ms column for byte-stable output")
-
-    p = sub.add_parser("ghz", help="GHZ basis discrimination with a GHZ resource")
-    p.add_argument("--n", type=int, default=None, help="total qubit count")
-    p.add_argument("--sizes", default=None, help="comma party sizes, e.g. 2,2")
-    common(p)
-
-    p = sub.add_parser("graph", help="graph-state basis with conjugate resource")
-    p.add_argument("--graph", default=None, help=f"named graph: {sorted(NAMED_GRAPHS)}")
-    p.add_argument("--edges", default=None, help="edge list, e.g. 0-1,1-2")
-    p.add_argument("--vertices", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("lattice", help="Bell-product basis, partial teleportation")
-    p.add_argument("--n", type=int, default=None, help="number of Bell pairs")
-    p.add_argument("--m", type=int, default=None, help="pairs teleported")
-    common(p)
-
-    p = sub.add_parser("parametric", help="two-qubit parametric basis")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("example4", help="four GHZ states, Bell resource on B,C")
-    common(p)
-
-    p = sub.add_parser("oneway", help="one-way feasibility probe")
-    p.add_argument("--lambdas", default=None, help="resource spectrum, e.g. 1.6,0.4")
-    p.add_argument("--outcomes", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("bounds", help="bound chains per family")
-    p.add_argument("--family", dest="bounds_family", default=None,
-                   choices=("ghz", "lattice", "parametric"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    common(p)
-
-    p = sub.add_parser("paper-suite", help="run the full verification battery")
-    common(p)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, text in command.flags + COMMON:
+            p.add_argument(flag, dest=FIELD_OF.get(flag), help=text)
     return parser
 
 
@@ -692,32 +668,26 @@ def load_scenario(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("scenario_file")
     try:
-        params = load_scenario(args.scenario) if args.scenario else {}
+        params = load_scenario(path) if path else {}
         file_family = params.get("family")
-        if file_family and file_family != args.family:
+        if file_family and file_family != command:
             raise ScenarioError(f"scenario: field 'family' is {file_family!r} but the "
-                                f"subcommand is {args.family!r}")
-        for key, value in vars(args).items():
-            if key in ("scenario", "family") or value is None:
-                continue
-            params["scenario" if key == "scenario_name" else key] = value
+                                f"subcommand is {command!r}")
+        params.update((key, value) for key, value in flags.items() if value is not None)
         if params.get("seed") is None:
             params["seed"] = os.environ.get("LOCCE_SEED", "0")
         params["seed"] = _field(params, "seed", _int, "scenario", minimum=0)
-        out_format = _field(params, "format", str, "scenario", "table")
-        timing = _field(params, "timing", str, "scenario", "on")
-        for key, value, choices in (("format", out_format, ("table", "csv", "json")),
-                                    ("timing", timing, ("on", "off"))):
-            if value not in choices:
-                raise ScenarioError(f"scenario: bad value for field '{key}': {value!r}")
-        rows = FAMILIES[args.family](params)
+        out_format = _field(params, "format", _choice("table", "csv", "json"), "scenario", "table")
+        timing = _field(params, "timing", _choice("on", "off"), "scenario", "on")
+        rows = COMMANDS[command].run(params)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        print(f"error: {args.family}: {exc}", file=sys.stderr)
+        print(f"error: {command}: {exc}", file=sys.stderr)
         return 2
     print(emit(rows, out_format, timing == "on"))
     return 0 if all(r.status == "pass" for r in rows) else 1

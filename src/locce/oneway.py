@@ -80,6 +80,8 @@ class ResourceSpectrum:
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
+        if not lam.size:
+            raise ValueError("spectrum must be nonempty")
         if not np.all(np.isfinite(lam)):
             raise ValueError(f"spectrum must be finite, got {lam}")
         if np.any(lam < -TOL):

@@ -193,7 +193,14 @@ class Round:
     children: tuple
 
     def __post_init__(self):
+        if not isinstance(self.instrument, Instrument):
+            raise ValueError(f"round instrument must be an Instrument, "
+                             f"got {type(self.instrument).__name__}")
         children = tuple(self.children)
+        for k, child in enumerate(children):
+            if not isinstance(child, (Round, Leaf)):
+                raise ValueError(f"round child {k} must be a Round or a Leaf, "
+                                 f"got {type(child).__name__}")
         if len(children) != self.instrument.n_outcomes:
             raise ValueError(
                 f"round has {len(children)} children for "
@@ -262,8 +269,11 @@ def validate_tree(tree, ens: Ensemble) -> None:
 
     Every round and leaf is visited, depth first from an explicit stack, so
     a tree of any depth is checked; each distinct instrument (by identity)
-    is checked once per call, at its first round."""
+    is checked once per call, at its first round. A root that is neither a
+    Round nor a Leaf is refused here; a Round refuses such a child itself."""
     dims, size = ens.dims, ens.size
+    if not isinstance(tree, (Round, Leaf)):
+        raise ValueError(f"tree root must be a Round or a Leaf, got {type(tree).__name__}")
     checked: set[int] = set()  # ids of instruments checked; the tree keeps them alive
     stack = [tree]
     while stack:
@@ -337,14 +347,10 @@ _GROUP_BYTES = 1 << 22  # a group whose rows hold more is contracted in halves
 
 def _probabilities(rows: np.ndarray) -> np.ndarray:
     """Squared norm along the last axis, a new float array. The sum runs over
-    the real view of ``rows`` (its last axis must be contiguous), in runs of
-    the first axis that keep each run near ``_GROUP_BYTES``."""
-    probs = np.empty(rows.shape[:-1])
-    step = max(1, _GROUP_BYTES // max(1, rows[:1].nbytes))
-    for start in range(0, len(rows), step):
-        run = rows[start:start + step].view(float)
-        np.einsum("...d,...d->...", run, run, out=probs[start:start + step])
-    return probs
+    the real view of ``rows`` (its last axis must be contiguous), so it
+    makes no complex temporary."""
+    real = rows.view(float)
+    return np.einsum("...d,...d->...", real, real)
 
 
 class _Group(NamedTuple):

@@ -358,3 +358,83 @@ def test_paper_suite_has_no_knobs(flag):
     with pytest.raises(SystemExit) as exc:
         main(["paper-suite", flag])
     assert exc.value.code == 2
+
+
+# -- one table of subcommands, one checker for flags and file fields ---------
+
+# a bad value for every flag of COMMANDS that takes a number, a list or a
+# choice, with the flags its field needs beside it
+BAD_VALUES = {
+    ("ghz", "--n"): ("2.5", ()),
+    ("ghz", "--sizes"): ("2,x", ("--n", "3")),
+    ("graph", "--graph"): ("dodecahedron", ()),
+    ("graph", "--edges"): ("0-x", ()),
+    ("graph", "--vertices"): ("2.5", ("--edges", "0-1")),
+    ("lattice", "--n"): ("x", ()),
+    ("lattice", "--m"): ("1.0", ("--n", "2")),
+    ("parametric", "--alpha"): ("x", ()),
+    ("parametric", "--gamma"): ("0.8.1", ("--alpha", "0.9")),
+    ("oneway", "--lambdas"): ("1,x", ()),
+    ("oneway", "--outcomes"): ("4.0", ()),
+    ("oneway", "--restarts"): ("x", ()),
+    ("bounds", "--family"): ("bogus", ()),
+    ("bounds", "--n"): ("3.0", ()),
+    ("bounds", "--alpha"): ("x", ("--family", "parametric")),
+    ("bounds", "--gamma"): ("x", ("--family", "parametric")),
+    **{(command, flag): (value, ()) for command in cli.COMMANDS
+       for flag, value in (("--format", "xml"), ("--seed", "x"), ("--timing", "maybe"))},
+}
+
+
+def _field_of(flag):
+    return cli.FIELD_OF.get(flag, flag[2:])
+
+
+def test_bad_values_cover_every_flag_but_the_file_and_the_label():
+    flags = {(command, flag) for command, entry in cli.COMMANDS.items()
+             for flag, _ in entry.flags + cli.COMMON if flag not in ("--scenario", "--label")}
+    assert set(BAD_VALUES) == flags
+
+
+@pytest.mark.parametrize("command, flag", list(BAD_VALUES))
+def test_a_bad_flag_and_the_same_file_field_get_one_message(tmp_path, capsys, command, flag):
+    value, beside = BAD_VALUES[command, flag]
+    code, out, err = run_cli(capsys, command, *beside, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"bad value for field '{_field_of(flag)}': " in err
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({_field_of(flag): value}))
+    assert run_cli(capsys, command, *beside, "--scenario", str(scenario)) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ghz", "--n", "3", "--sizes", "2,1"),
+    ("graph", "--graph", "path3", "--label", "named"),
+    ("graph", "--edges", "0-1,1-2", "--vertices", "3"),
+    ("lattice", "--n", "2", "--m", "1", "--format", "json"),
+    ("parametric", "--alpha", "0.9", "--gamma", "0.8", "--format", "table"),
+    ("example4", "--label", "four"),
+    ("oneway", "--lambdas", "1.6,0.4", "--outcomes", "4", "--restarts", "2", "--seed", "3"),
+    ("bounds", "--family", "lattice", "--n", "2"),
+    ("bounds", "--family", "parametric", "--alpha", "0.8", "--gamma", "0.9"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_a_valid_flag_and_the_same_file_field_give_the_same_bytes(tmp_path, capsys, argv):
+    argv = argv + ("--timing", "off") + ("--format", "csv") * ("--format" not in argv)
+    command, pairs = argv[0], argv[1:]
+    flagged = run_cli(capsys, *argv)
+    assert flagged[0] == 0 and flagged[1]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({_field_of(f): v for f, v in zip(pairs[::2], pairs[1::2])}))
+    assert run_cli(capsys, command, "--scenario", str(scenario)) == flagged
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_every_flag_of_the_command(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag, text in cli.COMMANDS[command].flags + cli.COMMON:
+        assert f"\n  {flag} " in out
+        assert " ".join(text.split()) in " ".join(out.split())
+

@@ -435,3 +435,5 @@ def test_resource_spectrum_validation():
         ResourceSpectrum([1.0, 0.5])  # sums to 1.5, not d=2
     with pytest.raises(ValueError):
         ResourceSpectrum([2.5, -0.5])
+    with pytest.raises(ValueError, match="nonempty"):
+        ResourceSpectrum([])  # sums to d = 0 vacuously

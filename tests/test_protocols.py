@@ -151,6 +151,27 @@ def test_run_protocol_rejects_bad_member_index():
         run_protocol(problem, Leaf(7))
 
 
+@pytest.mark.parametrize("child", [None, 0, "leaf", (Leaf(1),)])
+def test_round_refuses_a_child_that_is_not_a_node_naming_its_index(child):
+    with pytest.raises(ValueError, match="round child 1 must be a Round or a Leaf"):
+        Round(computational_instrument("A", (0,), (2,)), (Leaf(0), child))
+
+
+@pytest.mark.parametrize("instrument", [None, "A", computational_instrument("A", (0,), (2,)).kraus])
+def test_round_refuses_an_instrument_that_is_not_an_instrument(instrument):
+    with pytest.raises(ValueError, match="round instrument must be an Instrument"):
+        Round(instrument, (Leaf(0), Leaf(1)))
+
+
+@pytest.mark.parametrize("root", [5, None, "tree", (Leaf(0),)])
+def test_a_root_that_is_not_a_node_is_refused(root):
+    problem = JointProblem(bell_basis())
+    for call in (lambda: run_protocol(problem, root), lambda: flatten_to_povm(root, problem),
+                 lambda: validate_tree(root, problem.joint)):
+        with pytest.raises(ValueError, match="tree root must be a Round or a Leaf"):
+            call()
+
+
 def test_incomplete_instrument_rejected_at_construction():
     half = np.eye(2, dtype=complex) * S2
     with pytest.raises(ValueError, match="incomplete"):
